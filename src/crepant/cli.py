@@ -137,6 +137,9 @@ def _cmd_verify_recursions(args) -> int:
 
 def _cmd_verify_theta(args) -> int:
     N = args.order
+    if N < 0:
+        print(f"--order must be >= 0, got {N}", file=sys.stderr)
+        return 2
     diff = hurwitz.theta_check(N)
     ok = diff.coefficient(0, 0) == Fraction(1, 9) and all(
         v == 0 for (i, j), v in diff.items() if (i, j) != (0, 0))
@@ -147,6 +150,9 @@ def _cmd_verify_theta(args) -> int:
 
 def _cmd_verify_crc(args) -> int:
     N = args.order
+    if N < 3:
+        print(f"--order must be >= 3, got {N}", file=sys.stderr)
+        return 2
     table = hurwitz.build_hodge_table(max(N - 2, 4), component_max_genus=3)
     report = potentials.verify_crc(N, table)
     if args.format == "json":
@@ -178,6 +184,9 @@ def _cmd_localization(args) -> int:
 
 
 def _cmd_duval(args) -> int:
+    if args.n < 2:
+        print(f"--n must be >= 2, got {args.n}", file=sys.stderr)
+        return 2
     transform = mckay.duval_transform(args.n)
     payload = mckay.transform_json(transform)
     if args.format == "text":

@@ -418,8 +418,8 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     """Compute every quantity to ``max_genus`` and record cross-check status.
 
     Component systems are solved up to ``component_max_genus`` (defaults
-    to ``max_genus``); the gamma enumeration runs only where it is below
-    ``enumeration_cap``.
+    to ``max_genus``); the gamma enumeration checks genera up to 12 and
+    never above ``enumeration_cap``.
     """
     if component_max_genus is None:
         component_max_genus = max_genus
@@ -444,7 +444,7 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
         delta(g) == delta_direct(g) for g in range(1, max_genus + 1))
     table.checks["gamma formula vs enumeration"] = all(
         gamma_formula(g) == gamma_bruteforce(g, cap=enumeration_cap)
-        for g in range(0, min(max_genus, 12) + 1))
+        for g in range(0, min(max_genus, 12, enumeration_cap) + 1))
     table.checks["A-bullet = gamma * A"] = all(
         table.Abullet[g] == table.gamma[g] * table.A[g]
         for g in range(1, max_genus + 1))

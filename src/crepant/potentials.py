@@ -15,6 +15,23 @@ in honest truncated series over t-linear coefficients.  Equality of all
 third partials pins every coefficient of total degree >= 3, and terms
 with fewer than three insertions are zero by definition on both sides.
 
+Each series-valued third partial, on either side, is a cubic constant
+plus (t1 + t2) times a sum of univariate series composed with linear
+forms in (x1, x2).  On the orbifold side the forms are the three
+L_k = w^k x1 + wbar^k x2; on the resolution side, under the standard
+change of variables, the multi-cover pieces y1, y2 and y1 + y2 are
+scalar multiples of L_1, L_2 and L_0.  For
+d >= 2 the d-th powers of three pairwise non-proportional binary forms
+are linearly independent, so the degree-d parts of the two sides agree
+exactly when, direction by direction, the degree-d coefficients of the
+univariate series agree: O(N) univariate comparisons instead of O(N^2)
+bivariate ones.  Degrees 0 and 1 are compared in aggregate on the
+bivariate coefficients, since the cubic constants live there and
+L_0 + L_1 + L_2 = 0.  A change of variables whose pieces are not
+multiples of the L_k is compared coefficient by coefficient on the
+bivariate series, which also serve as the low-order test oracle and
+give the first mismatching monomial of a failing partial.
+
 Degree bookkeeping: every stable coefficient is t-linear and lives in
 LinT; the two degree -2 exceptions (the triple product of identity
 classes on either side) travel on the dedicated InverseT1T2 channel and
@@ -25,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3,
                       USeries, compose_linear, format_rational,
@@ -223,15 +241,130 @@ def _validate_index(idx) -> tuple[int, int, int]:
     return tuple(sorted(idx))
 
 
-def _lift_t1_plus_t2(series: BiSeries, half: bool = False) -> BiSeries:
-    """Multiply a Q(w)-coefficient series by (t1 + t2), optionally halved."""
-    scale = Fraction(1, 2) if half else Fraction(1)
-    return series.map_coeffs(lambda z: LinT(Cyc3(0), z * scale, z * scale))
+# ---------------------------------------------------------------------------
+# Sides of a series-valued third partial
+# ---------------------------------------------------------------------------
+
+# The orbifold-side linear forms L_k = w^k x1 + wbar^k x2, as (w^k, wbar^k).
+_FORMS = ((Cyc3(1), Cyc3(1)), (OMEGA, OMEGA_BAR), (OMEGA_BAR, OMEGA))
+
+
+class _Side(NamedTuple):
+    """cubic + (t1 + t2) * sum of series(a x1 + b x2) over (a, b, series) in terms.
+
+    Every series-valued third partial of either potential has this shape;
+    the series are univariate over Q(w), all of one order.
+    """
+    cubic: LinT
+    terms: tuple
+
+
+def _on_form(u1: Cyc3, u2: Cyc3, series: USeries) -> tuple[Cyc3, Cyc3, USeries]:
+    """series(u1 x1 + u2 x2) as (a, b, series') with series'(a x1 + b x2) equal.
+
+    When u1 x1 + u2 x2 = lam * L_k, (a, b) is the k-th of ``_FORMS`` and
+    series' is series(lam u); otherwise the input comes back unchanged.
+    """
+    for a, b in _FORMS:
+        lam = u1 / a
+        if lam * b == u2:
+            return a, b, series.scale_variable(lam)
+    return u1, u2, series
+
+
+def _assemble(side: _Side, N: int) -> BiSeries:
+    """The bivariate series of a side, truncated at total degree N."""
+    acc = BiSeries.zeros(N, Cyc3(0))
+    for a, b, series in side.terms:
+        acc = acc + compose_linear(series, a, b, N)
+    return acc.map_coeffs(lambda z: LinT(Cyc3(0), z, z)) + side.cubic
+
+
+def _coefficients_by_form(side: _Side, N: int) -> list[list[Cyc3]] | None:
+    """For each L_k, the summed coefficients of the terms on L_k.
+
+    None when some term lies on a form outside ``_FORMS``.
+    """
+    sums = [[Cyc3(0)] * (N + 1) for _ in _FORMS]
+    for a, b, series in side.terms:
+        if (a, b) not in _FORMS:
+            return None
+        row = sums[_FORMS.index((a, b))]
+        for d, c in enumerate(series.coeffs):
+            row[d] = row[d] + c
+    return sums
+
+
+def _agree_by_direction(fy: _Side, fx: _Side, N: int) -> bool:
+    """True when the two sides are certified equal to total degree N.
+
+    Degrees 0 and 1 are compared in aggregate, on the bivariate
+    coefficients.  For 2 <= d <= N the d-th powers of the pairwise
+    non-proportional L_0, L_1, L_2 are linearly independent, so the
+    degree-d parts agree if and only if each form's degree-d coefficients
+    do.  False means a mismatch or a term off every L_k; the bivariate
+    comparison then decides.
+    """
+    by_form_y = _coefficients_by_form(fy, N)
+    by_form_x = _coefficients_by_form(fx, N)
+    if by_form_y is None or by_form_x is None:
+        return False
+    low = min(N, 1)
+    if _assemble(fy, low) != _assemble(fx, low):
+        return False
+    return all(cy[2:] == cx[2:] for cy, cx in zip(by_form_y, by_form_x))
 
 
 # ---------------------------------------------------------------------------
 # Third partials of the resolution potential
 # ---------------------------------------------------------------------------
+
+def _triple_products(data: FixedPointData) -> dict[tuple[int, ...], LinT]:
+    """The four triple products of C1 and C2, keyed by sorted class numbers."""
+    return {key: triple_intersection(*(f"C{i}" for i in key), data=data)
+            for key in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))}
+
+
+def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple]:
+    """The pieces (q1, y1), (q2, y2), (q1 q2, y1 + y2) as (u1, u2, a, b, G).
+
+    (u1, u2) is the piece's linear form in x, which gives the chain
+    factors; (a, b, G) is G_q on that form, rewritten by ``_on_form``.
+    Each distinct q builds its geometric series once.
+    """
+    J = cov.jacobian
+    q1, q2 = cov.q_values
+    geometric = {}
+    pieces = []
+    for q, u1, u2 in ((q1, J[0][0], J[0][1]), (q2, J[1][0], J[1][1]),
+                      (q1 * q2, J[0][0] + J[1][0], J[0][1] + J[1][1])):
+        if q not in geometric:
+            geometric[q] = geometric_exp_series(q, N)
+        pieces.append((u1, u2, *_on_form(u1, u2, geometric[q])))
+    return pieces
+
+
+def _fy_side(idx: tuple[int, int, int], J, products, pieces) -> _Side:
+    """The resolution side of a partial with every index in {1, 2}.
+
+    The constant jacobian chain rule contracts the localization cubic,
+    and each multi-cover piece contributes chain-factor times G_q(form).
+    """
+    cubic = LinT.zero()
+    for a in (1, 2):
+        for b in (1, 2):
+            for c in (1, 2):
+                factor = (J[a - 1][idx[0] - 1] * J[b - 1][idx[1] - 1]
+                          * J[c - 1][idx[2] - 1])
+                cubic = cubic + products[tuple(sorted((a, b, c)))] * factor
+    terms = []
+    for u1, u2, a, b, G in pieces:
+        chain = Cyc3(1)
+        for m in idx:
+            chain = chain * (u1 if m == 1 else u2)
+        terms.append((a, b, G * chain))
+    return _Side(cubic, tuple(terms))
+
 
 def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
                      data: FixedPointData | None = None):
@@ -268,37 +401,8 @@ def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
             second = quad.coefficient(1, 1)
         return LinT.of(second * Fraction(-1, 3))
 
-    # Classical cubic: full chain-rule contraction of the triple products.
-    inter = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            for c in (1, 2):
-                key = tuple(sorted((a, b, c)))
-                if key not in inter:
-                    inter[key] = triple_intersection(*(f"C{i}" for i in key), data=data)
-    cubic = LinT.zero()
-    for a in (1, 2):
-        for b in (1, 2):
-            for c in (1, 2):
-                factor = (J[a - 1][idx[0] - 1] * J[b - 1][idx[1] - 1]
-                          * J[c - 1][idx[2] - 1])
-                cubic = cubic + inter[tuple(sorted((a, b, c)))] * factor
-
-    # Multi-cover pieces: (q1, y1), (q2, y2), (q1 q2, y1 + y2).
-    q1, q2 = cov.q_values
-    pieces = [
-        (q1, (J[0][0], J[0][1])),
-        (q2, (J[1][0], J[1][1])),
-        (q1 * q2, (J[0][0] + J[1][0], J[0][1] + J[1][1])),
-    ]
-    acc = BiSeries.zeros(N, Cyc3(0))
-    for q, (u1, u2) in pieces:
-        chain = Cyc3(1)
-        for m in idx:
-            chain = chain * (u1 if m == 1 else u2)
-        G = geometric_exp_series(q, N)
-        acc = acc + compose_linear(G, u1, u2, N) * chain
-    return _lift_t1_plus_t2(acc) + cubic
+    side = _fy_side(idx, J, _triple_products(data), _multicover_pieces(cov, N))
+    return _assemble(side, N)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +425,29 @@ def _a_series_negated(table: HodgeTable, N: int) -> USeries:
     return USeries.from_coeffs(coeffs)
 
 
+def _fx_series(table: HodgeTable, N: int) -> list[USeries]:
+    """w^e A(-u) / 6 for e = 0, 1, 2.
+
+    1/6 is the 1/3 of the average over the three forms times the 1/2 of
+    the (t1 + t2)/2 weight; w^e is a chain-rule prefactor.
+    """
+    ser = _a_series_negated(table, N)
+    return [ser * (OMEGA ** e * Fraction(1, 6)) for e in range(3)]
+
+
+def _fx_side(idx: tuple[int, int, int], series: list[USeries]) -> _Side:
+    """The orbifold side of a partial with every index in {1, 2}."""
+    n1, n2 = idx.count(1), idx.count(2)
+    if n1 == 3:
+        cubic = LinT.of(0, Fraction(1, 3), 0)
+    elif n2 == 3:
+        cubic = LinT.of(0, 0, Fraction(1, 3))
+    else:
+        cubic = LinT.zero()
+    return _Side(cubic, tuple((a, b, series[(k * (n1 - n2)) % 3])
+                              for k, (a, b) in enumerate(_FORMS)))
+
+
 def fx_third_partial(idx, table: HodgeTable, N: int = 12):
     """d^3 F^X / dx_idx, truncated at total degree N.
 
@@ -338,19 +465,7 @@ def fx_third_partial(idx, table: HodgeTable, N: int = 12):
         if idx == (0, 1, 2):
             return LinT.of(Fraction(1, 3))  # from (1/3) x0 x1 x2
         return LinT.zero()
-
-    n1, n2 = idx.count(1), idx.count(2)
-    ser = _a_series_negated(table, N)
-    acc = BiSeries.zeros(N, Cyc3(0))
-    for k in range(3):
-        prefactor = OMEGA ** ((k * (n1 - n2)) % 3)
-        acc = acc + compose_linear(ser, OMEGA ** k, OMEGA_BAR ** k, N) * prefactor
-    result = _lift_t1_plus_t2(acc * Fraction(1, 3), half=True)
-    if n1 == 3:
-        result = result + LinT.of(0, Fraction(1, 3), 0)
-    elif n2 == 3:
-        result = result + LinT.of(0, 0, Fraction(1, 3))
-    return result
+    return _assemble(_fx_side(idx, _fx_series(table, N)), N)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +503,38 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     derivatives of degree-N potential coefficients); scalar indices are
     compared exactly.  Passing every index certifies the identity of the
     potentials to order N, the sub-cubic terms being zero by definition.
+
+    The triple products, the geometric series and the orbifold series do
+    not depend on the index and are built once per call.  A series index
+    is compared direction by direction (see the module docstring): degrees
+    0 and 1 in aggregate on the bivariate coefficients, each degree d >= 2
+    on the univariate coefficients along each L_k.  When a piece of the
+    change of variables lies off every L_k, or an index fails, the index
+    is compared on the bivariate series that ``fy_third_partial`` and
+    ``fx_third_partial`` return, which gives the first mismatching
+    monomial.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     order = N - 3
+    if cov is None:
+        cov = ChangeOfVars.standard()
+    if data is None:
+        data = FixedPointData.standard()
+    products = _triple_products(data)
+    pieces = _multicover_pieces(cov, order)
+    fx_series = _fx_series(table, order)
     checks = []
     all_pass = True
     for idx in ALL_INDICES:
-        fy = fy_third_partial(idx, cov, order, data)
-        fx = fx_third_partial(idx, table, order)
-        mismatch = _first_mismatch(fy, fx)
+        if 0 in idx:
+            mismatch = _first_mismatch(fy_third_partial(idx, cov, order, data),
+                                       fx_third_partial(idx, table, order))
+        else:
+            fy = _fy_side(idx, cov.jacobian, products, pieces)
+            fx = _fx_side(idx, fx_series)
+            mismatch = None if _agree_by_direction(fy, fx, order) else \
+                _first_mismatch(_assemble(fy, order), _assemble(fx, order))
         ok = mismatch is None
         all_pass = all_pass and ok
         checks.append({

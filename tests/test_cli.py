@@ -1,6 +1,8 @@
 """CLI surface: subcommands, formats, exit codes, byte stability."""
 import json
 
+import pytest
+
 from crepant.cli import main
 
 
@@ -102,3 +104,15 @@ def test_byte_stable_output(capsys):
     _, first, _ = run(capsys, "tables", "--max-genus", "6", "--format", "json")
     _, second, _ = run(capsys, "tables", "--max-genus", "6", "--format", "json")
     assert first == second
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "crc", "--order", "2"], "--order must be >= 3, got 2"),
+    (["verify", "crc", "--order", "-5"], "--order must be >= 3, got -5"),
+    (["verify", "theta", "--order", "-1"], "--order must be >= 0, got -1"),
+    (["duval", "--n", "1"], "--n must be >= 2, got 1"),
+])
+def test_out_of_range_argument_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"

@@ -1,0 +1,49 @@
+"""Byte-for-byte comparison of CLI output and CRC reports with recorded goldens.
+
+The files under ``tests/golden/`` were recorded from the bivariate
+coefficient-by-coefficient comparison, before the direction-wise route
+existed:
+
+- ``cli_cases.json`` lists each CLI invocation with its stdout file and
+  exit code;
+- ``verify_crc_failures.json`` holds the ``verify_crc`` reports of three
+  corrupted inputs, serialized with ``json.dumps(report, indent=2)``.
+"""
+import copy
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from crepant.algebra import Cyc3, OMEGA_BAR
+from crepant.cli import main
+from crepant.potentials import ChangeOfVars, verify_crc
+
+GOLDEN = Path(__file__).parent / "golden"
+CLI_CASES = json.loads((GOLDEN / "cli_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=lambda c: " ".join(c["argv"]))
+def test_cli_output_matches_golden(case, capsys):
+    code = main(case["argv"])
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out == (GOLDEN / case["stdout"]).read_text()
+
+
+def test_failure_reports_match_golden(table16):
+    std = ChangeOfVars.standard()
+    broken = copy.deepcopy(table16)
+    broken.A[5] = broken.A[5] + 1
+    (j00, j01), row2 = std.jacobian
+    off = ChangeOfVars(jacobian=((j00 + Cyc3(F(1, 7)), j01), row2),
+                       q_values=std.q_values)
+    reports = {
+        "order9_A5_plus_1": verify_crc(9, broken),
+        "order6_q_wbar_wbar": verify_crc(
+            6, table16, cov=ChangeOfVars(std.jacobian, (OMEGA_BAR, OMEGA_BAR))),
+        "order6_jacobian_off_direction": verify_crc(6, table16, cov=off),
+    }
+    expected = (GOLDEN / "verify_crc_failures.json").read_text()
+    assert json.dumps(reports, indent=2) + "\n" == expected

@@ -1,11 +1,13 @@
 """Localization, invariants, and the third-partial comparison."""
+import copy
 from fractions import Fraction as F
 
 import pytest
 
+from crepant import potentials
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
-                                InverseT1T2, fx_third_partial,
+                                InverseT1T2, _first_mismatch, fx_third_partial,
                                 fy_third_partial, multicover_invariant,
                                 orbifold_invariant, swap_series,
                                 triple_intersection, verify_crc)
@@ -230,3 +232,78 @@ def test_wrong_q_values_break_identity(table16):
     bad = ChangeOfVars(jacobian=cov.jacobian, q_values=(OMEGA_BAR, OMEGA_BAR))
     report = verify_crc(6, table16, cov=bad)
     assert report["all_pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# Direction-wise route against the bivariate oracle
+# ---------------------------------------------------------------------------
+
+def _bivariate_report(N, table, cov=None):
+    """verify_crc's report, built from the full bivariate partials."""
+    checks = []
+    for idx in ALL_INDICES:
+        mismatch = _first_mismatch(fy_third_partial(idx, cov, N - 3),
+                                   fx_third_partial(idx, table, N - 3))
+        checks.append({"idx": "".join(str(i) for i in idx),
+                       "status": "pass" if mismatch is None else "fail",
+                       "first_mismatch": mismatch})
+    return {"order": N, "checks": checks,
+            "all_pass": all(c["status"] == "pass" for c in checks)}
+
+
+def _with_jacobian(jacobian, q_values=None):
+    std = ChangeOfVars.standard()
+    return ChangeOfVars(jacobian=jacobian, q_values=q_values or std.q_values)
+
+
+_STD_J = ChangeOfVars.standard().jacobian
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_direction_route_matches_bivariate_oracle(N, table16):
+    # N = 3 and 4 leave only degrees 0 and 1, the aggregate comparison
+    report = verify_crc(N, table16)
+    assert report["all_pass"] is True
+    assert report == _bivariate_report(N, table16)
+
+
+@pytest.mark.parametrize("g", range(2, 10))
+def test_direction_route_matches_oracle_on_corrupted_a(g, table16):
+    # A_g enters the orbifold series in degree g - 1: g = 2 breaks the
+    # aggregate degree-1 check, g >= 3 a direction-wise degree
+    broken = copy.deepcopy(table16)
+    broken.A[g] = broken.A[g] + 1
+    report = verify_crc(g + 3, broken)
+    assert report["all_pass"] is False
+    assert report == _bivariate_report(g + 3, broken)
+
+
+@pytest.mark.parametrize("cov", [
+    _with_jacobian(_STD_J, (OMEGA_BAR, OMEGA_BAR)),
+    # every piece still a multiple of some L_k, with other scales
+    _with_jacobian(tuple(tuple(-u for u in row) for row in _STD_J)),
+    _with_jacobian((_STD_J[1], _STD_J[0])),
+    # y1 off every L_k: the bivariate fallback
+    _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1])),
+], ids=["q_wbar_wbar", "jacobian_negated", "jacobian_rows_swapped",
+        "jacobian_off_direction"])
+def test_direction_route_matches_oracle_on_other_changes_of_variables(cov, table16):
+    assert verify_crc(8, table16, cov=cov) == _bivariate_report(8, table16, cov)
+
+
+def test_route_follows_the_linear_forms(table16, monkeypatch):
+    """Standard variables never compose beyond degree 1; off-form ones do."""
+    degrees = []
+    compose = potentials.compose_linear
+
+    def spy(f, a, b, N):
+        degrees.append(N)
+        return compose(f, a, b, N)
+
+    monkeypatch.setattr(potentials, "compose_linear", spy)
+    assert verify_crc(10, table16)["all_pass"] is True
+    assert degrees and max(degrees) <= 1
+    degrees.clear()
+    off = _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1]))
+    verify_crc(10, table16, cov=off)
+    assert max(degrees) == 7
