@@ -9,8 +9,7 @@ cyclotomic quantity; there is no floating point anywhere.
 """
 from .algebra import (BiSeries, Cyc3, CycElement, CycField, DegreeOverflowError,
                       LinT, OMEGA, OMEGA_BAR, I_SQRT3, I_OVER_SQRT3, USeries,
-                      compose_linear, format_rational, parse_rational,
-                      tangent_series, tau_series)
+                      compose_linear, tangent_series, tau_series)
 from .hurwitz import (ComponentLabel, HodgeTable, LabelParityError,
                       SingularSystemError, a_closed, a_values,
                       abullet_functional, abullet_recursive, b_closed,

@@ -30,15 +30,6 @@ class DegreeOverflowError(ArithmeticError):
     """Raised when a product would exceed t-degree one in LinT."""
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    return str(q)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # Cyc3: the field Q(w), w^2 + w + 1 = 0
 # ---------------------------------------------------------------------------
@@ -160,11 +151,11 @@ class Cyc3:
         return self.a
 
     def to_json(self) -> dict:
-        return {"a": format_rational(self.a), "b": format_rational(self.b)}
+        return {"a": str(self.a), "b": str(self.b)}
 
     @classmethod
     def from_json(cls, d: dict) -> Cyc3:
-        return cls(parse_rational(d["a"]), parse_rational(d["b"]))
+        return cls(Fraction(d["a"]), Fraction(d["b"]))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -381,7 +372,7 @@ class CycElement:
         return CycElement(self.field, self.field._reduce(inv))
 
     def to_coeff_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         parts = []
@@ -717,26 +708,6 @@ class BiSeries:
         return BiSeries(self.order, tuple(tuple(r) for r in out))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> BiSeries:
-        if not isinstance(other, BiSeries):
-            return self.map_coeffs(lambda c: c / other)
-        self._check(other)
-        return self * other.reciprocal()
-
-    def reciprocal(self) -> BiSeries:
-        try:
-            h0 = _inverse_of(self.rows[0][0])
-        except ZeroDivisionError:
-            raise ZeroDivisionError("series divisor has non-invertible constant term") from None
-        # 1/(c0 (1 + R)) with R = self/c0 - 1, expanded by Horner:
-        # acc = 1 - R*(1 - R*(...)) = sum (-R)^k.
-        one = h0 * self.rows[0][0]
-        r = (self * h0) - one
-        acc = BiSeries.zeros(self.order, self._zero()) + one
-        for _ in range(self.order):
-            acc = (-(r * acc)) + one
-        return acc * h0
 
     def d_dx1(self) -> BiSeries:
         if self.order == 0:

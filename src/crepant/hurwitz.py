@@ -14,13 +14,21 @@ addition formula turns them into the rational quotients
 which is how they are computed here: no square root ever appears.
 
 Every quantity is computed twice, by independent routes, and the pair is
-compared exactly:
+compared exactly.  ``build_hodge_table`` is the one place these checks
+are defined; it records them, in this order, in ``HodgeTable.checks``,
+and ``crepant verify recursions`` prints that dict as its report:
 
-    B_g        WDVV recursion            vs  coefficients of B(u)
-    A-bullet_g WDVV recursion            vs  (2B^2 - 1) / (3B)
-    gamma_g    closed form               vs  subset enumeration
-    delta_g    closed form               vs  alternating binomial sum
-    A_g^l      per-component linear systems  vs  coefficients of A(u)
+    B recursion vs closed form             B_g: WDVV recursion vs B(u)
+    A-bullet recursion vs functional form  Ab_g: WDVV recursion vs (2B^2 - 1)/(3B)
+    gamma formula vs enumeration           gamma_g: closed form vs subset count
+    delta closed form vs direct sum        delta_g: closed form vs binomial sum
+    A-bullet = gamma * A                   Ab_g vs gamma_g A_g
+    functional equation for A and B        (2/3)B - (1/3)/B = (4/3)A(2u) - (1/3)A(-u)
+    ODE B' + 3BB'' = 6(B')^2               on the B series (genus >= 2)
+
+and, when component systems of genus >= 4 are solved,
+
+    components independent of label        A_g^l vs A_g for every label l
 """
 from __future__ import annotations
 
@@ -28,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import USeries, BiSeries, tau_series, format_rational
+from .algebra import USeries, BiSeries, tau_series
 
 
 class LabelParityError(ValueError):
@@ -49,41 +57,52 @@ def _binom(n: int, k: int) -> int:
 # Closed-form series
 # ---------------------------------------------------------------------------
 
+def _b_of_tau(tau: USeries) -> USeries:
+    return (tau * Fraction(1, 3) + 1) / (1 - tau)
+
+
+def _a_of_tau(tau: USeries) -> USeries:
+    return (tau + 1) / (3 - tau)
+
+
+def _abullet_of_b(B: USeries) -> USeries:
+    return (B * B * 2 - 1) / (B * 3)
+
+
+def _egf_values(ser: USeries, genera: range, shift: int = 0) -> dict[int, Fraction]:
+    """The values f_g = (g - shift)! * [u^(g - shift)] ser for g in ``genera``."""
+    return {g: ser.coefficient(g - shift) * math.factorial(g - shift) for g in genera}
+
+
 def b_closed(N: int) -> USeries:
     """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau)."""
-    tau = tau_series(N)
-    return (tau * Fraction(1, 3) + 1) / (1 - tau)
+    return _b_of_tau(tau_series(N))
 
 
 def a_closed(N: int) -> USeries:
     """A(u) to order N as the rational quotient (1 + tau)/(3 - tau)."""
-    tau = tau_series(N)
-    return (tau + 1) / (3 - tau)
-
-
-def b_values(max_genus: int) -> dict[int, Fraction]:
-    """B_g for 0 <= g <= max_genus, read off the closed-form series."""
-    ser = b_closed(max_genus)
-    return {g: ser.coefficient(g) * math.factorial(g) for g in range(max_genus + 1)}
-
-
-def a_values(max_genus: int) -> dict[int, Fraction]:
-    """A_g for 1 <= g <= max_genus, read off the closed-form series."""
-    ser = a_closed(max_genus - 1) if max_genus >= 1 else None
-    return {g: ser.coefficient(g - 1) * math.factorial(g - 1)
-            for g in range(1, max_genus + 1)}
+    return _a_of_tau(tau_series(N))
 
 
 def abullet_functional(N: int) -> USeries:
     """A-bullet(u) to order N via the functional relation 1 + 3*Ab*B = 2*B^2."""
-    B = b_closed(N)
-    return (B * B * 2 - 1) / (B * 3)
+    return _abullet_of_b(b_closed(N))
+
+
+def b_values(max_genus: int) -> dict[int, Fraction]:
+    """B_g for 0 <= g <= max_genus, read off the closed-form series."""
+    return _egf_values(b_closed(max_genus), range(max_genus + 1))
+
+
+def a_values(max_genus: int) -> dict[int, Fraction]:
+    """A_g for 1 <= g <= max_genus, read off the closed-form series."""
+    return _egf_values(a_closed(max(max_genus - 1, 0)), range(1, max_genus + 1), 1)
 
 
 def abullet_values(max_genus: int) -> dict[int, Fraction]:
-    ser = abullet_functional(max_genus - 1) if max_genus >= 1 else None
-    return {g: ser.coefficient(g - 1) * math.factorial(g - 1)
-            for g in range(1, max_genus + 1)}
+    """A-bullet_g for 1 <= g <= max_genus, read off the functional form."""
+    return _egf_values(abullet_functional(max(max_genus - 1, 0)),
+                       range(1, max_genus + 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,40 +433,53 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
 # ---------------------------------------------------------------------------
 
 def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
-                      enumeration_cap: int = 20) -> HodgeTable:
-    """Compute every quantity to ``max_genus`` and record cross-check status.
+                      enumeration_cap: int = 12) -> HodgeTable:
+    """Compute every quantity to ``max_genus`` and run every dual-oracle check.
 
-    Component systems are solved up to ``component_max_genus`` (defaults
-    to ``max_genus``); the gamma enumeration checks genera up to 12 and
-    never above ``enumeration_cap``.
+    The checks, listed in the module docstring, are recorded in order in
+    ``table.checks``.  Component systems are solved up to
+    ``component_max_genus`` (defaults to ``max_genus``); the gamma
+    enumeration checks g <= min(max_genus, enumeration_cap).
     """
     if component_max_genus is None:
         component_max_genus = max_genus
     if component_max_genus > max_genus:
         raise ValueError("component_max_genus cannot exceed max_genus")
-    table = HodgeTable(max_genus=max_genus)
+    G = max_genus
+    table = HodgeTable(max_genus=G)
+    genera = range(1, G + 1)
 
-    b_rec = b_recursive(max_genus)
-    table.B = b_values(max_genus)
-    table.checks["B recursion vs closed form"] = all(
-        b_rec[g] == table.B[g] for g in range(max_genus + 1))
+    b_rec = b_recursive(G)
+    ab_rec = abullet_recursive(G, b_rec)
+    tau = tau_series(G)
+    B, A = _b_of_tau(tau), _a_of_tau(tau)
+    table.B = _egf_values(B, range(G + 1))
+    table.Abullet = _egf_values(_abullet_of_b(B), genera, 1)
+    table.A = _egf_values(A, genera, 1)
+    table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
+    table.delta = {g: delta(g) for g in genera}
 
-    ab_rec = abullet_recursive(max_genus, b_rec)
-    table.Abullet = abullet_values(max_genus)
-    table.checks["A-bullet recursion vs functional form"] = all(
-        ab_rec[g] == table.Abullet[g] for g in range(1, max_genus + 1))
-
-    table.A = a_values(max_genus)
-    table.gamma = {g: gamma_formula(g) for g in range(max_genus + 1)}
-    table.delta = {g: delta(g) for g in range(1, max_genus + 1)}
-    table.checks["delta closed form vs direct sum"] = all(
-        delta(g) == delta_direct(g) for g in range(1, max_genus + 1))
-    table.checks["gamma formula vs enumeration"] = all(
-        gamma_formula(g) == gamma_bruteforce(g, cap=enumeration_cap)
-        for g in range(0, min(max_genus, 12, enumeration_cap) + 1))
-    table.checks["A-bullet = gamma * A"] = all(
-        table.Abullet[g] == table.gamma[g] * table.A[g]
-        for g in range(1, max_genus + 1))
+    checks = table.checks
+    checks["B recursion vs closed form"] = all(
+        b_rec[g] == table.B[g] for g in range(G + 1))
+    checks["A-bullet recursion vs functional form"] = all(
+        ab_rec[g] == table.Abullet[g] for g in genera)
+    checks["gamma formula vs enumeration"] = all(
+        table.gamma[g] == gamma_bruteforce(g) for g in range(min(G, enumeration_cap) + 1))
+    checks["delta closed form vs direct sum"] = all(
+        table.delta[g] == delta_direct(g) for g in genera)
+    checks["A-bullet = gamma * A"] = all(
+        table.Abullet[g] == table.gamma[g] * table.A[g] for g in genera)
+    checks["functional equation for A and B"] = (
+        B * Fraction(2, 3) - B.reciprocal() * Fraction(1, 3)
+        == A.scale_variable(Fraction(2)) * Fraction(4, 3)
+        - A.scale_variable(Fraction(-1)) * Fraction(1, 3))
+    if G >= 2:
+        Bp = B.differentiate()
+        Bpp = Bp.differentiate()
+        Bp = Bp.truncate(G - 2)
+        checks["ODE B' + 3BB'' = 6(B')^2"] = (
+            Bp + B.truncate(G - 2) * Bpp * 3 == Bp * Bp * 6)
 
     for h, l in _BASE_LABELS.items():
         if h <= max_genus:
@@ -512,11 +544,11 @@ def table_rows(table: HodgeTable) -> list[dict]:
                        if label.g == g)
         rows.append({
             "g": g,
-            "B": format_rational(table.B[g]),
-            "Abullet": format_rational(table.Abullet[g]) if g >= 1 else None,
-            "A": format_rational(table.A[g]) if g >= 1 else None,
+            "B": str(table.B[g]),
+            "Abullet": str(table.Abullet[g]) if g >= 1 else None,
+            "A": str(table.A[g]) if g >= 1 else None,
             "gamma": table.gamma[g],
-            "components": [{"l": l, "value": format_rational(v)} for l, v in comps],
+            "components": [{"l": l, "value": str(v)} for l, v in comps],
         })
     return rows
 

@@ -45,8 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3,
-                      USeries, compose_linear, format_rational,
-                      geometric_exp_series)
+                      USeries, compose_linear, geometric_exp_series)
 from .hurwitz import HodgeTable, solve_exact_linear
 
 
@@ -56,7 +55,7 @@ class InverseT1T2:
     scale: Fraction
 
     def to_json(self) -> dict:
-        return {"inverse_t1t2_scale": format_rational(self.scale)}
+        return {"inverse_t1t2_scale": str(self.scale)}
 
     def __str__(self) -> str:
         return f"({self.scale})/(t1*t2)"

@@ -1,5 +1,6 @@
 import pytest
 
+from crepant import hurwitz
 from crepant.hurwitz import build_hodge_table
 
 
@@ -13,3 +14,17 @@ def table30():
 def table16():
     """Light table for the potential tests; no component systems."""
     return build_hodge_table(16, component_max_genus=3)
+
+
+@pytest.fixture
+def enumerated_genera(monkeypatch):
+    """The genera passed to ``hurwitz.gamma_bruteforce`` during a test, in call order."""
+    seen = []
+    real = hurwitz.gamma_bruteforce
+
+    def spy(g, *args, **kwargs):
+        seen.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(hurwitz, "gamma_bruteforce", spy)
+    return seen

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from crepant import hurwitz
 from crepant.cli import main
 
 
@@ -54,6 +55,39 @@ def test_verify_recursions(capsys):
     names = {c["name"] for c in report["checks"]}
     assert "B recursion vs closed form" in names
     assert "delta closed form vs direct sum" in names
+
+
+def test_verify_recursions_enumerates_gamma_to_18(capsys, enumerated_genera):
+    code, _, _ = run(capsys, "verify", "recursions", "--max-genus", "20")
+    assert code == 0
+    assert enumerated_genera == list(range(19))
+
+
+def _corrupt_delta_direct(monkeypatch):
+    monkeypatch.setattr(hurwitz, "delta_direct", lambda g: hurwitz.delta(g) + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--max-genus", "8"],
+    ["tables", "--max-genus", "8", "--format", "csv"],
+    ["components", "--genus", "6", "--format", "json"],
+    ["verify", "crc", "--order", "8", "--format", "json"],
+])
+def test_failed_table_check_exits_1_without_output(capsys, monkeypatch, argv):
+    _corrupt_delta_direct(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "table check failed: delta closed form vs direct sum\n"
+
+
+def test_verify_recursions_reports_failed_check(capsys, monkeypatch):
+    _corrupt_delta_direct(monkeypatch)
+    code, out, err = run(capsys, "verify", "recursions", "--max-genus", "8")
+    assert code == 1
+    assert "delta closed form vs direct sum: fail\n" in out
+    assert out.endswith("FAILURES present\n")
+    assert err == ""
 
 
 def test_components_command(capsys):

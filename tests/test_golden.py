@@ -1,8 +1,11 @@
 """Byte-for-byte comparison of CLI output and CRC reports with recorded goldens.
 
-The files under ``tests/golden/`` were recorded from the bivariate
-coefficient-by-coefficient comparison, before the direction-wise route
-existed:
+Each file under ``tests/golden/`` was recorded before the code that
+produces it was restructured: the ``verify crc`` outputs from the
+bivariate coefficient-by-coefficient comparison, before the
+direction-wise route existed; the ``verify recursions``, ``tables``,
+``components``, ``verify theta`` and ``duval`` outputs while ``verify
+recursions`` still ran its own copy of the Hodge-table checks.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

@@ -222,11 +222,13 @@ def test_table_checks_pass(table30):
     assert all(table30.checks.values())
 
 
-def test_enumeration_cap_limits_gamma_enumeration():
+def test_enumeration_cap_limits_gamma_enumeration(enumerated_genera):
     # the enumeration stops at the cap instead of raising above it
     capped = build_hodge_table(8, component_max_genus=3, enumeration_cap=5)
+    assert enumerated_genera == [0, 1, 2, 3, 4, 5]
     assert capped.checks["gamma formula vs enumeration"] is True
     full = build_hodge_table(8, component_max_genus=3)
+    assert enumerated_genera[6:] == list(range(9))
     assert capped.checks == full.checks
     assert table_rows(capped) == table_rows(full)
 
