@@ -10,8 +10,8 @@ cyclotomic quantity; there is no floating point anywhere.
 from .algebra import (BiSeries, Cyc3, CycElement, CycField, DegreeOverflowError,
                       LinT, OMEGA, OMEGA_BAR, I_SQRT3, I_OVER_SQRT3, USeries,
                       compose_linear, tangent_series, tau_series)
-from .hurwitz import (ComponentLabel, HodgeTable, LabelParityError,
-                      SingularSystemError, a_closed, a_values,
+from .hurwitz import (ComponentLabel, ComponentMismatchError, HodgeTable,
+                      LabelParityError, SingularSystemError, a_closed, a_values,
                       abullet_functional, abullet_recursive, b_closed,
                       b_recursive, b_values, build_hodge_table, delta,
                       delta_direct, gamma_bruteforce, gamma_formula,

@@ -806,11 +806,9 @@ def geometric_exp_series(q: Cyc3, N: int) -> USeries:
 
     This is the thrice-differentiated closed form of the multi-cover sum
     sum_d (1/d^3) (q e^u)^d; it is a legitimate formal series whenever
-    1 - q is invertible, which holds for q in {w, w-bar}.
+    1 - q is invertible, which holds for q in {w, w-bar}.  It is computed
+    as 1/(1 - q e^u) - 1, one reciprocal and no series product.
     """
-    e = exp_series(N).map_coeffs(Cyc3)
-    num = e * q
-    den = 1 - num
     if not bool(Cyc3(1) - q):
         raise ZeroDivisionError("geometric series denominator has constant term 0")
-    return num / den
+    return (1 - exp_series(N).map_coeffs(Cyc3) * q).reciprocal() - 1

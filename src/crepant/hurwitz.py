@@ -29,6 +29,11 @@ and ``crepant verify recursions`` prints that dict as its report:
 and, when component systems of genus >= 4 are solved,
 
     components independent of label        A_g^l vs A_g for every label l
+
+The last one is decided by ``solve_components`` alone: it checks the
+closure equation it did not solve with, that the solved A_g^l are all
+equal, and that they equal A_g, and raises ``ComponentMismatchError``
+otherwise; ``build_hodge_table`` only records that outcome.
 """
 from __future__ import annotations
 
@@ -45,6 +50,10 @@ class LabelParityError(ValueError):
 
 class SingularSystemError(ArithmeticError):
     """The component system lost rank; always an indexing bug."""
+
+
+class ComponentMismatchError(ArithmeticError):
+    """A solved component system disagrees with itself or with A_g."""
 
 
 def _binom(n: int, k: int) -> int:
@@ -259,6 +268,8 @@ class HodgeTable:
 
 _BASE_LABELS = {1: 0, 2: 2, 3: 1}  # the unique component class per genus <= 3
 
+COMPONENT_CHECK = "components independent of label"
+
 
 # ---------------------------------------------------------------------------
 # Exact linear solving
@@ -311,24 +322,13 @@ def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> lis
 # The per-component system
 # ---------------------------------------------------------------------------
 
-def _node_indicators(d: int, side: str) -> tuple[int, int]:
-    """Node-monodromy indicators for a term with x - y = d (mod 3).
-
-    ``side`` is "phi" for the (p1 p2 | q1 q2) degeneration and "theta"
-    for (p1 q1 | p2 q2).  The excluded residue corresponds to a trivial
-    node monodromy, which cannot occur on a connected cover.
-    """
-    if side == "phi":
-        if d == 0:
-            return 1, 0
-        if d == 2:
-            return 0, 1
-    else:
-        if d == 1:
-            return 0, 1
-        if d == 2:
-            return 1, 0
-    raise LabelParityError(f"residue {d} is excluded on the {side} side")
+# Node-monodromy indicators (ind, ind_bar) of a term with x - y = d (mod 3),
+# keyed by (side, d): "phi" is the (p1 p2 | q1 q2) degeneration and "theta"
+# is (p1 q1 | p2 q2).  The residue missing on each side (1 on phi, 0 on
+# theta) is a trivial node monodromy, which cannot occur on a connected
+# cover, so its terms are left out.
+_NODE_INDICATORS = {("phi", 0): (1, 0), ("phi", 2): (0, 1),
+                    ("theta", 1): (0, 1), ("theta", 2): (1, 0)}
 
 
 def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction]:
@@ -341,8 +341,9 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     by the completed A-bullet evaluation (g even), and the resulting square
     system is solved exactly.
 
-    The closure equation not used during solving is verified afterwards,
-    never assumed.
+    This function alone judges its result: the closure equation not used
+    during solving must hold, the solved values must all be equal, and
+    they must equal A_g.  Otherwise it raises ``ComponentMismatchError``.
     """
     if g < 4:
         raise ValueError("solve_components applies for g >= 4")
@@ -357,13 +358,10 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
         imposed (g odd) or verified (g even) separately, exactly as the
         principal-term bookkeeping requires.
         """
-        if h > g:
-            raise SingularSystemError(f"genus {h} term above principal genus {g}")
+        label = ComponentLabel(h, m)  # rejects a label out of range or parity
         if h == g:
-            if not 0 <= m <= g + 2 or (m - nu) % 3 != 0:
-                raise LabelParityError(f"label {m} invalid for principal genus {g}")
             return ("x", (m - nu) // 3)
-        return ("v", table.components[ComponentLabel(h, m)])
+        return ("v", table.components[label])
 
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -372,22 +370,18 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
         r, s = l - 2, g + 1 - l
         coeff = [Fraction(0)] * (n + 1)
         const = Fraction(0)
-        for sign, side, excluded in ((1, "phi", 1), (-1, "theta", 0)):
+        for sign, side, base1, base2 in ((1, "phi", 2, 0), (-1, "theta", 1, 1)):
             for x in range(r + 1):
                 for y in range(s + 1):
-                    d = (x - y) % 3
-                    if d == excluded:
+                    indicators = _NODE_INDICATORS.get((side, (x - y) % 3))
+                    if indicators is None:
                         continue
-                    ind, ind_bar = _node_indicators(d, side)
-                    if side == "phi":
-                        m1, m2 = 2 + x + ind, (r - x) + ind_bar
-                    else:
-                        m1, m2 = 1 + x + ind, 1 + (r - x) + ind_bar
-                    f1 = lookup(1 + x + y, m1)
-                    f2 = lookup(1 + (r - x) + (s - y), m2)
+                    ind, ind_bar = indicators
+                    f1 = lookup(1 + x + y, base1 + x + ind)
+                    f2 = lookup(1 + (r - x) + (s - y), base2 + (r - x) + ind_bar)
                     c = Fraction(sign * 3 * _binom(r, x) * _binom(s, y))
-                    if f1[0] == "x" and f2[0] == "x":
-                        raise SingularSystemError("two principal factors in one term")
+                    # the factor genera sum to g + 1 with g >= 4, so at most
+                    # one is principal: f1 at (x, y) = (r, s), f2 at (0, 0)
                     if f1[0] == "x":
                         coeff[f1[1]] += c * f2[1]
                     elif f2[0] == "x":
@@ -415,14 +409,15 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     # must agree, and the common value must be A_g.
     if g % 2 == 1:
         if sum(c * v for c, v in zip(vvv_row, sol)) != vvv_rhs:
-            raise ArithmeticError(f"genus {g}: A-bullet closure fails redundancy")
+            raise ComponentMismatchError(f"genus {g}: A-bullet closure fails redundancy")
     else:
         if any(sol[i] != sol[n - i] for i in range(n + 1)):
-            raise ArithmeticError(f"genus {g}: label symmetry fails redundancy")
+            raise ComponentMismatchError(f"genus {g}: label symmetry fails redundancy")
     if any(v != sol[0] for v in sol):
-        raise ArithmeticError(f"genus {g}: component values are not constant: {sol}")
-    if g in table.A and sol[0] != table.A[g]:
-        raise ArithmeticError(
+        raise ComponentMismatchError(
+            f"genus {g}: component values are not constant: {sol}")
+    if sol[0] != table.A[g]:
+        raise ComponentMismatchError(
             f"genus {g}: components equal {sol[0]}, expected A_g = {table.A[g]}")
 
     return {ComponentLabel(g, 3 * i + nu): sol[i] for i in range(n + 1)}
@@ -484,13 +479,13 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     for h, l in _BASE_LABELS.items():
         if h <= max_genus:
             table.components[ComponentLabel(h, l)] = table.A[h]
-    components_ok = True
-    for g in range(4, component_max_genus + 1):
-        solved = solve_components(g, table)
-        table.components.update(solved)
-        components_ok = components_ok and all(v == table.A[g] for v in solved.values())
     if component_max_genus >= 4:
-        table.checks["components independent of label"] = components_ok
+        checks[COMPONENT_CHECK] = True
+        try:
+            for g in range(4, component_max_genus + 1):
+                table.components.update(solve_components(g, table))
+        except ComponentMismatchError:
+            checks[COMPONENT_CHECK] = False
 
     return table
 
@@ -499,15 +494,14 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
 # The theta identity
 # ---------------------------------------------------------------------------
 
-def theta_pair(N: int, avals: dict[int, Fraction] | None = None) -> tuple[BiSeries, BiSeries]:
+def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     """The double-sum series theta_0 and theta_1 to total degree N.
 
     theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
     pairs with x - y = i (mod 3); coefficients are stored divided by
     r! s! (exponential normalization), and vanish unless r = s (mod 3).
     """
-    if avals is None:
-        avals = a_values(N + 1)
+    avals = a_values(N + 1)
 
     def entry(i_residue: int, r: int, s: int) -> Fraction:
         if (r - s) % 3 != 0:
@@ -526,9 +520,9 @@ def theta_pair(N: int, avals: dict[int, Fraction] | None = None) -> tuple[BiSeri
     return theta0, theta1
 
 
-def theta_check(N: int, avals: dict[int, Fraction] | None = None) -> BiSeries:
+def theta_check(N: int) -> BiSeries:
     """theta_0 - theta_1 to total degree N; must be the constant 1/9."""
-    theta0, theta1 = theta_pair(N, avals)
+    theta0, theta1 = theta_pair(N)
     return theta0 - theta1
 
 

@@ -389,15 +389,11 @@ def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
     if zeros == 2:
         return LinT.zero()
     if zeros == 1:
-        # -(y0/3)(y1^2 + y1 y2 + y2^2) with the y's as linear forms in x
-        y1 = BiSeries.build(2, lambda i, j: {(1, 0): J[0][0], (0, 1): J[0][1]}.get((i, j), Cyc3(0)))
-        y2 = BiSeries.build(2, lambda i, j: {(1, 0): J[1][0], (0, 1): J[1][1]}.get((i, j), Cyc3(0)))
-        quad = y1 * y1 + y1 * y2 + y2 * y2
-        j, k = idx[1], idx[2]
-        if j == k:
-            second = quad.coefficient(2 if j == 1 else 0, 0 if j == 1 else 2) * 2
-        else:
-            second = quad.coefficient(1, 1)
+        # -(y0/3)(y1^2 + y1 y2 + y2^2) with y1, y2 the linear forms J[0], J[1]
+        # in x; its second partial in x_j, x_k is a constant.
+        a, b = idx[1] - 1, idx[2] - 1
+        second = (J[0][a] * J[0][b] * 2 + J[0][a] * J[1][b]
+                  + J[0][b] * J[1][a] + J[1][a] * J[1][b] * 2)
         return LinT.of(second * Fraction(-1, 3))
 
     side = _fy_side(idx, J, _triple_products(data), _multicover_pieces(cov, N))

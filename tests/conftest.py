@@ -28,3 +28,15 @@ def enumerated_genera(monkeypatch):
 
     monkeypatch.setattr(hurwitz, "gamma_bruteforce", spy)
     return seen
+
+
+@pytest.fixture
+def corrupt_component_solver(monkeypatch):
+    """``hurwitz.solve_exact_linear`` with 1 added to the first entry of its solution."""
+    real = hurwitz.solve_exact_linear
+
+    def corrupted(matrix, rhs):
+        sol = real(matrix, rhs)
+        return [sol[0] + 1] + sol[1:]
+
+    monkeypatch.setattr(hurwitz, "solve_exact_linear", corrupted)

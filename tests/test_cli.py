@@ -63,26 +63,38 @@ def test_verify_recursions_enumerates_gamma_to_18(capsys, enumerated_genera):
     assert enumerated_genera == list(range(19))
 
 
-def _corrupt_delta_direct(monkeypatch):
+@pytest.fixture
+def corrupt_delta_direct(monkeypatch):
     monkeypatch.setattr(hurwitz, "delta_direct", lambda g: hurwitz.delta(g) + 1)
 
 
-@pytest.mark.parametrize("argv", [
-    ["tables", "--max-genus", "8"],
-    ["tables", "--max-genus", "8", "--format", "csv"],
-    ["components", "--genus", "6", "--format", "json"],
-    ["verify", "crc", "--order", "8", "--format", "json"],
-])
-def test_failed_table_check_exits_1_without_output(capsys, monkeypatch, argv):
-    _corrupt_delta_direct(monkeypatch)
+# (corrupting fixture, the one check it fails, argv)
+_FAILED_CHECK_CASES = [
+    ("corrupt_delta_direct", "delta closed form vs direct sum", argv) for argv in (
+        ["tables", "--max-genus", "8"],
+        ["tables", "--max-genus", "8", "--format", "csv"],
+        ["components", "--genus", "6", "--format", "json"],
+        ["verify", "crc", "--order", "8", "--format", "json"],
+    )
+] + [
+    ("corrupt_component_solver", "components independent of label", argv) for argv in (
+        ["components", "--genus", "6", "--format", "json"],
+        ["tables", "--max-genus", "8"],
+    )
+]
+
+
+@pytest.mark.parametrize("corruption, failed, argv", _FAILED_CHECK_CASES,
+                         ids=[f"argv{i}" for i in range(len(_FAILED_CHECK_CASES))])
+def test_failed_table_check_exits_1_without_output(capsys, request, corruption, failed, argv):
+    request.getfixturevalue(corruption)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == "table check failed: delta closed form vs direct sum\n"
+    assert err == f"table check failed: {failed}\n"
 
 
-def test_verify_recursions_reports_failed_check(capsys, monkeypatch):
-    _corrupt_delta_direct(monkeypatch)
+def test_verify_recursions_reports_failed_check(capsys, corrupt_delta_direct):
     code, out, err = run(capsys, "verify", "recursions", "--max-genus", "8")
     assert code == 1
     assert "delta closed form vs direct sum: fail\n" in out

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
-from crepant.hurwitz import (ComponentLabel, LabelParityError,
-                             SingularSystemError, a_closed, a_values,
+from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
+                             LabelParityError, SingularSystemError, a_closed, a_values,
                              abullet_functional, abullet_recursive,
                              abullet_values, b_closed, b_recursive, b_values,
                              build_hodge_table, delta, delta_direct,
@@ -215,6 +215,23 @@ def test_solve_components_requires_lower_table(table30):
     partial = build_hodge_table(6, component_max_genus=3)
     with pytest.raises(KeyError):
         solve_components(5, partial)
+
+
+@pytest.mark.parametrize("g, message", [
+    (5, "genus 5: A-bullet closure fails redundancy"),
+    (6, "genus 6: label symmetry fails redundancy"),
+])
+def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_solver,
+                                                     g, message):
+    with pytest.raises(ComponentMismatchError, match=message):
+        solve_components(g, table30)
+
+
+def test_failed_component_system_is_recorded(corrupt_component_solver):
+    table = build_hodge_table(6)
+    assert table.checks["components independent of label"] is False
+    assert all(ok for name, ok in table.checks.items()
+               if name != "components independent of label")
 
 
 def test_table_checks_pass(table30):
