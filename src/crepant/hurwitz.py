@@ -34,6 +34,16 @@ The last one is decided by ``solve_components`` alone: it checks the
 closure equation it did not solve with, that the solved A_g^l are all
 equal, and that they equal A_g, and raises ``ComponentMismatchError``
 otherwise; ``build_hodge_table`` only records that outcome.
+
+Integer kernel.  The two double-sum kernels, the component systems and
+the theta series, run on plain ints: ``_over_common_denominator`` puts their
+inputs (the lower-genus A_h^m, or A_1..A_{N+1}) over one common
+denominator D, the lcm of theirs (a power of 3 for every table value,
+but any D stays exact), and every binomial convolution is summed in
+integers.  Fraction re-enters only at the boundary: in the back
+substitution of ``solve_exact_linear``, which returns the solved A_g^l,
+and in one ``Fraction(total, D^2 r! s!)`` per theta coefficient.  The
+series B, A and A-bullet and the recursions stay over Fraction.
 """
 from __future__ import annotations
 
@@ -60,6 +70,17 @@ def _binom(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return math.comb(n, k)
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` (ints or Fractions) over D = their lcm denominator.
+
+    D is the least common multiple of the denominators, so the scaling
+    is exact for any rationals, 3-adic or not.
+    """
+    values = list(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +299,16 @@ COMPONENT_CHECK = "components independent of label"
 def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square system exactly by fraction-free (Bareiss) elimination.
 
-    Rows are scaled to integers, eliminated with exact integer divisions,
-    and back-substituted over Fraction.
+    The elimination runs on integer rows: each row of ``matrix`` with its
+    ``rhs`` entry is put over its own common denominator, so integer
+    rows, as ``solve_components`` builds them, go in unchanged and
+    Fraction rows are scaled to integers.  Rows are eliminated with exact
+    integer divisions and back-substituted over Fraction.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system must be square")
-    aug: list[list[int]] = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = math.lcm(*(e.denominator for e in entries))
-        aug.append([int(e * scale) for e in entries])
+    aug = [_over_common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
 
     prev = 1
     for k in range(n):
@@ -330,6 +350,9 @@ def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> lis
 _NODE_INDICATORS = {("phi", 0): (1, 0), ("phi", 2): (0, 1),
                     ("theta", 1): (0, 1), ("theta", 2): (1, 0)}
 
+# Each side's sign in the WDVV comparison and the base labels of its two factors.
+_DEGENERATIONS = {"phi": (1, 2, 0), "theta": (-1, 1, 1)}
+
 
 def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction]:
     """Solve for all per-component integrals A_g^l of a single genus g >= 4.
@@ -341,6 +364,12 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     by the completed A-bullet evaluation (g even), and the resulting square
     system is solved exactly.
 
+    The equations are assembled in integers: every lower-genus A_h^m is
+    read from ``table.components`` (never from ``table.A``, which would
+    make the comparison with A_g circular) and scaled to a numerator over
+    one common denominator D, so a known product is an integer over D^2
+    and a principal coefficient, multiplied by D, is too.
+
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
     they must equal A_g.  Otherwise it raises ``ComponentMismatchError``.
@@ -350,58 +379,62 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
 
-    def lookup(h: int, m: int):
-        """A_h^m: a table value for h < g, or the unknown index for h = g.
+    # lower[h][m] = D * A_h^m for h < g, indexed by the raw label m (None off
+    # parity); ComponentLabel validates every label that is filled in.
+    raw = [(h, m) for h in range(1, g) for m in range(_nu(h), h + 3, 3)]
+    nums, D = _over_common_denominator(
+        table.components[ComponentLabel(h, m)] for h, m in raw)
+    lower: list[list[int | None]] = [[None] * (h + 3) for h in range(g)]
+    for (h, m), v in zip(raw, nums):
+        lower[h][m] = v
 
-        Unknowns keep their raw label: the system is solved in the n+1
-        formal variables x_i = A_g^{3i+nu} with the symmetry x_i = x_{n-i}
-        imposed (g odd) or verified (g even) separately, exactly as the
-        principal-term bookkeeping requires.
+    def unknown(m: int) -> int:
+        """The index of the unknown A_g^m, kept under its raw label m.
+
+        The system is solved in the n+1 formal variables x_i = A_g^{3i+nu}
+        with the symmetry x_i = x_{n-i} imposed (g odd) or verified (g even)
+        separately, exactly as the principal-term bookkeeping requires.
         """
-        label = ComponentLabel(h, m)  # rejects a label out of range or parity
-        if h == g:
-            return ("x", (m - nu) // 3)
-        return ("v", table.components[label])
+        ComponentLabel(g, m)  # rejects a label out of range or parity
+        return (m - nu) // 3
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i in range(n):
         l = 3 * i + nu + 2
         r, s = l - 2, g + 1 - l
-        coeff = [Fraction(0)] * (n + 1)
-        const = Fraction(0)
-        for sign, side, base1, base2 in ((1, "phi", 2, 0), (-1, "theta", 1, 1)):
+        binom_r = [math.comb(r, x) for x in range(r + 1)]
+        binom_s = [math.comb(s, y) for y in range(s + 1)]
+        coeff = [0] * (n + 1)
+        const = 0
+        for (side, d), (ind, ind_bar) in _NODE_INDICATORS.items():
+            sign, base1, base2 = _DEGENERATIONS[side]
             for x in range(r + 1):
-                for y in range(s + 1):
-                    indicators = _NODE_INDICATORS.get((side, (x - y) % 3))
-                    if indicators is None:
-                        continue
-                    ind, ind_bar = indicators
-                    f1 = lookup(1 + x + y, base1 + x + ind)
-                    f2 = lookup(1 + (r - x) + (s - y), base2 + (r - x) + ind_bar)
-                    c = Fraction(sign * 3 * _binom(r, x) * _binom(s, y))
-                    # the factor genera sum to g + 1 with g >= 4, so at most
-                    # one is principal: f1 at (x, y) = (r, s), f2 at (0, 0)
-                    if f1[0] == "x":
-                        coeff[f1[1]] += c * f2[1]
-                    elif f2[0] == "x":
-                        coeff[f2[1]] += c * f1[1]
+                cx = sign * 3 * binom_r[x]
+                m1, m2 = base1 + x + ind, base2 + (r - x) + ind_bar
+                for y in range((x - d) % 3, s + 1, 3):
+                    h1 = 1 + x + y              # the factor genera sum to g + 1
+                    c = cx * binom_s[y]
+                    # with g >= 4 at most one factor is principal: f1 at
+                    # (x, y) = (r, s), f2 at (0, 0)
+                    if h1 == g:
+                        coeff[unknown(m1)] += c * D * lower[1][m2]
+                    elif h1 == 1:
+                        coeff[unknown(m2)] += c * D * lower[1][m1]
                     else:
-                        const += c * f1[1] * f2[1]
+                        const += c * lower[h1][m1] * lower[g + 1 - h1][m2]
         rows.append(coeff)
         rhs.append(-const)
 
     # Closure: one more independent equation.
-    symmetry_row = [Fraction(0)] * (n + 1)
-    symmetry_row[0], symmetry_row[n] = Fraction(1), Fraction(-1)
-    vvv_row = [Fraction(_binom(g + 2, 3 * i + nu)) for i in range(n + 1)]
+    vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
     vvv_rhs = 2 * table.Abullet[g]
     if g % 2 == 1:
-        rows.append(symmetry_row)
-        rhs.append(Fraction(0))
+        rows.append([1] + [0] * (n - 1) + [-1])
+        rhs.append(0)
     else:
-        rows.append(vvv_row)
-        rhs.append(vvv_rhs)
+        rows.append([b * vvv_rhs.denominator for b in vvv_row])
+        rhs.append(vvv_rhs.numerator)
 
     sol = solve_exact_linear(rows, rhs)
 
@@ -500,20 +533,24 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
     pairs with x - y = i (mod 3); coefficients are stored divided by
     r! s! (exponential normalization), and vanish unless r = s (mod 3).
+    The sum runs in integers on D * A_g over one common denominator D, so
+    each coefficient is one Fraction(total, D^2 r! s!).
     """
     avals = a_values(N + 1)
+    nums, D = _over_common_denominator(avals[g] for g in range(1, N + 2))
+    a = [0, *nums]                      # a[g] = D * A_g
+    binom = [[math.comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
+    fact = [math.factorial(n) for n in range(N + 1)]
 
     def entry(i_residue: int, r: int, s: int) -> Fraction:
         if (r - s) % 3 != 0:
             return Fraction(0)
-        total = Fraction(0)
-        for x in range(r + 1):
-            for y in range(s + 1):
-                if (x - y) % 3 != i_residue:
-                    continue
-                total += (_binom(r, x) * _binom(s, y)
-                          * avals[1 + x + y] * avals[1 + (r - x) + (s - y)])
-        return total / (math.factorial(r) * math.factorial(s))
+        binom_s = binom[s]
+        total = 0
+        for x, cx in enumerate(binom[r]):
+            total += cx * sum(binom_s[y] * a[1 + x + y] * a[1 + (r - x) + (s - y)]
+                              for y in range((x - i_residue) % 3, s + 1, 3))
+        return Fraction(total, D * D * fact[r] * fact[s])
 
     theta0 = BiSeries.build(N, lambda r, s: entry(0, r, s))
     theta1 = BiSeries.build(N, lambda r, s: entry(1, r, s))

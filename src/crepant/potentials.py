@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -91,6 +92,19 @@ class FixedPointData:
             ),
         )
 
+    @cached_property
+    def sample_values(self) -> dict[tuple[Fraction, Fraction], list[tuple[dict, Fraction]]]:
+        """At each sample point (t1, t2): per fixed point, every class weight and
+        the tangent denominator e1*e2, evaluated once for all triple products."""
+        values = {}
+        for t1, t2 in _SOLVE_POINTS + _VERIFY_POINTS:
+            values[(t1, t2)] = [
+                ({cls_id: _class_weight(cls_id, p, self).evaluate(t1, t2).as_rational()
+                  for cls_id in CLASS_IDS},
+                 (e1.evaluate(t1, t2) * e2.evaluate(t1, t2)).as_rational())
+                for p, (e1, e2) in enumerate(self.tangent_weights)]
+        return values
+
 
 CLASS_IDS = ("1", "C1", "C2")
 
@@ -117,12 +131,10 @@ def _class_weight(cls_id: str, p: int, data: FixedPointData) -> LinT:
 
 def _localization_sum(classes, data: FixedPointData, t1: Fraction, t2: Fraction) -> Fraction:
     total = Fraction(0)
-    for p in range(3):
+    for weights, den in data.sample_values[(t1, t2)]:
         num = Fraction(1)
         for cls_id in classes:
-            num *= _class_weight(cls_id, p, data).evaluate(t1, t2).as_rational()
-        e1, e2 = data.tangent_weights[p]
-        den = (e1.evaluate(t1, t2) * e2.evaluate(t1, t2)).as_rational()
+            num *= weights[cls_id]
         if den == 0:
             raise ZeroDivisionError(f"tangent weight vanishes at {(t1, t2)}")
         total += num / den

@@ -1,5 +1,6 @@
 """Hurwitz-Hodge quantities: dual oracles, component systems, the theta identity."""
 from fractions import Fraction as F
+from math import comb as binom, factorial
 
 import pytest
 
@@ -227,6 +228,16 @@ def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_
         solve_components(g, table30)
 
 
+def test_solve_components_reads_lower_components_not_a():
+    # a non-3-adic corruption of one genus-4 component must reach genus 5:
+    # the system is built from table.components, not from A_4
+    table = build_hodge_table(8, component_max_genus=4)
+    table.components[ComponentLabel(4, 3)] += F(1, 7)
+    with pytest.raises(ComponentMismatchError,
+                       match="genus 5: A-bullet closure fails redundancy"):
+        solve_components(5, table)
+
+
 def test_failed_component_system_is_recorded(corrupt_component_solver):
     table = build_hodge_table(6)
     assert table.checks["components independent of label"] is False
@@ -270,6 +281,24 @@ def test_theta_constant_to_degree_12():
     diff = theta_check(12)
     assert diff.coefficient(0, 0) == F(1, 9)
     assert all(v == 0 for (r, s), v in diff.items() if (r, s) != (0, 0))
+
+
+@pytest.mark.parametrize("N", range(11))
+def test_theta_pair_matches_fraction_double_sum(N):
+    """theta_pair against its docstring's double sum, written over Fraction."""
+    A = a_values(N + 1)
+
+    def entry(i, r, s):
+        if (r - s) % 3 != 0:
+            return 0
+        total = sum(binom(r, x) * binom(s, y) * A[1 + x + y] * A[1 + (r - x) + (s - y)]
+                    for x in range(r + 1) for y in range(s + 1) if (x - y) % 3 == i)
+        return F(total) / (factorial(r) * factorial(s))
+
+    t0, t1 = theta_pair(N)
+    for i, theta in ((0, t0), (1, t1)):
+        assert all(theta.coefficient(r, s) == entry(i, r, s)
+                   for r in range(N + 1) for s in range(N + 1 - r))
 
 
 def test_theta_factorization_over_cyc3():
