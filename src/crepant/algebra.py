@@ -7,7 +7,9 @@ rings, all built on arbitrary-precision `fractions.Fraction`:
   as a + b*w with the reduction rule w^2 = -1 - w.  The square root of
   -3 lives here as 2w + 1, so i/sqrt(3) is encoded as (2w + 1)/3.
 - ``CycField(m)``: the general cyclotomic field Q[x]/Phi_m(x), used for
-  the cyclic DuVal transforms.
+  the cyclic DuVal transforms.  Phi_m is monic with integer
+  coefficients, so elements are reduced through one integer table of
+  the powers zeta^e, 0 <= e < m, and no polynomial division is done.
 - ``LinT``: polynomials c0 + c1*t1 + c2*t2 of t-degree at most one over
   Cyc3.  Products that would create t-degree two are rejected: every
   stable potential coefficient is t-linear, so such a product is a bug.
@@ -183,76 +185,59 @@ I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
 
 
 # ---------------------------------------------------------------------------
-# CycField(m): Q[x]/Phi_m(x)
+# CycField(m): Q[x]/Phi_m(x), reduced by a table of powers of zeta
 # ---------------------------------------------------------------------------
 
-def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c == 0:
-            continue
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return _poly_trim(out)
-
-
-def _poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return _poly_trim([a - b for a, b in zip(p, q)])
-
-
-def _poly_divmod(n: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    n = list(n)
-    d = _poly_trim(list(d))
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(n) - len(d) + 1, 0)
-    r = _poly_trim(n)
-    while len(r) >= len(d):
-        t = r[-1] / d[-1]
-        deg = len(r) - len(d)
-        q[deg] = t
-        for i, c in enumerate(d):
-            r[deg + i] -= t * c
-        r = _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, computed by dividing x^m - 1 by all Phi_d, d|m, d<m.
 
-    >>> [int(c) for c in cyclotomic_polynomial(6)]
-    [1, -1, 1]
+    Every Phi_d is monic with integer coefficients, so each quotient is
+    found exactly in ints, leading term first.
+
+    >>> cyclotomic_polynomial(6)
+    (1, -1, 1)
     """
     if m < 1:
         raise ValueError("m must be positive")
-    poly: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if r:
+            divisor = cyclotomic_polynomial(d)
+            k = len(divisor) - 1
+            quotient = [0] * (len(poly) - k)
+            for i in reversed(range(len(quotient))):
+                c = quotient[i] = poly[i + k]
+                for j, dc in enumerate(divisor):
+                    poly[i + j] -= c * dc
+            if any(poly[:k]):
                 raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1")
-            poly = q
+            poly = quotient
     return tuple(poly)
 
 
 class CycField:
-    """The cyclotomic field Q(zeta_m), with elements reduced mod Phi_m."""
+    """The cyclotomic field Q(zeta_m) in the power basis 1, zeta, ..., zeta^(degree-1).
+
+    ``powers[e]`` is zeta^e in that basis for 0 <= e < m, an integer
+    vector.  Row e+1 is row e shifted up one place, with zeta^degree
+    replaced by -(Phi_m - x^degree); Phi_m is monic with integer
+    coefficients, so the table needs no division.  It is the only way an
+    element is reduced: a coefficient list c of any length becomes
+    sum_e c_e * powers[e mod m], since zeta^m = 1.
+    """
 
     def __init__(self, m: int):
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
+        top_image = [-c for c in self.modulus[:-1]]  # zeta^degree in the basis
+        row = [1] + [0] * (self.degree - 1)
+        powers = []
+        for _ in range(m):
+            powers.append(tuple(row))
+            carry = row[-1]
+            row = [carry * t + r for t, r in zip(top_image, [0] + row[:-1])]
+        self.powers = tuple(powers)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycField) and other.m == self.m
@@ -264,11 +249,16 @@ class CycField:
         return f"CycField({self.m})"
 
     def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        _, r = _poly_divmod(list(coeffs), list(self.modulus))
-        r = r + [Fraction(0)] * (self.degree - len(r))
-        return tuple(r)
+        out = [Fraction(0)] * self.degree
+        for e, c in enumerate(coeffs):
+            if c:
+                for i, p in enumerate(self.powers[e % self.m]):
+                    if p:
+                        out[i] += c * p
+        return tuple(out)
 
     def element(self, coeffs: Sequence) -> CycElement:
+        """The element sum_e coeffs[e] * zeta^e; any length, rational entries."""
         return CycElement(self, self._reduce([Fraction(c) for c in coeffs]))
 
     def zero(self) -> CycElement:
@@ -329,20 +319,18 @@ class CycElement:
         if o is None:
             return NotImplemented
         self._check(o)
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, d in enumerate(o.coeffs):
+                    prod[i + j] += c * d
         return CycElement(self.field, self.field._reduce(prod))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> CycElement:
-        o = self._coerce(other, self.field)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def __pow__(self, n: int) -> CycElement:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers are not supported in CycField")
         result = self.field.one()
         base = self
         while n:
@@ -351,25 +339,6 @@ class CycElement:
             base = base * base
             n >>= 1
         return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def inverse(self) -> CycElement:
-        """Inverse mod Phi_m by the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]  # multipliers of self in r0, r1
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is now the gcd, a nonzero constant since Phi_m is irreducible
-        if len(r0) != 1:
-            raise ArithmeticError("modulus not coprime to element")
-        inv = [c / r0[0] for c in s0]
-        return CycElement(self.field, self.field._reduce(inv))
 
     def to_coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]

@@ -19,11 +19,11 @@ are defined; it records them, in this order, in ``HodgeTable.checks``,
 and ``crepant verify recursions`` prints that dict as its report:
 
     B recursion vs closed form             B_g: WDVV recursion vs B(u)
-    A-bullet recursion vs functional form  Ab_g: WDVV recursion vs (2B^2 - 1)/(3B)
+    A-bullet recursion vs functional form  Ab_g: WDVV recursion vs (2B - 1/B)/3
     gamma formula vs enumeration           gamma_g: closed form vs subset count
     delta closed form vs direct sum        delta_g: closed form vs binomial sum
     A-bullet = gamma * A                   Ab_g vs gamma_g A_g
-    functional equation for A and B        (2/3)B - (1/3)/B = (4/3)A(2u) - (1/3)A(-u)
+    functional equation for A and B        that (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
     ODE B' + 3BB'' = 6(B')^2               on the B series (genus >= 2)
 
 and, when component systems of genus >= 4 are solved,
@@ -96,7 +96,8 @@ def _a_of_tau(tau: USeries) -> USeries:
 
 
 def _abullet_of_b(B: USeries) -> USeries:
-    return (B * B * 2 - 1) / (B * 3)
+    """(2B - 1/B)/3, which is (2B^2 - 1)/(3B) with one reciprocal of B."""
+    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
 
 
 def _egf_values(ser: USeries, genera: range, shift: int = 0) -> dict[int, Fraction]:
@@ -199,7 +200,10 @@ def gamma_formula(g: int) -> int:
     return q
 
 
-def gamma_bruteforce(g: int, cap: int = 20) -> int:
+GAMMA_ENUMERATION_CAP = 20  # 2^(g+2) subsets: about 4 million at the cap
+
+
+def gamma_bruteforce(g: int) -> int:
     """Count unordered marking partitions S | S' with |S| = |S'| (mod 3).
 
     Enumerates all subsets of a (g+2)-element set and halves the ordered
@@ -208,8 +212,8 @@ def gamma_bruteforce(g: int, cap: int = 20) -> int:
     """
     if g < 0:
         raise ValueError("g must be >= 0")
-    if g > cap:
-        raise ValueError(f"enumeration capped at g = {cap}")
+    if g > GAMMA_ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at g = {GAMMA_ENUMERATION_CAP}")
     n = g + 2
     ordered = sum(1 for mask in range(1 << n) if (2 * mask.bit_count() - n) % 3 == 0)
     if ordered % 2 != 0:
@@ -482,7 +486,8 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     tau = tau_series(G)
     B, A = _b_of_tau(tau), _a_of_tau(tau)
     table.B = _egf_values(B, range(G + 1))
-    table.Abullet = _egf_values(_abullet_of_b(B), genera, 1)
+    Abullet = _abullet_of_b(B)
+    table.Abullet = _egf_values(Abullet, genera, 1)
     table.A = _egf_values(A, genera, 1)
     table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
     table.delta = {g: delta(g) for g in genera}
@@ -499,8 +504,7 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     checks["A-bullet = gamma * A"] = all(
         table.Abullet[g] == table.gamma[g] * table.A[g] for g in genera)
     checks["functional equation for A and B"] = (
-        B * Fraction(2, 3) - B.reciprocal() * Fraction(1, 3)
-        == A.scale_variable(Fraction(2)) * Fraction(4, 3)
+        Abullet == A.scale_variable(Fraction(2)) * Fraction(4, 3)
         - A.scale_variable(Fraction(-1)) * Fraction(1, 3))
     if G >= 2:
         Bp = B.differentiate()

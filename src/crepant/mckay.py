@@ -16,8 +16,13 @@ branch
 
 which squares to the right thing identically and reproduces the n = 3
 jacobian exactly (``check_n3_specialization`` is the guard for that
-choice).  The quantum parameters are zeta_n^(n_R) with n_R = 1 for every
-nontrivial R, all marks of the A_{n-1} diagram being 1.
+choice).  The branch is written in one place, ``duval_transform``: entry
+(j, k) = (zeta^k - zeta^(-k)) zeta^(2jk) / n is the exponent vector with
++1/n at k + 2jk and -1/n at 2jk - k (mod 2n), reduced by one
+``CycField.element`` call.  The oracle ``entry_square_identity`` is built
+from the characters instead.  The quantum parameters are zeta_n^(n_R)
+with n_R = 1 for every nontrivial R, all marks of the A_{n-1} diagram
+being 1.
 """
 from __future__ import annotations
 
@@ -42,31 +47,31 @@ class DuValTransform:
     q_values: tuple[CycElement, ...]
 
 
-def character_rho(field: CycField, n: int, k: int) -> CycElement:
+def character_rho(field: CycField, k: int) -> CycElement:
     """chi of the standard two-dimensional representation at gamma^k."""
     return field.zeta_pow(2 * k) + field.zeta_pow(-2 * k)
 
 
-def character_irrep(field: CycField, n: int, j: int, k: int) -> CycElement:
+def character_irrep(field: CycField, j: int, k: int) -> CycElement:
     """chi of the one-dimensional character R_j at gamma^k."""
     return field.zeta_pow(2 * j * k)
-
-
-def sqrt_rho_branch(field: CycField, k: int) -> CycElement:
-    """The chosen square root of chi_rho(gamma^k) - 2, namely zeta^k - zeta^(-k)."""
-    return field.zeta_pow(k) - field.zeta_pow(-k)
 
 
 def duval_transform(n: int) -> DuValTransform:
     """Build the substitution matrix and quantum parameters for order n >= 2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    field = CycField(2 * n)
+    m = 2 * n
+    field = CycField(m)
     inv_n = Fraction(1, n)
-    matrix = tuple(
-        tuple(sqrt_rho_branch(field, k) * character_irrep(field, n, j, k) * inv_n
-              for k in range(1, n))
-        for j in range(1, n))
+
+    def entry(j: int, k: int) -> CycElement:
+        exponents = [0] * m
+        exponents[(k + 2 * j * k) % m] += inv_n
+        exponents[(2 * j * k - k) % m] -= inv_n
+        return field.element(exponents)
+
+    matrix = tuple(tuple(entry(j, k) for k in range(1, n)) for j in range(1, n))
     q = field.zeta_pow(2)  # the primitive n-th root of unity
     return DuValTransform(n=n, field=field, matrix=matrix,
                           q_values=tuple(q for _ in range(1, n)))
@@ -76,8 +81,9 @@ def embed_cyc3(z: Cyc3, field: CycField) -> CycElement:
     """The canonical embedding of Q(w) into Q(zeta_m) for 3 | m, w -> zeta^(m/3)."""
     if field.m % 3 != 0:
         raise ValueError(f"Q(w) does not embed into Q(zeta_{field.m})")
-    omega_image = field.zeta_pow(field.m // 3)
-    return field.from_rational(z.a) + omega_image * field.from_rational(z.b)
+    exponents = [0] * field.m
+    exponents[0], exponents[field.m // 3] = z.a, z.b
+    return field.element(exponents)
 
 
 def check_n3_specialization() -> bool:
@@ -101,8 +107,8 @@ def entry_square_identity(transform: DuValTransform) -> bool:
     for j in range(1, n):
         for k in range(1, n):
             entry = transform.matrix[j - 1][k - 1]
-            target = ((character_rho(field, n, k) - 2)
-                      * character_irrep(field, n, j, k) ** 2 * inv_n2)
+            target = ((character_rho(field, k) - 2)
+                      * character_irrep(field, j, k) ** 2 * inv_n2)
             if entry * entry != target:
                 return False
     return True
@@ -121,10 +127,10 @@ def galois_row_action(transform: DuValTransform, a: int) -> bool:
         raise ValueError("need a odd and coprime to n")
 
     def sigma(elt: CycElement) -> CycElement:
-        out = field.zero()
+        exponents = [0] * field.m
         for e, c in enumerate(elt.coeffs):
-            out = out + field.zeta_pow(a * e) * c
-        return out
+            exponents[(a * e) % field.m] += c
+        return field.element(exponents)
 
     for j in range(1, n):
         for k in range(1, n):

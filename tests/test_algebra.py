@@ -1,4 +1,5 @@
 """Scalar and series arithmetic: frozen examples and ring-axiom properties."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -105,9 +106,29 @@ def test_cycfield_inverse_and_powers():
     K = CycField(10)
     z = K.zeta()
     assert z ** 10 == K.one()
-    assert z ** -1 == z.inverse()
-    elt = z * 3 + K.one() * F(1, 2)
-    assert elt * elt.inverse() == K.one()
+    assert K.zeta_pow(-1) * z == K.one()
+    with pytest.raises(ValueError):
+        z ** -1
+
+
+def test_cycfield_matches_sympy():
+    """Phi_m and the reduction by the power table against sympy's own routes."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(expected), m
+    rng = random.Random(20261018)
+    for m in (1, 2, 3, 4, 6, 12, 24, 30, 60):
+        K = CycField(m)
+        phi = sympy.Poly(list(reversed(cyclotomic_polynomial(m))), x, domain="QQ")
+        for _ in range(5):
+            v = [F(rng.randint(-50, 50), rng.randint(1, 12))
+                 for _ in range(rng.randint(0, 3 * m))]
+            rem = sympy.Poly(list(reversed(v)) or [0], x, domain="QQ").rem(phi)
+            expected = [F(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+            expected += [F(0)] * (K.degree - len(expected))
+            assert K.element(v).coeffs == tuple(expected), (m, v)
 
 
 @given(rationals, rationals, rationals, rationals)
