@@ -720,6 +720,9 @@ def exp_series(N: int) -> USeries:
 def tangent_series(N: int) -> USeries:
     """Maclaurin series of tan(u) to order N, computed as sin/cos exactly.
 
+    The Fraction test oracle of ``tangent_numbers``, which the Hodge
+    table uses.
+
     >>> tangent_series(5).coeffs == (0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15))
     True
     """
@@ -732,6 +735,29 @@ def tangent_series(N: int) -> USeries:
         [Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
          for k in range(N + 1)])
     return sin / cos
+
+
+def tangent_numbers(N: int) -> list[int]:
+    """The tangent numbers T_0..T_N, T_n = n! [u^n] tan(u), in integers.
+
+    The derivative polynomials P_0 = x, P_(n+1) = (1 + x^2) P_n' give
+    d^n/du^n tan(u) = P_n(tan u), so T_n = P_n(0) (Knuth and Buckholtz,
+    Math. Comp. 21, 1967).  No division is done.
+
+    >>> tangent_numbers(7)
+    [0, 1, 0, 2, 0, 16, 0, 272]
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    P = [0, 1]                          # coefficients of P_n in x
+    T = [0]
+    for _ in range(N):
+        dP = [k * c for k, c in enumerate(P)][1:]
+        P = dP + [0, 0]
+        for k, c in enumerate(dP):
+            P[k + 2] += c
+        T.append(P[0])
+    return T
 
 
 def tau_series(N: int) -> USeries:

@@ -1,7 +1,8 @@
 """Command-line front end: table generation and verification suites.
 
 Exit codes: 0 when all requested checks pass (or output was written),
-1 on a verification mismatch, 2 on a usage error.  All rationals are
+1 on a verification mismatch, 2 on a usage error (an unwritable
+``-o/--output`` path included).  All rationals are
 emitted as exact strings; nothing is ever rounded.
 
 ``tables``, ``components`` and ``verify crc`` build a Hodge table first;
@@ -19,10 +20,18 @@ from fractions import Fraction
 from . import hurwitz, mckay, potentials
 
 
+class OutputPathError(Exception):
+    """The -o/--output path cannot be written; reported as a usage error."""
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(
+                f"cannot write output file {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -247,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except OutputPathError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         if exc.code is None:

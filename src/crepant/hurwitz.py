@@ -6,12 +6,11 @@ Conventions.  All generating functions are exponential:
     A(u) = sum_{g>=1} A_g u^(g-1) / (g-1)!     (same shape for A-bullet)
 
 The closed forms are tangent shifts; with tau(u) = sqrt(3) tan(u/sqrt(12))
-(a purely rational series, see ``algebra.tau_series``) the tangent
-addition formula turns them into the rational quotients
+the tangent addition formula turns them into the rational quotients
 
     B = (1 + tau/3) / (1 - tau),        A = (1 + tau) / (3 - tau),
 
-which is how they are computed here: no square root ever appears.
+so no square root ever appears.
 
 Every quantity is computed twice, by independent routes, and the pair is
 compared exactly.  ``build_hodge_table`` is the one place these checks
@@ -35,15 +34,30 @@ closure equation it did not solve with, that the solved A_g^l are all
 equal, and that they equal A_g, and raises ``ComponentMismatchError``
 otherwise; ``build_hodge_table`` only records that outcome.
 
-Integer kernel.  The two double-sum kernels, the component systems and
-the theta series, run on plain ints: ``_over_common_denominator`` puts their
-inputs (the lower-genus A_h^m, or A_1..A_{N+1}) over one common
-denominator D, the lcm of theirs (a power of 3 for every table value,
-but any D stays exact), and every binomial convolution is summed in
-integers.  Fraction re-enters only at the boundary: in the back
-substitution of ``solve_exact_linear``, which returns the solved A_g^l,
-and in one ``Fraction(total, D^2 r! s!)`` per theta coefficient.  The
-series B, A and A-bullet and the recursions stay over Fraction.
+Integer kernel.  The table is computed in plain ints up to its boundary.
+
+- Series: scaled to 6u, tau(6u) = sqrt(3) tan(sqrt(3) u) has the integer
+  EGF coefficients 3^(k+1) T_(2k+1) (``algebra.tangent_numbers``), so
+  b_n = 6^n B_n, alpha_n = 3 * 6^n A_(n+1) and beta_n = 3 * 6^n Ab_(n+1)
+  are integer EGFs, and each quotient, with constant term 1 in its
+  denominator, is an integer binomial convolution (``_scaled_series``).
+- Recursions and checks: both WDVV recursions run on b and beta with no
+  division, and the functional equation, Ab = gamma A and the ODE are
+  compared on the same integers.
+- Component systems: ``_over_common_denominator`` puts the lower-genus
+  A_h^m over one common denominator D (a power of 3 for every table
+  value, but any D stays exact), each degeneration equation is summed in
+  integers, and the chain of equations is solved by forward substitution
+  in ``solve_chain``.
+- Theta: the double sum runs on D * A_g in integers.
+
+Fraction re-enters only at the boundary: in ``_unscale_b`` and
+``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), in
+the forward substitution of ``solve_chain``, which returns the solved
+A_g^l, and in one ``Fraction(total, D^2 r! s!)`` per theta coefficient.
+The Fraction series ``b_closed``, ``a_closed`` and ``abullet_functional``
+(over ``algebra.tau_series``) are test oracles of this kernel; no
+production path calls them.
 """
 from __future__ import annotations
 
@@ -51,7 +65,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import USeries, BiSeries, tau_series
+from .algebra import USeries, BiSeries, tangent_numbers, tau_series
 
 
 class LabelParityError(ValueError):
@@ -84,56 +98,148 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form series
+# Closed-form series over Fraction: test oracles of the integer kernel,
+# which no production path calls
 # ---------------------------------------------------------------------------
-
-def _b_of_tau(tau: USeries) -> USeries:
-    return (tau * Fraction(1, 3) + 1) / (1 - tau)
-
-
-def _a_of_tau(tau: USeries) -> USeries:
-    return (tau + 1) / (3 - tau)
-
-
-def _abullet_of_b(B: USeries) -> USeries:
-    """(2B - 1/B)/3, which is (2B^2 - 1)/(3B) with one reciprocal of B."""
-    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
-
-
-def _egf_values(ser: USeries, genera: range, shift: int = 0) -> dict[int, Fraction]:
-    """The values f_g = (g - shift)! * [u^(g - shift)] ser for g in ``genera``."""
-    return {g: ser.coefficient(g - shift) * math.factorial(g - shift) for g in genera}
-
 
 def b_closed(N: int) -> USeries:
     """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau)."""
-    return _b_of_tau(tau_series(N))
+    tau = tau_series(N)
+    return (tau * Fraction(1, 3) + 1) / (1 - tau)
 
 
 def a_closed(N: int) -> USeries:
     """A(u) to order N as the rational quotient (1 + tau)/(3 - tau)."""
-    return _a_of_tau(tau_series(N))
+    tau = tau_series(N)
+    return (tau + 1) / (3 - tau)
 
 
 def abullet_functional(N: int) -> USeries:
-    """A-bullet(u) to order N via the functional relation 1 + 3*Ab*B = 2*B^2."""
-    return _abullet_of_b(b_closed(N))
+    """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2."""
+    B = b_closed(N)
+    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: EGFs of B(6u), 3A(6u) and 3A-bullet(6u)
+# ---------------------------------------------------------------------------
+
+def _binomial_rows(N: int) -> list[list[int]]:
+    """Pascal's triangle: rows[n][k] = C(n, k) for 0 <= k <= n <= N."""
+    rows = [[1]]
+    for n in range(1, N + 1):
+        prev = rows[-1]
+        rows.append([1, *(prev[k - 1] + prev[k] for k in range(1, n)), 1])
+    return rows
+
+
+def _egf_divide(num: list[int], den: list[int], binom: list[list[int]]) -> list[int]:
+    """EGF coefficients of num/den for den[0] = 1, with no division.
+
+    q_n = num_n - sum_{k=1}^n C(n, k) den_k q_(n-k).
+    """
+    out: list[int] = []
+    for n, row in enumerate(binom[:len(num)]):
+        out.append(num[n] - sum(row[k] * den[k] * out[n - k] for k in range(1, n + 1)))
+    return out
+
+
+def _scaled_series(N: int, binom: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """EGF coefficients 0..N of B(6u), 3A(6u) and 3A-bullet(6u): (b, alpha, beta).
+
+    tau(6u) = sqrt(3) tan(sqrt(3) u) has the u^(2k+1) EGF coefficient
+    3^(k+1) T_(2k+1), so b_n = 6^n B_n, alpha_n = 3 * 6^n A_(n+1) and
+    beta_n = 3 * 6^n Ab_(n+1) are the integer EGFs of
+
+        (1 + tau/3)/(1 - tau),    (1 + tau)/(1 - tau/3),    2b - 1/b.
+    """
+    one = [1] + [0] * N
+    third = [3 ** (n // 2) * t for n, t in enumerate(tangent_numbers(N))]  # tau(6u)/3
+    tau = [3 * c for c in third]
+    b = _egf_divide([x + y for x, y in zip(one, third)],
+                    [x - y for x, y in zip(one, tau)], binom)
+    alpha = _egf_divide([x + y for x, y in zip(one, tau)],
+                        [x - y for x, y in zip(one, third)], binom)
+    beta = [2 * x - y for x, y in zip(b, _egf_divide(one, b, binom))]
+    return b, alpha, beta
+
+
+def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
+    """b_0..b_G (b_g = 6^g B_g) from the degeneration recursion; see ``b_recursive``.
+
+    Scaled by 6^g and divided by 3, the recursion needs no division:
+
+        b_g = 2 sum_h C(g-2, h-1) b_h b_(g-h) - sum_h C(g-2, h) b_h b_(g-h) - 2 b_(g-1).
+    """
+    b = [1, 4]
+    for g in range(2, G + 1):
+        row = binom[g - 2]
+        b.append(2 * sum(row[h - 1] * b[h] * b[g - h] for h in range(1, g))
+                 - sum(row[h] * b[h] * b[g - h] for h in range(1, g - 1))
+                 - 2 * b[g - 1])
+    return b[:G + 1]
+
+
+def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
+    """beta_0..beta_(G-1) (beta_n = 3 * 6^n Ab_(n+1)) from the second recursion.
+
+    Scaled by 6^(g-1), the recursion of ``abullet_recursive`` reads
+
+        beta_(g-1) = 2 sum_{h<g} C(g-1, h) b_h b_(g-1-h)
+                     - sum_{0<h<g} C(g-1, h-1) beta_(h-1) b_(g-h) - [g = 1],
+
+    with no division; it needs b_0..b_(G-1).
+    """
+    beta: list = []
+    for g in range(1, G + 1):
+        row = binom[g - 1]
+        beta.append(2 * sum(row[h] * b[h] * b[g - 1 - h] for h in range(g))
+                    - sum(row[h - 1] * beta[h - 1] * b[g - h] for h in range(1, g))
+                    - (g == 1))
+    return beta
+
+
+def _ode_holds(b: list[int], order: int, binom: list[list[int]]) -> bool:
+    """2b' + b b'' = 2(b')^2, the ODE of B at 6u, as EGF convolutions through u^order."""
+    for n, row in enumerate(binom[:order + 1]):
+        lhs = 2 * b[n + 1] + sum(row[k] * b[k] * b[n + 2 - k] for k in range(n + 1))
+        if lhs != 2 * sum(row[k] * b[k + 1] * b[n + 1 - k] for k in range(n + 1)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Fraction values at the boundary
+# ---------------------------------------------------------------------------
+
+def _unscale_b(b: list, genera: range) -> dict[int, Fraction]:
+    """B_g = b_g / 6^g for g in ``genera``."""
+    return {g: Fraction(b[g], 6 ** g) for g in genera}
+
+
+def _unscale_a(scaled: list, genera: range) -> dict[int, Fraction]:
+    """A_g = alpha_(g-1) / (3 * 6^(g-1)) for g in ``genera``; the same for A-bullet and beta."""
+    return {g: Fraction(scaled[g - 1], 3 * 6 ** (g - 1)) for g in genera}
 
 
 def b_values(max_genus: int) -> dict[int, Fraction]:
-    """B_g for 0 <= g <= max_genus, read off the closed-form series."""
-    return _egf_values(b_closed(max_genus), range(max_genus + 1))
+    """B_g for 0 <= g <= max_genus, from the closed form."""
+    b, _, _ = _scaled_series(max_genus, _binomial_rows(max_genus))
+    return _unscale_b(b, range(max_genus + 1))
 
 
 def a_values(max_genus: int) -> dict[int, Fraction]:
-    """A_g for 1 <= g <= max_genus, read off the closed-form series."""
-    return _egf_values(a_closed(max(max_genus - 1, 0)), range(1, max_genus + 1), 1)
+    """A_g for 1 <= g <= max_genus, from the closed form."""
+    N = max(max_genus - 1, 0)
+    _, alpha, _ = _scaled_series(N, _binomial_rows(N))
+    return _unscale_a(alpha, range(1, max_genus + 1))
 
 
 def abullet_values(max_genus: int) -> dict[int, Fraction]:
-    """A-bullet_g for 1 <= g <= max_genus, read off the functional form."""
-    return _egf_values(abullet_functional(max(max_genus - 1, 0)),
-                       range(1, max_genus + 1), 1)
+    """A-bullet_g for 1 <= g <= max_genus, from the functional form (2B - 1/B)/3."""
+    N = max(max_genus - 1, 0)
+    _, _, beta = _scaled_series(N, _binomial_rows(N))
+    return _unscale_a(beta, range(1, max_genus + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +255,12 @@ def b_recursive(max_genus: int) -> list[Fraction]:
             = sum_{h1+h2=g} 6 C(g-2, h1-1) B_{h1} B_{h2},
 
     and the unknown B_g appears only in the summand 3 B_0 B_g on the left.
+    It runs on b_g = 6^g B_g in integers (``_b_scaled_recursive``).
     """
     if max_genus < 0:
         raise ValueError("max_genus must be >= 0")
-    B = [Fraction(1), Fraction(2, 3)]
-    for g in range(2, max_genus + 1):
-        lhs_known = B[g - 1] + 3 * sum(
-            _binom(g - 2, h) * B[h] * B[g - h] for h in range(1, g))
-        rhs = 6 * sum(
-            _binom(g - 2, h - 1) * B[h] * B[g - h] for h in range(1, g))
-        B.append((rhs - lhs_known) / 3)
-    return B[:max_genus + 1]
+    b = _b_scaled_recursive(max_genus, _binomial_rows(max_genus))
+    return list(_unscale_b(b, range(max_genus + 1)).values())
 
 
 def abullet_recursive(max_genus: int, B: list[Fraction] | None = None) -> list[Fraction]:
@@ -170,19 +271,19 @@ def abullet_recursive(max_genus: int, B: list[Fraction] | None = None) -> list[F
         delta_{g,1} + sum_{h1+h2=g} 3 C(g-1, h1-1) Ab_{h1} B_{h2}
             = sum_{h1+h2=g-1} 2 C(g-1, h1) B_{h1} B_{h2},
 
-    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.
+    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  It
+    runs on beta_(g-1) = 3 * 6^(g-1) Ab_g and b_g = 6^g B_g
+    (``_abullet_scaled_recursive``); B defaults to ``b_recursive``.
     """
+    if max_genus < 0:
+        raise ValueError("max_genus must be >= 0")
+    binom = _binomial_rows(max_genus)
     if B is None:
-        B = b_recursive(max_genus)
-    Ab: list[Fraction] = [Fraction(0)]  # index by genus; g = 0 has no entry
-    for g in range(1, max_genus + 1):
-        kron = 1 if g == 1 else 0
-        lhs_known = kron + 3 * sum(
-            _binom(g - 1, h - 1) * Ab[h] * B[g - h] for h in range(1, g))
-        rhs = 2 * sum(
-            _binom(g - 1, h) * B[h] * B[g - 1 - h] for h in range(0, g))
-        Ab.append((rhs - lhs_known) / 3)
-    return Ab[:max_genus + 1]
+        b = _b_scaled_recursive(max_genus, binom)
+    else:
+        b = [B[g] * 6 ** g for g in range(max_genus)]
+    beta = _abullet_scaled_recursive(max_genus, b, binom)
+    return [Fraction(0), *_unscale_a(beta, range(1, max_genus + 1)).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +404,11 @@ COMPONENT_CHECK = "components independent of label"
 def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square system exactly by fraction-free (Bareiss) elimination.
 
-    The elimination runs on integer rows: each row of ``matrix`` with its
-    ``rhs`` entry is put over its own common denominator, so integer
-    rows, as ``solve_components`` builds them, go in unchanged and
-    Fraction rows are scaled to integers.  Rows are eliminated with exact
-    integer divisions and back-substituted over Fraction.
+    It serves ``potentials.triple_intersection``'s 3x3 system; the
+    component systems are chains and go to ``solve_chain``.  Each row of
+    ``matrix`` with its ``rhs`` entry is put over its own common
+    denominator, eliminated with exact integer divisions and
+    back-substituted over Fraction.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
@@ -342,6 +443,38 @@ def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> lis
     return sol
 
 
+def solve_chain(rows: list[dict[int, int]], rhs: list[int], closure: list[int],
+                closure_rhs: int) -> list[Fraction]:
+    """Solve a chain of n rows closed by one more row for x_0..x_n, in O(n).
+
+    ``rows[i]`` maps unknown indices to coefficients, and row i may touch
+    only x_i and x_(i+1), with a nonzero coefficient at x_(i+1).  Forward
+    substitution carries each x_i as p_i + q_i x_0, and the closure row
+    sum_i closure[i] x_i = closure_rhs then fixes x_0.  A row off the
+    chain, a zero superdiagonal or a closure that leaves x_0 free raises
+    ``SingularSystemError``.
+    """
+    n = len(rows)
+    if len(rhs) != n or len(closure) != n + 1:
+        raise ValueError("a chain of n rows needs n right-hand sides and n + 1 closure entries")
+    p, q = [Fraction(0)], [Fraction(1)]
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        off = sorted(set(row) - {i, i + 1})
+        if off:
+            raise SingularSystemError(f"row {i} touches x_{off[0]}, off the chain")
+        sup = row.get(i + 1, 0)
+        if sup == 0:
+            raise SingularSystemError(f"zero superdiagonal in row {i}")
+        diag = row.get(i, 0)
+        p.append((b - diag * p[i]) / sup)
+        q.append(-diag * q[i] / sup)
+    lead = sum(c * v for c, v in zip(closure, q))
+    if lead == 0:
+        raise SingularSystemError("the closure row leaves x_0 free")
+    x0 = (closure_rhs - sum(c * v for c, v in zip(closure, p))) / lead
+    return [a + c * x0 for a, c in zip(p, q)]
+
+
 # ---------------------------------------------------------------------------
 # The per-component system
 # ---------------------------------------------------------------------------
@@ -365,8 +498,11 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     linear equation whose genus-g ("principal") unknowns are A_g^{l-2} and
     A_g^{l+1}; every other term is a known lower-genus product.  The chain
     of principal equations is closed by the unordered symmetry (g odd) or
-    by the completed A-bullet evaluation (g even), and the resulting square
-    system is solved exactly.
+    by the completed A-bullet evaluation (g even).  Equation i touches only
+    x_i and x_(i+1), so the system is a chain and ``solve_chain`` solves
+    it exactly by forward substitution in O(n) steps; a principal term at
+    any other unknown, or a zero coefficient at x_(i+1), raises
+    ``SingularSystemError``.
 
     The equations are assembled in integers: every lower-genus A_h^m is
     read from ``table.components`` (never from ``table.A``, which would
@@ -383,14 +519,14 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
 
-    # lower[h][m] = D * A_h^m for h < g, indexed by the raw label m (None off
+    # lower[m][h] = D * A_h^m for h < g, indexed by the raw label m (None off
     # parity); ComponentLabel validates every label that is filled in.
     raw = [(h, m) for h in range(1, g) for m in range(_nu(h), h + 3, 3)]
     nums, D = _over_common_denominator(
         table.components[ComponentLabel(h, m)] for h, m in raw)
-    lower: list[list[int | None]] = [[None] * (h + 3) for h in range(g)]
+    lower: list[list[int | None]] = [[None] * g for _ in range(g + 3)]
     for (h, m), v in zip(raw, nums):
-        lower[h][m] = v
+        lower[m][h] = v
 
     def unknown(m: int) -> int:
         """The index of the unknown A_g^m, kept under its raw label m.
@@ -402,31 +538,34 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
         ComponentLabel(g, m)  # rejects a label out of range or parity
         return (m - nu) // 3
 
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for i in range(n):
         l = 3 * i + nu + 2
         r, s = l - 2, g + 1 - l
         binom_r = [math.comb(r, x) for x in range(r + 1)]
         binom_s = [math.comb(s, y) for y in range(s + 1)]
-        coeff = [0] * (n + 1)
+        coeff: dict[int, int] = {}      # by unknown index; i and i + 1 on a chain
         const = 0
         for (side, d), (ind, ind_bar) in _NODE_INDICATORS.items():
             sign, base1, base2 = _DEGENERATIONS[side]
             for x in range(r + 1):
-                cx = sign * 3 * binom_r[x]
                 m1, m2 = base1 + x + ind, base2 + (r - x) + ind_bar
-                for y in range((x - d) % 3, s + 1, 3):
-                    h1 = 1 + x + y              # the factor genera sum to g + 1
-                    c = cx * binom_s[y]
-                    # with g >= 4 at most one factor is principal: f1 at
-                    # (x, y) = (r, s), f2 at (0, 0)
-                    if h1 == g:
-                        coeff[unknown(m1)] += c * D * lower[1][m2]
-                    elif h1 == 1:
-                        coeff[unknown(m2)] += c * D * lower[1][m1]
-                    else:
-                        const += c * lower[h1][m1] * lower[g + 1 - h1][m2]
+                f1, f2 = lower[m1], lower[m2]
+                cx = sign * 3 * binom_r[x]
+                ys = range((x - d) % 3, s + 1, 3)
+                # The factor genera 1 + x + y and g - x - y sum to g + 1; with
+                # g >= 4 at most one of them is g, i.e. principal: the second
+                # at (x, y) = (0, 0), the first at (r, s).
+                if x == 0 and ys and ys[0] == 0:
+                    k = unknown(m2)
+                    coeff[k] = coeff.get(k, 0) + cx * binom_s[0] * D * f1[1]
+                    ys = ys[1:]
+                if x == r and ys and ys[-1] == s:
+                    k = unknown(m1)
+                    coeff[k] = coeff.get(k, 0) + cx * binom_s[s] * D * f2[1]
+                    ys = ys[:-1]
+                const += cx * sum(binom_s[y] * f1[1 + x + y] * f2[g - x - y] for y in ys)
         rows.append(coeff)
         rhs.append(-const)
 
@@ -434,13 +573,10 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
     vvv_rhs = 2 * table.Abullet[g]
     if g % 2 == 1:
-        rows.append([1] + [0] * (n - 1) + [-1])
-        rhs.append(0)
+        sol = solve_chain(rows, rhs, [1] + [0] * (n - 1) + [-1], 0)
     else:
-        rows.append([b * vvv_rhs.denominator for b in vvv_row])
-        rhs.append(vvv_rhs.numerator)
-
-    sol = solve_exact_linear(rows, rhs)
+        sol = solve_chain(rows, rhs, [b * vvv_rhs.denominator for b in vvv_row],
+                          vvv_rhs.numerator)
 
     # Post-checks: the unused closure must hold redundantly, all values
     # must agree, and the common value must be A_g.
@@ -481,37 +617,34 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     table = HodgeTable(max_genus=G)
     genera = range(1, G + 1)
 
-    b_rec = b_recursive(G)
-    ab_rec = abullet_recursive(G, b_rec)
-    tau = tau_series(G)
-    B, A = _b_of_tau(tau), _a_of_tau(tau)
-    table.B = _egf_values(B, range(G + 1))
-    Abullet = _abullet_of_b(B)
-    table.Abullet = _egf_values(Abullet, genera, 1)
-    table.A = _egf_values(A, genera, 1)
+    binom = _binomial_rows(G)
+    b, alpha, beta = _scaled_series(G, binom)
+    b_rec = _b_scaled_recursive(G, binom)
+    # The A-bullet recursion reads the closed-form b: when the B check
+    # passes, b_rec is b, and a fault in the B recursion fails only that check.
+    beta_rec = _abullet_scaled_recursive(G, b, binom)
     table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
     table.delta = {g: delta(g) for g in genera}
 
     checks = table.checks
-    checks["B recursion vs closed form"] = all(
-        b_rec[g] == table.B[g] for g in range(G + 1))
-    checks["A-bullet recursion vs functional form"] = all(
-        ab_rec[g] == table.Abullet[g] for g in genera)
+    checks["B recursion vs closed form"] = b_rec == b
+    checks["A-bullet recursion vs functional form"] = beta_rec == beta[:G]
     checks["gamma formula vs enumeration"] = all(
         table.gamma[g] == gamma_bruteforce(g) for g in range(min(G, enumeration_cap) + 1))
     checks["delta closed form vs direct sum"] = all(
         table.delta[g] == delta_direct(g) for g in genera)
     checks["A-bullet = gamma * A"] = all(
-        table.Abullet[g] == table.gamma[g] * table.A[g] for g in genera)
-    checks["functional equation for A and B"] = (
-        Abullet == A.scale_variable(Fraction(2)) * Fraction(4, 3)
-        - A.scale_variable(Fraction(-1)) * Fraction(1, 3))
+        beta[g - 1] == table.gamma[g] * alpha[g - 1] for g in genera)
+    # 3Ab(6u) = 4A(12u) - A(-6u), coefficientwise on the EGFs
+    checks["functional equation for A and B"] = all(
+        3 * beta[n] == (4 * 2 ** n - (-1) ** n) * alpha[n] for n in range(G + 1))
     if G >= 2:
-        Bp = B.differentiate()
-        Bpp = Bp.differentiate()
-        Bp = Bp.truncate(G - 2)
-        checks["ODE B' + 3BB'' = 6(B')^2"] = (
-            Bp + B.truncate(G - 2) * Bpp * 3 == Bp * Bp * 6)
+        checks["ODE B' + 3BB'' = 6(B')^2"] = _ode_holds(b, G - 2, binom)
+
+    # the table boundary: Fraction re-enters here
+    table.B = _unscale_b(b, range(G + 1))
+    table.Abullet = _unscale_a(beta, genera)
+    table.A = _unscale_a(alpha, genera)
 
     for h, l in _BASE_LABELS.items():
         if h <= max_genus:

@@ -32,11 +32,11 @@ def enumerated_genera(monkeypatch):
 
 @pytest.fixture
 def corrupt_component_solver(monkeypatch):
-    """``hurwitz.solve_exact_linear`` with 1 added to the first entry of its solution."""
-    real = hurwitz.solve_exact_linear
+    """``hurwitz.solve_chain`` with 1 added to x_0 of its solution."""
+    real = hurwitz.solve_chain
 
-    def corrupted(matrix, rhs):
-        sol = real(matrix, rhs)
+    def corrupted(*args):
+        sol = real(*args)
         return [sol[0] + 1] + sol[1:]
 
-    monkeypatch.setattr(hurwitz, "solve_exact_linear", corrupted)
+    monkeypatch.setattr(hurwitz, "solve_chain", corrupted)

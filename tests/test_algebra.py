@@ -1,6 +1,7 @@
 """Scalar and series arithmetic: frozen examples and ring-axiom properties."""
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from crepant.algebra import (BiSeries, Cyc3, CycField, DegreeOverflowError,
                              I_OVER_SQRT3, I_SQRT3, LinT, OMEGA, OMEGA_BAR,
                              T1, T2, USeries, compose_linear,
                              cyclotomic_polynomial, geometric_exp_series,
-                             tangent_series, tau_series)
+                             tangent_numbers, tangent_series, tau_series)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 cyc3s = st.builds(Cyc3, rationals, rationals)
@@ -229,6 +230,28 @@ def test_tangent_series_examples():
 def test_tangent_derivative_identity():
     t = tangent_series(29)
     assert t.differentiate() == (1 + t * t).truncate(28)
+
+
+def test_tangent_numbers_match_tangent_series():
+    # the integer recurrence against the Fraction quotient sin/cos
+    for N in (0, 1, 2, 7, 60):
+        tan = tangent_series(N)
+        assert tangent_numbers(N) == [tan.coefficient(n) * factorial(n) for n in range(N + 1)]
+
+
+def test_tangent_numbers_match_sympy_bernoulli():
+    sympy = pytest.importorskip("sympy")
+    T = tangent_numbers(61)
+    for k in range(31):
+        n = 2 * k + 2
+        expected = (-1) ** k * 2 ** n * (2 ** n - 1) * sympy.bernoulli(n) / n
+        assert T[2 * k + 1] == expected
+    assert all(T[n] == 0 for n in range(0, 62, 2))
+
+
+def test_tangent_numbers_reject_negative_order():
+    with pytest.raises(ValueError):
+        tangent_numbers(-1)
 
 
 def test_tau_series_examples():

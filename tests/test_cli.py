@@ -68,19 +68,60 @@ def corrupt_delta_direct(monkeypatch):
     monkeypatch.setattr(hurwitz, "delta_direct", lambda g: hurwitz.delta(g) + 1)
 
 
-# (corrupting fixture, the one check it fails, argv)
+@pytest.fixture
+def corrupt_tangent_number(monkeypatch):
+    """``hurwitz.tangent_numbers`` with 1 added to T_5."""
+    real = hurwitz.tangent_numbers
+
+    def corrupted(N):
+        T = real(N)
+        if N >= 5:
+            T[5] += 1
+        return T
+
+    monkeypatch.setattr(hurwitz, "tangent_numbers", corrupted)
+
+
+@pytest.fixture
+def corrupt_b_recursion_step(monkeypatch):
+    """The integer B recursion with 1 added to its genus-5 value b_5."""
+    real = hurwitz._b_scaled_recursive
+
+    def corrupted(G, binom):
+        b = real(G, binom)
+        if G >= 5:
+            b[5] += 1
+        return b
+
+    monkeypatch.setattr(hurwitz, "_b_scaled_recursive", corrupted)
+
+
+# A wrong tangent number moves the closed forms of B, A and A-bullet
+# together: it breaks every check that compares them with the tangent
+# identities (the recursion for B, the ODE, the functional equation,
+# Ab = gamma A and hence the components), but not the A-bullet recursion,
+# which holds for any B since it is 1 + 3 Ab B = 2 B^2 coefficientwise.
+_TANGENT_FAILURES = ("B recursion vs closed form", "A-bullet = gamma * A",
+                     "functional equation for A and B", "ODE B' + 3BB'' = 6(B')^2",
+                     "components independent of label")
+
+# (corrupting fixture, the checks it fails in table order, argv)
 _FAILED_CHECK_CASES = [
-    ("corrupt_delta_direct", "delta closed form vs direct sum", argv) for argv in (
+    ("corrupt_delta_direct", ("delta closed form vs direct sum",), argv) for argv in (
         ["tables", "--max-genus", "8"],
         ["tables", "--max-genus", "8", "--format", "csv"],
         ["components", "--genus", "6", "--format", "json"],
         ["verify", "crc", "--order", "8", "--format", "json"],
     )
 ] + [
-    ("corrupt_component_solver", "components independent of label", argv) for argv in (
+    ("corrupt_component_solver", ("components independent of label",), argv) for argv in (
         ["components", "--genus", "6", "--format", "json"],
         ["tables", "--max-genus", "8"],
     )
+] + [
+    ("corrupt_tangent_number", _TANGENT_FAILURES, ["tables", "--max-genus", "8"]),
+    ("corrupt_b_recursion_step", ("B recursion vs closed form",),
+     ["tables", "--max-genus", "8"]),
 ]
 
 
@@ -91,7 +132,7 @@ def test_failed_table_check_exits_1_without_output(capsys, request, corruption, 
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == f"table check failed: {failed}\n"
+    assert err == "".join(f"table check failed: {name}\n" for name in failed)
 
 
 def test_verify_recursions_reports_failed_check(capsys, corrupt_delta_direct):
@@ -138,6 +179,16 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[2]["B"] == "2/3"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "tables", "--max-genus", "3", "-o", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write output file {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_usage_error_exit_code(capsys):

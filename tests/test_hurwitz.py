@@ -11,7 +11,7 @@ from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
                              abullet_values, b_closed, b_recursive, b_values,
                              build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
-                             solve_components, solve_exact_linear, table_csv,
+                             solve_chain, solve_components, solve_exact_linear, table_csv,
                              table_rows, theta_check, theta_pair)
 
 
@@ -165,6 +165,57 @@ def test_solver_fractional_entries():
     x = [F(3, 5), F(-7, 2), F(11, 13)]
     rhs = [sum(row[j] * x[j] for j in range(3)) for row in m]
     assert solve_exact_linear(m, rhs) == x
+
+
+def test_chain_solver_matches_dense_solver():
+    # x = (2, -1/3, 5/7, 4): three chain rows and a closure touching every unknown
+    x = [F(2), F(-1, 3), F(5, 7), F(4)]
+    rows = [{0: 3, 1: -2}, {1: 5, 2: 7}, {3: 1, 2: -4}]
+    closure = [1, 2, 3, 4]
+    dense = [[row.get(j, 0) for j in range(4)] for row in rows] + [closure]
+    rhs = [sum(c * v for c, v in zip(r, x)) for r in dense]
+    assert solve_chain(rows, rhs[:3], closure, rhs[3]) == x
+    assert solve_exact_linear(dense, rhs) == x
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{0: 1, 1: 0}, {1: 1, 2: 1}], "zero superdiagonal in row 0"),
+    ([{0: 1}, {1: 1, 2: 1}], "zero superdiagonal in row 0"),
+    ([{0: 1, 1: 1}, {0: 2, 1: 1, 2: 1}], "row 1 touches x_0, off the chain"),
+    ([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}], "row 0 touches x_2, off the chain"),
+])
+def test_chain_solver_rejects_rows_off_the_chain(rows, message):
+    with pytest.raises(SingularSystemError, match=message):
+        solve_chain(rows, [0, 0], [1, 0, 0], 1)
+
+
+def test_chain_solver_rejects_dependent_closure():
+    # x_1 = x_0, so the closure x_0 - x_1 = 0 leaves x_0 free
+    with pytest.raises(SingularSystemError, match="leaves x_0 free"):
+        solve_chain([{0: 1, 1: -1}], [0], [1, -1], 0)
+
+
+# ---------------------------------------------------------------------------
+# The integer route against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("G", [0, 1, 2, 5, 30, 60])
+def test_integer_route_matches_fraction_oracles(G):
+    B, A, Ab = b_closed(G), a_closed(G), abullet_functional(G)
+    closed_b = {g: B.coefficient(g) * factorial(g) for g in range(G + 1)}
+    closed_a = {g: A.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 2)}
+    closed_ab = {g: Ab.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 2)}
+    assert b_values(G) == closed_b
+    assert a_values(G + 1) == closed_a
+    assert abullet_values(G + 1) == closed_ab
+    assert b_recursive(G) == list(closed_b.values())
+    assert abullet_recursive(G + 1)[1:] == list(closed_ab.values())
+    assert abullet_recursive(G + 1, b_recursive(G + 1)) == abullet_recursive(G + 1)
+    table = build_hodge_table(G, component_max_genus=min(G, 3))
+    assert all(table.checks.values())
+    assert table.B == closed_b
+    assert table.A == {g: closed_a[g] for g in range(1, G + 1)}
+    assert table.Abullet == {g: closed_ab[g] for g in range(1, G + 1)}
 
 
 # ---------------------------------------------------------------------------
