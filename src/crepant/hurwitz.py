@@ -103,19 +103,19 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 def b_closed(N: int) -> USeries:
-    """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau)."""
+    """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau); a test oracle."""
     tau = tau_series(N)
     return (tau * Fraction(1, 3) + 1) / (1 - tau)
 
 
 def a_closed(N: int) -> USeries:
-    """A(u) to order N as the rational quotient (1 + tau)/(3 - tau)."""
+    """A(u) to order N as the rational quotient (1 + tau)/(3 - tau); a test oracle."""
     tau = tau_series(N)
     return (tau + 1) / (3 - tau)
 
 
 def abullet_functional(N: int) -> USeries:
-    """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2."""
+    """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2; a test oracle."""
     B = b_closed(N)
     return (B * 2 - B.reciprocal()) * Fraction(1, 3)
 
