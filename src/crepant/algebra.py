@@ -381,9 +381,6 @@ class LinT:
     def has_t_part(self) -> bool:
         return bool(self.c1) or bool(self.c2)
 
-    def is_zero(self) -> bool:
-        return not (bool(self.c0) or self.has_t_part())
-
     @staticmethod
     def _coerce(x) -> "LinT | None":
         if isinstance(x, LinT):
@@ -490,10 +487,6 @@ class USeries:
         zero = cs[0] * 0
         cs = (cs + [zero] * (order + 1 - len(cs)))[:order + 1]
         return cls(order, tuple(cs))
-
-    @classmethod
-    def constant(cls, value, order: int) -> USeries:
-        return cls.from_coeffs([value], order)
 
     def coefficient(self, k: int):
         return self.coeffs[k]
@@ -629,9 +622,6 @@ class BiSeries:
 
     def coefficient(self, i: int, j: int):
         return self.rows[i][j]
-
-    def constant_term(self):
-        return self.rows[0][0]
 
     def _zero(self):
         return self.rows[0][0] * 0

@@ -80,12 +80,6 @@ class ComponentMismatchError(ArithmeticError):
     """A solved component system disagrees with itself or with A_g."""
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of ``values`` (ints or Fractions) over D = their lcm denominator.
 
@@ -263,7 +257,7 @@ def b_recursive(max_genus: int) -> list[Fraction]:
     return list(_unscale_b(b, range(max_genus + 1)).values())
 
 
-def abullet_recursive(max_genus: int, B: list[Fraction] | None = None) -> list[Fraction]:
+def abullet_recursive(max_genus: int) -> list[Fraction]:
     """A-bullet_1..A-bullet_G (index 0 unused) from the second recursion.
 
     For g >= 1:
@@ -273,15 +267,12 @@ def abullet_recursive(max_genus: int, B: list[Fraction] | None = None) -> list[F
 
     where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  It
     runs on beta_(g-1) = 3 * 6^(g-1) Ab_g and b_g = 6^g B_g
-    (``_abullet_scaled_recursive``); B defaults to ``b_recursive``.
+    (``_abullet_scaled_recursive``), b from the first recursion.
     """
     if max_genus < 0:
         raise ValueError("max_genus must be >= 0")
     binom = _binomial_rows(max_genus)
-    if B is None:
-        b = _b_scaled_recursive(max_genus, binom)
-    else:
-        b = [B[g] * 6 ** g for g in range(max_genus)]
+    b = _b_scaled_recursive(max_genus, binom)
     beta = _abullet_scaled_recursive(max_genus, b, binom)
     return [Fraction(0), *_unscale_a(beta, range(1, max_genus + 1)).values()]
 
@@ -342,7 +333,7 @@ def delta_direct(g: int) -> int:
         raise ValueError("g must be >= 1")
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3
-    return sum(_binom(g + 2, 3 * i + nu) * (-1) ** (3 * i + nu) for i in range(n + 1))
+    return sum(math.comb(g + 2, 3 * i + nu) * (-1) ** (3 * i + nu) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -400,48 +391,6 @@ COMPONENT_CHECK = "components independent of label"
 # ---------------------------------------------------------------------------
 # Exact linear solving
 # ---------------------------------------------------------------------------
-
-def solve_exact_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by fraction-free (Bareiss) elimination.
-
-    It serves ``potentials.triple_intersection``'s 3x3 system; the
-    component systems are chains and go to ``solve_chain``.  Each row of
-    ``matrix`` with its ``rhs`` entry is put over its own common
-    denominator, eliminated with exact integer divisions and
-    back-substituted over Fraction.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("system must be square")
-    aug = [_over_common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
-
-    prev = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularSystemError(f"no pivot in column {k}")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                num = aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]
-                q, r = divmod(num, prev)
-                if r != 0:
-                    raise ArithmeticError("fraction-free step produced a remainder")
-                aug[i][j] = q
-            aug[i][k] = 0
-        prev = aug[k][k]
-
-    sol = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        if aug[i][i] == 0:
-            raise SingularSystemError(f"zero pivot in row {i}")
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * sol[j]
-        sol[i] = acc / aug[i][i]
-    return sol
-
 
 def solve_chain(rows: list[dict[int, int]], rhs: list[int], closure: list[int],
                 closure_rhs: int) -> list[Fraction]:

@@ -1,11 +1,12 @@
 """The two genus-0 potentials and the coefficientwise comparison.
 
-The resolution-side potential has three kinds of stable data: a cubic
-polynomial in y0..y2 with t-linear coefficients (triple intersections,
-computed here by localization over the three fixed points), and a
-multi-cover sum whose third derivative collapses to the geometric series
-G_q(L) = q e^L / (1 - q e^L).  The orbifold-side potential consists of
-cubic terms plus the symmetrized Hurwitz-Hodge series.
+The resolution-side potential has two kinds of stable data: a cubic
+polynomial in y0..y2 whose coefficients are the ten triple products of
+1, C1, C2 (computed here by localization over the three fixed points),
+and a multi-cover sum whose third derivative collapses to the geometric
+series G_q(L) = q e^L / (1 - q e^L).  The orbifold-side potential
+consists of cubic terms, the three-point values of
+``orbifold_invariant``, plus the symmetrized Hurwitz-Hodge series.
 
 The comparison works at the level of third partial derivatives: the raw
 substitution q = w into the undifferentiated multi-cover sum is not a
@@ -39,6 +40,7 @@ are compared as literal multiples of 1/(t1*t2).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +49,7 @@ from typing import NamedTuple
 
 from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3,
                       USeries, compose_linear, geometric_exp_series)
-from .hurwitz import HodgeTable, solve_exact_linear
+from .hurwitz import HodgeTable
 
 
 @dataclass(frozen=True)
@@ -94,27 +96,26 @@ class FixedPointData:
 
     @cached_property
     def sample_values(self) -> dict[tuple[Fraction, Fraction], list[tuple[dict, Fraction]]]:
-        """At each sample point (t1, t2): per fixed point, every class weight and
+        """At each verify point (t1, t2): per fixed point, every class weight and
         the tangent denominator e1*e2, evaluated once for all triple products."""
         values = {}
-        for t1, t2 in _SOLVE_POINTS + _VERIFY_POINTS:
+        for t1, t2 in _VERIFY_POINTS:
+            at = lambda w: w.c0.as_rational() + w.c1.as_rational() * t1 + w.c2.as_rational() * t2
             values[(t1, t2)] = [
-                ({cls_id: _class_weight(cls_id, p, self).evaluate(t1, t2).as_rational()
-                  for cls_id in CLASS_IDS},
-                 (e1.evaluate(t1, t2) * e2.evaluate(t1, t2)).as_rational())
+                ({cls_id: at(_class_weight(cls_id, p, self)) for cls_id in CLASS_IDS},
+                 at(e1) * at(e2))
                 for p, (e1, e2) in enumerate(self.tangent_weights)]
         return values
 
 
 CLASS_IDS = ("1", "C1", "C2")
 
-# Sample points (t1, t2) avoiding every tangent-weight zero t1 = 0,
-# t2 = 0, t2 = 2 t1, t1 = 2 t2.  Three points reconstruct a t-linear
-# value; the sum of localization fractions times the common denominator
-# is homogeneous of degree <= 7, so agreement at the eight points on the
-# t2 = 1 line proves the identity, not merely samples it.
-_SOLVE_POINTS = [(Fraction(3), Fraction(1)), (Fraction(1), Fraction(3)),
-                 (Fraction(5), Fraction(1))]
+# Verify points (t1, t2) avoiding every tangent-weight zero t1 = 0,
+# t2 = 0, t2 = 2 t1, t1 = 2 t2.  Three of them, (3, 1), (4, 1) and
+# (1, 4), reconstruct a t-linear value; the sum of localization
+# fractions times the common denominator is homogeneous of degree <= 7,
+# so agreement at the eight points on the t2 = 1 line proves the
+# identity, not merely samples it.
 _VERIFY_POINTS = ([(Fraction(k), Fraction(1)) for k in range(3, 11)]
                   + [(Fraction(1), Fraction(4)), (Fraction(1), Fraction(7))])
 
@@ -145,9 +146,11 @@ def triple_intersection(a: str, b: str, c: str,
                         data: FixedPointData | None = None) -> LinT | InverseT1T2:
     """The equivariant triple product of classes in {1, C1, C2}.
 
-    Computed purely from the fixed-point weights as a localization sum,
-    then recognized exactly against a t-linear polynomial (or against
-    scale/(t1*t2) when all three classes are the identity).
+    Computed purely from the fixed-point weights as a localization sum f
+    at every verify point, and read off as scale/(t1*t2), scale =
+    3 f(3, 1), for three identity classes, else as c0 + c1 t1 + c2 t2
+    with c1 = f(4, 1) - f(3, 1), c2 = (f(1, 4) - f(3, 1) + 2 c1)/3 and
+    c0 = f(3, 1) - 3 c1 - c2; a miss at any point raises ArithmeticError.
     """
     if data is None:
         data = FixedPointData.standard()
@@ -155,22 +158,20 @@ def triple_intersection(a: str, b: str, c: str,
     for cls_id in classes:
         if cls_id not in CLASS_IDS:
             raise ValueError(f"unknown class id {cls_id!r}")
-    degree = sum(1 for cls_id in classes if cls_id != "1")
+    f = {(t1, t2): _localization_sum(classes, data, t1, t2) for t1, t2 in _VERIFY_POINTS}
 
-    if degree == 0:
-        t1, t2 = _VERIFY_POINTS[0]
-        scale = _localization_sum(classes, data, t1, t2) * t1 * t2
-        for t1, t2 in _VERIFY_POINTS:
-            if _localization_sum(classes, data, t1, t2) * t1 * t2 != scale:
-                raise ArithmeticError(
-                    "localization sum is not a multiple of 1/(t1*t2)")
+    if classes == ("1", "1", "1"):
+        scale = f[3, 1] * 3
+        if any(value * t1 * t2 != scale for (t1, t2), value in f.items()):
+            raise ArithmeticError(
+                "localization sum is not a multiple of 1/(t1*t2)")
         return InverseT1T2(scale)
 
-    matrix = [[Fraction(1), t1, t2] for t1, t2 in _SOLVE_POINTS]
-    rhs = [_localization_sum(classes, data, t1, t2) for t1, t2 in _SOLVE_POINTS]
-    c0, c1, c2 = solve_exact_linear(matrix, rhs)
-    for t1, t2 in _VERIFY_POINTS:
-        if _localization_sum(classes, data, t1, t2) != c0 + c1 * t1 + c2 * t2:
+    c1 = f[4, 1] - f[3, 1]
+    c2 = (f[1, 4] - f[3, 1] + 2 * c1) / 3
+    c0 = f[3, 1] - 3 * c1 - c2
+    for (t1, t2), value in f.items():
+        if value != c0 + c1 * t1 + c2 * t2:
             raise ArithmeticError(
                 f"localization sum for {classes} does not simplify to a "
                 "t-linear value; fixed-point weights are corrupted")
@@ -330,10 +331,27 @@ def _agree_by_direction(fy: _Side, fx: _Side, N: int) -> bool:
 # Third partials of the resolution potential
 # ---------------------------------------------------------------------------
 
-def _triple_products(data: FixedPointData) -> dict[tuple[int, ...], LinT]:
-    """The four triple products of C1 and C2, keyed by sorted class numbers."""
-    return {key: triple_intersection(*(f"C{i}" for i in key), data=data)
-            for key in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))}
+def _triple_products(data: FixedPointData) -> dict[tuple[int, int, int], LinT | InverseT1T2]:
+    """The ten triple products of 1, C1, C2, keyed by sorted class numbers (0 for 1)."""
+    return {key: triple_intersection(*(CLASS_IDS[i] for i in key), data=data)
+            for key in itertools.combinations_with_replacement(range(3), 3)}
+
+
+def _cubic_partial(idx: tuple[int, int, int], J, products) -> LinT | InverseT1T2:
+    """The constant third partial sum <a,b,c> Je[a][i] Je[b][j] Je[c][k] of F^Y.
+
+    Je is the jacobian extended by y0 = x0, summed over its nonzero
+    entries only; idx (0, 0, 0) alone reaches the degree -2 <1,1,1>.
+    """
+    if idx == (0, 0, 0):
+        return products[idx]
+    one, zero = Cyc3(1), Cyc3(0)
+    extended = ((one, zero, zero), (zero, *J[0]), (zero, *J[1]))
+    columns = [[(a, extended[a][i]) for a in range(3) if extended[a][i]] for i in idx]
+    cubic = LinT.zero()
+    for (a, fa), (b, fb), (c, fc) in itertools.product(*columns):
+        cubic = cubic + products[tuple(sorted((a, b, c)))] * (fa * fb * fc)
+    return cubic
 
 
 def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple]:
@@ -361,54 +379,33 @@ def _fy_side(idx: tuple[int, int, int], J, products, pieces) -> _Side:
     The constant jacobian chain rule contracts the localization cubic,
     and each multi-cover piece contributes chain-factor times G_q(form).
     """
-    cubic = LinT.zero()
-    for a in (1, 2):
-        for b in (1, 2):
-            for c in (1, 2):
-                factor = (J[a - 1][idx[0] - 1] * J[b - 1][idx[1] - 1]
-                          * J[c - 1][idx[2] - 1])
-                cubic = cubic + products[tuple(sorted((a, b, c)))] * factor
     terms = []
     for u1, u2, a, b, G in pieces:
         chain = Cyc3(1)
         for m in idx:
             chain = chain * (u1 if m == 1 else u2)
         terms.append((a, b, G * chain))
-    return _Side(cubic, tuple(terms))
+    return _Side(_cubic_partial(idx, J, products), tuple(terms))
 
 
 def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
                      data: FixedPointData | None = None):
     """d^3 F^Y / dx_idx after the change of variables, truncated at degree N.
 
-    Indices wholly in {1, 2} give a BiSeries over LinT: the constant
-    jacobian chain rule contracts the localization cubic, and each
-    multi-cover piece contributes chain-factor times G_q(linear form).
-    An index containing 0 gives the exact constant from the identity-
-    sector terms; the triple-0 index is the degree -2 channel.
+    The constant part contracts the ten triple products of ``data``
+    (``_cubic_partial``); an index containing 0 is that constant alone.
+    Indices wholly in {1, 2} give a BiSeries over LinT, adding for each
+    multi-cover piece chain-factor times G_q(linear form).
     """
     idx = _validate_index(idx)
     if cov is None:
         cov = ChangeOfVars.standard()
     if data is None:
         data = FixedPointData.standard()
-    J = cov.jacobian
-    zeros = idx.count(0)
-
-    if zeros == 3:
-        # y0^3 / (18 t1 t2), three derivatives in x0 = y0
-        return InverseT1T2(Fraction(math.factorial(3), 18))
-    if zeros == 2:
-        return LinT.zero()
-    if zeros == 1:
-        # -(y0/3)(y1^2 + y1 y2 + y2^2) with y1, y2 the linear forms J[0], J[1]
-        # in x; its second partial in x_j, x_k is a constant.
-        a, b = idx[1] - 1, idx[2] - 1
-        second = (J[0][a] * J[0][b] * 2 + J[0][a] * J[1][b]
-                  + J[0][b] * J[1][a] + J[1][a] * J[1][b] * 2)
-        return LinT.of(second * Fraction(-1, 3))
-
-    side = _fy_side(idx, J, _triple_products(data), _multicover_pieces(cov, N))
+    products = _triple_products(data)
+    if 0 in idx:
+        return _cubic_partial(idx, cov.jacobian, products)
+    side = _fy_side(idx, cov.jacobian, products, _multicover_pieces(cov, N))
     return _assemble(side, N)
 
 
@@ -442,37 +439,28 @@ def _fx_series(table: HodgeTable, N: int) -> list[USeries]:
     return [ser * (OMEGA ** e * Fraction(1, 6)) for e in range(3)]
 
 
-def _fx_side(idx: tuple[int, int, int], series: list[USeries]) -> _Side:
+def _fx_side(idx: tuple[int, int, int], table: HodgeTable, series: list[USeries]) -> _Side:
     """The orbifold side of a partial with every index in {1, 2}."""
     n1, n2 = idx.count(1), idx.count(2)
-    if n1 == 3:
-        cubic = LinT.of(0, Fraction(1, 3), 0)
-    elif n2 == 3:
-        cubic = LinT.of(0, 0, Fraction(1, 3))
-    else:
-        cubic = LinT.zero()
-    return _Side(cubic, tuple((a, b, series[(k * (n1 - n2)) % 3])
-                              for k, (a, b) in enumerate(_FORMS)))
+    return _Side(orbifold_invariant(n1, n2, table),
+                 tuple((a, b, series[(k * (n1 - n2)) % 3])
+                       for k, (a, b) in enumerate(_FORMS)))
 
 
 def fx_third_partial(idx, table: HodgeTable, N: int = 12):
     """d^3 F^X / dx_idx, truncated at total degree N.
 
-    Indices wholly in {1, 2} assemble the cubic constants t1/3, t2/3 with
-    the (t1+t2)/2-weighted symmetrization of A composed with the three
-    linear forms -(x1+x2), -(w x1 + wbar x2), -(wbar x1 + w x2); mixed
-    indices pick up cube-root-of-unity prefactors from the chain rule.
+    The constant part is ``orbifold_invariant`` with n_i the count of i
+    in idx; an index containing 0 is that constant alone.  Indices wholly
+    in {1, 2} add the (t1+t2)/2-weighted symmetrization of A composed
+    with the three linear forms -(x1+x2), -(w x1 + wbar x2),
+    -(wbar x1 + w x2); mixed indices pick up cube-root-of-unity
+    prefactors from the chain rule.
     """
     idx = _validate_index(idx)
-    zeros = idx.count(0)
-    if zeros == 3:
-        # x0^3 / (18 t1 t2)
-        return InverseT1T2(Fraction(math.factorial(3), 18))
-    if zeros > 0:
-        if idx == (0, 1, 2):
-            return LinT.of(Fraction(1, 3))  # from (1/3) x0 x1 x2
-        return LinT.zero()
-    return _assemble(_fx_side(idx, _fx_series(table, N)), N)
+    if 0 in idx:
+        return orbifold_invariant(idx.count(1), idx.count(2), table, n0=idx.count(0))
+    return _assemble(_fx_side(idx, table, _fx_series(table, N)), N)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +471,6 @@ ALL_INDICES = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2),
                (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
 
 
-def _value_json(v) -> dict:
-    return v.to_json()
-
-
 def _first_mismatch(fy, fx):
     if type(fy) is not type(fx):
         return {"monomial": None, "fy": str(fy), "fx": str(fx)}
@@ -495,10 +479,10 @@ def _first_mismatch(fy, fx):
             b = fx.coefficient(i, j)
             if a != b:
                 return {"monomial": f"x1^{i} x2^{j}",
-                        "fy": _value_json(a), "fx": _value_json(b)}
+                        "fy": a.to_json(), "fx": b.to_json()}
         return None
     if fy != fx:
-        return {"monomial": "1", "fy": _value_json(fy), "fx": _value_json(fx)}
+        return {"monomial": "1", "fy": fy.to_json(), "fx": fx.to_json()}
     return None
 
 
@@ -511,8 +495,8 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     compared exactly.  Passing every index certifies the identity of the
     potentials to order N, the sub-cubic terms being zero by definition.
 
-    The triple products, the geometric series and the orbifold series do
-    not depend on the index and are built once per call.  A series index
+    The ten triple products, the geometric series and the orbifold series
+    do not depend on the index and are built once per call.  A series index
     is compared direction by direction (see the module docstring): degrees
     0 and 1 in aggregate on the bivariate coefficients, each degree d >= 2
     on the univariate coefficients along each L_k.  When a piece of the
@@ -535,11 +519,11 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     all_pass = True
     for idx in ALL_INDICES:
         if 0 in idx:
-            mismatch = _first_mismatch(fy_third_partial(idx, cov, order, data),
+            mismatch = _first_mismatch(_cubic_partial(idx, cov.jacobian, products),
                                        fx_third_partial(idx, table, order))
         else:
             fy = _fy_side(idx, cov.jacobian, products, pieces)
-            fx = _fx_side(idx, fx_series)
+            fx = _fx_side(idx, table, fx_series)
             mismatch = None if _agree_by_direction(fy, fx, order) else \
                 _first_mismatch(_assemble(fy, order), _assemble(fx, order))
         ok = mismatch is None

@@ -5,7 +5,10 @@ produces it was restructured: the ``verify crc`` outputs from the
 bivariate coefficient-by-coefficient comparison, before the
 direction-wise route existed; the ``verify recursions``, ``tables``,
 ``components``, ``verify theta`` and ``duval`` outputs while ``verify
-recursions`` still ran its own copy of the Hodge-table checks.
+recursions`` still ran its own copy of the Hodge-table checks; the
+``localization --format text`` and ``verify crc --order 30`` outputs
+while the identity-sector constants of both potentials were still
+written by hand and the localization values came from a linear solve.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

@@ -11,7 +11,7 @@ from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
                              abullet_values, b_closed, b_recursive, b_values,
                              build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
-                             solve_chain, solve_components, solve_exact_linear, table_csv,
+                             solve_chain, solve_components, table_csv,
                              table_rows, theta_check, theta_pair)
 
 
@@ -149,33 +149,15 @@ def test_functional_equation():
 # Exact linear solver
 # ---------------------------------------------------------------------------
 
-def test_solver_known_system():
-    sol = solve_exact_linear(
-        [[F(1), F(1)], [F(1, 2), F(-1)]], [F(3), F(0)])
-    assert sol == [F(2), F(1)]
-
-
-def test_solver_rejects_singular():
-    with pytest.raises(SingularSystemError):
-        solve_exact_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
-
-
-def test_solver_fractional_entries():
-    m = [[F(1, 3), F(2, 7), F(1)], [F(0), F(5, 2), F(-1, 4)], [F(2), F(0), F(1, 9)]]
-    x = [F(3, 5), F(-7, 2), F(11, 13)]
-    rhs = [sum(row[j] * x[j] for j in range(3)) for row in m]
-    assert solve_exact_linear(m, rhs) == x
-
-
 def test_chain_solver_matches_dense_solver():
-    # x = (2, -1/3, 5/7, 4): three chain rows and a closure touching every unknown
+    # x = (2, -1/3, 5/7, 4): three chain rows and a closure touching every
+    # unknown; the right-hand sides come from the dense system
     x = [F(2), F(-1, 3), F(5, 7), F(4)]
     rows = [{0: 3, 1: -2}, {1: 5, 2: 7}, {3: 1, 2: -4}]
     closure = [1, 2, 3, 4]
     dense = [[row.get(j, 0) for j in range(4)] for row in rows] + [closure]
     rhs = [sum(c * v for c, v in zip(r, x)) for r in dense]
     assert solve_chain(rows, rhs[:3], closure, rhs[3]) == x
-    assert solve_exact_linear(dense, rhs) == x
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -210,7 +192,6 @@ def test_integer_route_matches_fraction_oracles(G):
     assert abullet_values(G + 1) == closed_ab
     assert b_recursive(G) == list(closed_b.values())
     assert abullet_recursive(G + 1)[1:] == list(closed_ab.values())
-    assert abullet_recursive(G + 1, b_recursive(G + 1)) == abullet_recursive(G + 1)
     table = build_hodge_table(G, component_max_genus=min(G, 3))
     assert all(table.checks.values())
     assert table.B == closed_b

@@ -52,6 +52,19 @@ def test_triple_intersection_detects_corrupted_weights():
         triple_intersection("C1", "C1", "C1", data=broken)
 
 
+def test_triple_identity_product_detects_corrupted_tangent_weight():
+    # 3 t1 -> 3 t1 + t2 at the first fixed point: the localization sum of
+    # <1,1,1> is no longer a multiple of 1/(t1*t2)
+    data = FixedPointData.standard()
+    (e1, e2), *rest = data.tangent_weights
+    broken = FixedPointData(
+        tangent_weights=((LinT.of(0, 3, 1), e2), *rest),
+        bundle_weights=data.bundle_weights)
+    assert e1 == LinT.of(0, 3, 0)
+    with pytest.raises(ArithmeticError, match=r"not a multiple of 1/\(t1\*t2\)"):
+        triple_intersection("1", "1", "1", data=broken)
+
+
 # ---------------------------------------------------------------------------
 # Curve-class and orbifold invariants
 # ---------------------------------------------------------------------------
@@ -211,6 +224,34 @@ def test_verify_crc_reports_mismatch(table16):
     mismatch = failed[0]["first_mismatch"]
     assert mismatch is not None
     assert "monomial" in mismatch and "fy" in mismatch and "fx" in mismatch
+
+
+def _c1_doubled():
+    """Fixed-point data with C1's three bundle weights doubled.
+
+    The localization stays t-linear, with <1,C1,C1> = -8/3 instead of -2/3.
+    """
+    data = FixedPointData.standard()
+    c1, c2 = data.bundle_weights
+    return FixedPointData(tangent_weights=data.tangent_weights,
+                          bundle_weights=(tuple(w * 2 for w in c1), c2))
+
+
+def test_identity_sector_partials_follow_the_fixed_point_data(table16):
+    data = _c1_doubled()
+    assert triple_intersection("1", "C1", "C1", data=data) == LinT.of(F(-8, 3))
+    report = verify_crc(6, table16, data=data)
+    status = {c["idx"]: c["status"] for c in report["checks"]}
+    assert status == {"000": "pass", "001": "pass", "002": "pass",
+                      "011": "fail", "012": "fail", "022": "fail",
+                      "111": "fail", "112": "fail", "122": "fail", "222": "fail"}
+    assert fy_third_partial((0, 1, 1), data=data) != fy_third_partial((0, 1, 1))
+    # doubled tangent weights quarter every localization sum, <1,1,1> included
+    std = FixedPointData.standard()
+    doubled = FixedPointData(
+        tangent_weights=tuple((e1 * 2, e2 * 2) for e1, e2 in std.tangent_weights),
+        bundle_weights=std.bundle_weights)
+    assert fy_third_partial((0, 0, 0), data=doubled) == InverseT1T2(F(1, 12))
 
 
 def test_verify_crc_minimum_order(table16):
