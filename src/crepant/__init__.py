@@ -11,9 +11,8 @@ from .algebra import (BiSeries, Cyc3, CycElement, CycField, DegreeOverflowError,
                       LinT, OMEGA, OMEGA_BAR, I_SQRT3, I_OVER_SQRT3, USeries,
                       compose_linear, tangent_series, tau_series)
 from .hurwitz import (ComponentLabel, ComponentMismatchError, HodgeTable,
-                      LabelParityError, SingularSystemError, a_closed, a_values,
-                      abullet_functional, abullet_recursive, b_closed,
-                      b_recursive, b_values, build_hodge_table, delta,
+                      LabelParityError, SingularSystemError, a_closed,
+                      abullet_functional, b_closed, build_hodge_table, delta,
                       delta_direct, gamma_bruteforce, gamma_formula,
                       solve_components, theta_check, theta_pair)
 from .mckay import DuValTransform, check_n3_specialization, duval_transform

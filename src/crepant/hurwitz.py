@@ -49,12 +49,14 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   value, but any D stays exact), each degeneration equation is summed in
   integers, and the chain of equations is solved by forward substitution
   in ``solve_chain``.
-- Theta: the double sum runs on D * A_g in integers.
+- Theta: the double sum runs on alpha in integers.
 
 Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), in
 the forward substitution of ``solve_chain``, which returns the solved
-A_g^l, and in one ``Fraction(total, D^2 r! s!)`` per theta coefficient.
+A_g^l, and in one ``Fraction(total, 9 * 6^(r+s) r! s!)`` per theta
+coefficient.  ``build_hodge_table`` is the only producer of B_g, A_g and
+Ab_g, and ``theta_check`` the only place the theta identity is decided.
 The Fraction series ``b_closed``, ``a_closed`` and ``abullet_functional``
 (over ``algebra.tau_series``) are test oracles of this kernel; no
 production path calls them.
@@ -159,9 +161,15 @@ def _scaled_series(N: int, binom: list[list[int]]) -> tuple[list[int], list[int]
 
 
 def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
-    """b_0..b_G (b_g = 6^g B_g) from the degeneration recursion; see ``b_recursive``.
+    """b_0..b_G (b_g = 6^g B_g) from the degeneration recursion.
 
-    Scaled by 6^g and divided by 3, the recursion needs no division:
+    Seeded with B_0 = 1 and B_1 = 2/3, for g >= 2 the recursion reads
+
+        B_{g-1} + sum_{h1+h2=g} 3 C(g-2, h1) B_{h1} B_{h2}
+            = sum_{h1+h2=g} 6 C(g-2, h1-1) B_{h1} B_{h2},
+
+    and the unknown B_g appears only in the summand 3 B_0 B_g on the left.
+    Scaled by 6^g and divided by 3, it needs no division:
 
         b_g = 2 sum_h C(g-2, h-1) b_h b_(g-h) - sum_h C(g-2, h) b_h b_(g-h) - 2 b_(g-1).
     """
@@ -177,7 +185,13 @@ def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
 def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
     """beta_0..beta_(G-1) (beta_n = 3 * 6^n Ab_(n+1)) from the second recursion.
 
-    Scaled by 6^(g-1), the recursion of ``abullet_recursive`` reads
+    For g >= 1 the recursion reads
+
+        delta_{g,1} + sum_{h1+h2=g} 3 C(g-1, h1-1) Ab_{h1} B_{h2}
+            = sum_{h1+h2=g-1} 2 C(g-1, h1) B_{h1} B_{h2},
+
+    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  Scaled
+    by 6^(g-1), it reads
 
         beta_(g-1) = 2 sum_{h<g} C(g-1, h) b_h b_(g-1-h)
                      - sum_{0<h<g} C(g-1, h-1) beta_(h-1) b_(g-h) - [g = 1],
@@ -214,67 +228,6 @@ def _unscale_b(b: list, genera: range) -> dict[int, Fraction]:
 def _unscale_a(scaled: list, genera: range) -> dict[int, Fraction]:
     """A_g = alpha_(g-1) / (3 * 6^(g-1)) for g in ``genera``; the same for A-bullet and beta."""
     return {g: Fraction(scaled[g - 1], 3 * 6 ** (g - 1)) for g in genera}
-
-
-def b_values(max_genus: int) -> dict[int, Fraction]:
-    """B_g for 0 <= g <= max_genus, from the closed form."""
-    b, _, _ = _scaled_series(max_genus, _binomial_rows(max_genus))
-    return _unscale_b(b, range(max_genus + 1))
-
-
-def a_values(max_genus: int) -> dict[int, Fraction]:
-    """A_g for 1 <= g <= max_genus, from the closed form."""
-    N = max(max_genus - 1, 0)
-    _, alpha, _ = _scaled_series(N, _binomial_rows(N))
-    return _unscale_a(alpha, range(1, max_genus + 1))
-
-
-def abullet_values(max_genus: int) -> dict[int, Fraction]:
-    """A-bullet_g for 1 <= g <= max_genus, from the functional form (2B - 1/B)/3."""
-    N = max(max_genus - 1, 0)
-    _, _, beta = _scaled_series(N, _binomial_rows(N))
-    return _unscale_a(beta, range(1, max_genus + 1))
-
-
-# ---------------------------------------------------------------------------
-# WDVV recursions
-# ---------------------------------------------------------------------------
-
-def b_recursive(max_genus: int) -> list[Fraction]:
-    """B_0..B_G from the degeneration recursion, seeded with B_0 = 1, B_1 = 2/3.
-
-    For g >= 2 the recursion reads
-
-        B_{g-1} + sum_{h1+h2=g} 3 C(g-2, h1) B_{h1} B_{h2}
-            = sum_{h1+h2=g} 6 C(g-2, h1-1) B_{h1} B_{h2},
-
-    and the unknown B_g appears only in the summand 3 B_0 B_g on the left.
-    It runs on b_g = 6^g B_g in integers (``_b_scaled_recursive``).
-    """
-    if max_genus < 0:
-        raise ValueError("max_genus must be >= 0")
-    b = _b_scaled_recursive(max_genus, _binomial_rows(max_genus))
-    return list(_unscale_b(b, range(max_genus + 1)).values())
-
-
-def abullet_recursive(max_genus: int) -> list[Fraction]:
-    """A-bullet_1..A-bullet_G (index 0 unused) from the second recursion.
-
-    For g >= 1:
-
-        delta_{g,1} + sum_{h1+h2=g} 3 C(g-1, h1-1) Ab_{h1} B_{h2}
-            = sum_{h1+h2=g-1} 2 C(g-1, h1) B_{h1} B_{h2},
-
-    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  It
-    runs on beta_(g-1) = 3 * 6^(g-1) Ab_g and b_g = 6^g B_g
-    (``_abullet_scaled_recursive``), b from the first recursion.
-    """
-    if max_genus < 0:
-        raise ValueError("max_genus must be >= 0")
-    binom = _binomial_rows(max_genus)
-    b = _b_scaled_recursive(max_genus, binom)
-    beta = _abullet_scaled_recursive(max_genus, b, binom)
-    return [Fraction(0), *_unscale_a(beta, range(1, max_genus + 1)).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +572,12 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
     pairs with x - y = i (mod 3); coefficients are stored divided by
     r! s! (exponential normalization), and vanish unless r = s (mod 3).
-    The sum runs in integers on D * A_g over one common denominator D, so
-    each coefficient is one Fraction(total, D^2 r! s!).
+    The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
+    ``_scaled_series``: the two A indices of every term sum to r + s + 2,
+    so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).
     """
-    avals = a_values(N + 1)
-    nums, D = _over_common_denominator(avals[g] for g in range(1, N + 2))
-    a = [0, *nums]                      # a[g] = D * A_g
-    binom = [[math.comb(n, k) for k in range(n + 1)] for n in range(N + 1)]
+    binom = _binomial_rows(N)
+    _, alpha, _ = _scaled_series(N, binom)
     fact = [math.factorial(n) for n in range(N + 1)]
 
     def entry(i_residue: int, r: int, s: int) -> Fraction:
@@ -634,19 +586,27 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
         binom_s = binom[s]
         total = 0
         for x, cx in enumerate(binom[r]):
-            total += cx * sum(binom_s[y] * a[1 + x + y] * a[1 + (r - x) + (s - y)]
+            total += cx * sum(binom_s[y] * alpha[x + y] * alpha[r + s - x - y]
                               for y in range((x - i_residue) % 3, s + 1, 3))
-        return Fraction(total, D * D * fact[r] * fact[s])
+        return Fraction(total, 9 * 6 ** (r + s) * fact[r] * fact[s])
 
     theta0 = BiSeries.build(N, lambda r, s: entry(0, r, s))
     theta1 = BiSeries.build(N, lambda r, s: entry(1, r, s))
     return theta0, theta1
 
 
-def theta_check(N: int) -> BiSeries:
-    """theta_0 - theta_1 to total degree N; must be the constant 1/9."""
+def theta_check(N: int) -> bool:
+    """Whether theta_0 - theta_1 is the constant 1/9 through total degree N.
+
+    True when the difference is 1/9 at (0, 0) and 0 at every other
+    (r, s) with r + s <= N; this is the one definition of the identity.
+
+    >>> theta_check(4)
+    True
+    """
     theta0, theta1 = theta_pair(N)
-    return theta0 - theta1
+    return all(v == (Fraction(1, 9) if (r, s) == (0, 0) else 0)
+               for (r, s), v in (theta0 - theta1).items())
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,8 @@ def orbifold_invariant(n1: int, n2: int, table: HodgeTable, *, n0: int = 0) -> L
     if total == 3:
         return LinT.of(0, Fraction(1, 3), 0) if n1 == 3 else LinT.of(0, 0, Fraction(1, 3))
     g = n1 + n2 - 2
+    if table.max_genus < g:
+        raise ValueError(f"table holds genus <= {table.max_genus}, need {g}")
     half = table.A[g] * Fraction((-1) ** (g - 1), 2)
     return LinT.of(0, half, half)
 

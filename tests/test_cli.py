@@ -96,6 +96,20 @@ def corrupt_b_recursion_step(monkeypatch):
     monkeypatch.setattr(hurwitz, "_b_scaled_recursive", corrupted)
 
 
+@pytest.fixture
+def corrupt_abullet_recursion_step(monkeypatch):
+    """The integer A-bullet recursion with 1 added to beta_4 (genus 5)."""
+    real = hurwitz._abullet_scaled_recursive
+
+    def corrupted(G, b, binom):
+        beta = real(G, b, binom)
+        if G >= 5:
+            beta[4] += 1
+        return beta
+
+    monkeypatch.setattr(hurwitz, "_abullet_scaled_recursive", corrupted)
+
+
 # A wrong tangent number moves the closed forms of B, A and A-bullet
 # together: it breaks every check that compares them with the tangent
 # identities (the recursion for B, the ODE, the functional equation,
@@ -122,6 +136,8 @@ _FAILED_CHECK_CASES = [
     ("corrupt_tangent_number", _TANGENT_FAILURES, ["tables", "--max-genus", "8"]),
     ("corrupt_b_recursion_step", ("B recursion vs closed form",),
      ["tables", "--max-genus", "8"]),
+    ("corrupt_abullet_recursion_step", ("A-bullet recursion vs functional form",),
+     ["tables", "--max-genus", "8"]),
 ]
 
 
@@ -140,6 +156,14 @@ def test_verify_recursions_reports_failed_check(capsys, corrupt_delta_direct):
     assert code == 1
     assert "delta closed form vs direct sum: fail\n" in out
     assert out.endswith("FAILURES present\n")
+    assert err == ""
+
+
+def test_verify_theta_reports_failed_identity(capsys, corrupt_tangent_number):
+    # a wrong T_5 moves A_6 and up, and theta_0 - theta_1 is no longer 1/9
+    code, out, err = run(capsys, "verify", "theta", "--order", "8")
+    assert code == 1
+    assert out == "theta_0 - theta_1 constant 1/9 to degree 8: fail\nFAILURES present\n"
     assert err == ""
 
 

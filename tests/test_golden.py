@@ -8,7 +8,10 @@ direction-wise route existed; the ``verify recursions``, ``tables``,
 recursions`` still ran its own copy of the Hodge-table checks; the
 ``localization --format text`` and ``verify crc --order 30`` outputs
 while the identity-sector constants of both potentials were still
-written by hand and the localization values came from a linear solve.
+written by hand and the localization values came from a linear solve;
+the ``verify theta --order 8 --format text`` and ``--order 50`` outputs
+while ``theta_pair`` still summed on A_g over an lcm denominator and
+``verify theta`` decided the identity itself.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

@@ -6,9 +6,8 @@ import pytest
 
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
 from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
-                             LabelParityError, SingularSystemError, a_closed, a_values,
-                             abullet_functional, abullet_recursive,
-                             abullet_values, b_closed, b_recursive, b_values,
+                             LabelParityError, SingularSystemError, a_closed,
+                             abullet_functional, b_closed,
                              build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
                              solve_chain, solve_components, table_csv,
@@ -20,7 +19,7 @@ from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
 # ---------------------------------------------------------------------------
 
 def test_b_initial_values():
-    B = b_values(3)
+    B = build_hodge_table(3).B
     assert B[0] == 1
     assert B[1] == F(2, 3)
     assert B[2] == F(2, 3)
@@ -29,15 +28,9 @@ def test_b_initial_values():
 
 def test_b_recursion_genus_two_instance():
     # the g = 2 specialization: B_1 + 3 B_2 = 6 B_1^2
-    B = b_recursive(2)
+    B = build_hodge_table(2).B
     assert B[1] + 3 * B[2] == 6 * B[1] ** 2
     assert B[2] == F(2, 3)
-
-
-def test_b_dual_oracle_to_30():
-    rec = b_recursive(30)
-    closed = b_values(30)
-    assert all(rec[g] == closed[g] for g in range(31))
 
 
 def test_b_ode():
@@ -54,7 +47,7 @@ def test_b_ode():
 
 def test_abullet_genus_one_instance():
     # 1 + 3 Ab_1 B_0 = 2 B_0^2 forces Ab_1 = 1/3
-    Ab = abullet_recursive(2)
+    Ab = build_hodge_table(2).Abullet
     assert Ab[1] == F(1, 3)
     assert Ab[2] == F(2, 3)
 
@@ -69,12 +62,6 @@ def test_abullet_defining_relation():
     B = b_closed(25)
     Ab = abullet_functional(25)
     assert (1 + Ab * B * 3 - B * B * 2) == B * 0
-
-
-def test_abullet_dual_oracle_to_30():
-    rec = abullet_recursive(30)
-    fn = abullet_values(30)
-    assert all(rec[g] == fn[g] for g in range(1, 31))
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +109,15 @@ def test_delta_dual_oracle_to_40():
 # ---------------------------------------------------------------------------
 
 def test_a_initial_values():
-    A = a_values(4)
+    A = build_hodge_table(4, component_max_genus=3).A
     assert A[1] == F(1, 3)
     assert A[2] == F(2, 9)
     assert A[3] == F(2, 27)
     assert A[4] == F(2, 27)  # 3! times the u^3 coefficient 1/81
 
 
-def test_abullet_equals_gamma_times_a():
-    A = a_values(30)
-    Ab = abullet_values(30)
+def test_abullet_equals_gamma_times_a(table30):
+    A, Ab = table30.A, table30.Abullet
     assert all(Ab[g] == gamma_formula(g) * A[g] for g in range(1, 31))
 
 
@@ -185,18 +171,13 @@ def test_chain_solver_rejects_dependent_closure():
 def test_integer_route_matches_fraction_oracles(G):
     B, A, Ab = b_closed(G), a_closed(G), abullet_functional(G)
     closed_b = {g: B.coefficient(g) * factorial(g) for g in range(G + 1)}
-    closed_a = {g: A.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 2)}
-    closed_ab = {g: Ab.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 2)}
-    assert b_values(G) == closed_b
-    assert a_values(G + 1) == closed_a
-    assert abullet_values(G + 1) == closed_ab
-    assert b_recursive(G) == list(closed_b.values())
-    assert abullet_recursive(G + 1)[1:] == list(closed_ab.values())
+    closed_a = {g: A.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 1)}
+    closed_ab = {g: Ab.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 1)}
     table = build_hodge_table(G, component_max_genus=min(G, 3))
     assert all(table.checks.values())
     assert table.B == closed_b
-    assert table.A == {g: closed_a[g] for g in range(1, G + 1)}
-    assert table.Abullet == {g: closed_ab[g] for g in range(1, G + 1)}
+    assert table.A == closed_a
+    assert table.Abullet == closed_ab
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +213,13 @@ def test_genus_four_components(table30):
 
 def test_genus_five_components(table30):
     comps = {k.l: v for k, v in table30.components.items() if k.g == 5}
-    A5 = a_values(5)[5]
-    assert all(v == A5 for v in comps.values())
+    assert all(v == table30.A[5] for v in comps.values())
 
 
 def test_components_match_a_through_14(table30):
-    A = a_values(14)
     for g in range(4, 15):
         comps = [v for k, v in table30.components.items() if k.g == g]
-        assert comps and all(v == A[g] for v in comps)
+        assert comps and all(v == table30.A[g] for v in comps)
 
 
 def test_solve_components_requires_lower_table(table30):
@@ -298,27 +277,32 @@ def test_enumeration_cap_limits_gamma_enumeration(enumerated_genera):
 # ---------------------------------------------------------------------------
 
 def test_theta_degree_zero():
-    diff = theta_check(0)
-    assert diff.coefficient(0, 0) == F(1, 9)
+    # theta_0 is A_1^2 = 1/9 and theta_1 has no (0, 0) term
+    t0, t1 = theta_pair(0)
+    assert (t0.coefficient(0, 0), t1.coefficient(0, 0)) == (F(1, 9), 0)
+    assert theta_check(0) is True
 
 
 def test_theta_one_one_terms():
-    A = a_values(3)
+    A = build_hodge_table(3).A
     t0, t1 = theta_pair(2)
     assert t0.coefficient(1, 1) == 2 * A[1] * A[3] == F(4, 81)
     assert t1.coefficient(1, 1) == A[2] ** 2 == F(4, 81)
 
 
 def test_theta_constant_to_degree_12():
-    diff = theta_check(12)
-    assert diff.coefficient(0, 0) == F(1, 9)
-    assert all(v == 0 for (r, s), v in diff.items() if (r, s) != (0, 0))
+    assert theta_check(12) is True
 
 
 @pytest.mark.parametrize("N", range(11))
 def test_theta_pair_matches_fraction_double_sum(N):
-    """theta_pair against its docstring's double sum, written over Fraction."""
-    A = a_values(N + 1)
+    """theta_pair against its docstring's double sum, written over Fraction.
+
+    A_1..A_(N+1) come from the Fraction oracle ``a_closed``, not from the
+    integer kernel that theta_pair sums on.
+    """
+    aser = a_closed(N)
+    A = {g: aser.coefficient(g - 1) * factorial(g - 1) for g in range(1, N + 2)}
 
     def entry(i, r, s):
         if (r - s) % 3 != 0:

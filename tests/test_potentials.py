@@ -6,6 +6,7 @@ import pytest
 
 from crepant import potentials
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR
+from crepant.hurwitz import build_hodge_table
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
                                 InverseT1T2, _first_mismatch, fx_third_partial,
                                 fy_third_partial, multicover_invariant,
@@ -101,6 +102,13 @@ def test_orbifold_stable_value(table16):
 def test_orbifold_unstable_rejected(table16):
     with pytest.raises(ValueError, match="unstable"):
         orbifold_invariant(1, 1, table16)
+
+
+def test_orbifold_invariant_rejects_short_table():
+    # (3, 3) needs A_4; a genus-3 table must say so instead of a KeyError
+    short = build_hodge_table(3)
+    with pytest.raises(ValueError, match="table holds genus <= 3, need 4"):
+        orbifold_invariant(3, 3, short)
 
 
 # ---------------------------------------------------------------------------
