@@ -6,19 +6,36 @@ assembles the two equivariant genus-0 potentials, and compares their
 third partial derivatives coefficient by coefficient under the
 cyclotomic change of variables.  Every number is an exact rational or
 cyclotomic quantity; there is no floating point anywhere.
-"""
-from .algebra import (BiSeries, Cyc3, CycElement, CycField, DegreeOverflowError,
-                      LinT, OMEGA, OMEGA_BAR, I_SQRT3, I_OVER_SQRT3, USeries,
-                      compose_linear, tangent_series, tau_series)
-from .hurwitz import (ComponentLabel, ComponentMismatchError, HodgeTable,
-                      LabelParityError, SingularSystemError, a_closed,
-                      abullet_functional, b_closed, build_hodge_table, delta,
-                      delta_direct, gamma_bruteforce, gamma_formula,
-                      solve_components, theta_check, theta_pair)
-from .mckay import DuValTransform, check_n3_specialization, duval_transform
-from .potentials import (ChangeOfVars, FixedPointData, InverseT1T2,
-                         fx_third_partial, fy_third_partial,
-                         multicover_invariant, orbifold_invariant,
-                         triple_intersection, verify_crc)
 
+The public names of ``_EXPORTS`` are resolved from their modules on first
+access (``__getattr__``), so ``import crepant``, like each CLI
+subcommand, loads only the modules it uses.
+"""
+import importlib
+
+_EXPORTS = {
+    "algebra": ("BiSeries", "Cyc3", "CycElement", "CycField", "DegreeOverflowError",
+                "LinT", "OMEGA", "OMEGA_BAR", "I_SQRT3", "I_OVER_SQRT3", "USeries",
+                "compose_linear", "tangent_series", "tau_series"),
+    "hurwitz": ("ComponentLabel", "ComponentMismatchError", "HodgeTable",
+                "LabelParityError", "SingularSystemError", "a_closed",
+                "abullet_functional", "b_closed", "build_hodge_table", "delta",
+                "delta_direct", "gamma_bruteforce", "gamma_formula",
+                "solve_components", "theta_check", "theta_pair"),
+    "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
+    "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
+                   "fx_third_partial", "fy_third_partial", "multicover_invariant",
+                   "orbifold_invariant", "triple_intersection", "verify_crc"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -9,38 +9,57 @@ emitted as exact strings; nothing is ever rounded.
 if any of its dual-oracle checks fails they write no output, print one
 stderr line per failed check and exit 1.  ``verify recursions`` reports
 the same checks, pass or fail, as its output.
+
+Each subcommand handler imports the modules it runs, so ``--help`` and
+``duval`` never load ``hurwitz`` or ``potentials``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import hurwitz, mckay, potentials
+if TYPE_CHECKING:
+    from .hurwitz import HodgeTable
 
 
 class OutputPathError(Exception):
     """The -o/--output path cannot be written; reported as a usage error."""
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``-o/--output`` file, or stdout without one."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputPathError(
+            f"cannot write output file {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputPathError(
-                f"cannot write output file {output}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    with _output(output) as fh:
+        fh.write(text)
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit_json(payload, output: str | None) -> None:
+    # json.dump writes the encoder's chunks as they come; json.dumps would
+    # hold all of them and the joined text at once (0.7 MiB at duval --n 30).
+    with _output(output) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
-def _checked_table(max_genus: int, **kwargs) -> hurwitz.HodgeTable | None:
+def _checked_table(max_genus: int, **kwargs) -> HodgeTable | None:
     """The Hodge table, or None after one stderr line per failed check."""
+    from . import hurwitz
+
     table = hurwitz.build_hodge_table(max_genus, **kwargs)
     failed = [name for name, ok in table.checks.items() if not ok]
     for name in failed:
@@ -53,6 +72,8 @@ def _checked_table(max_genus: int, **kwargs) -> hurwitz.HodgeTable | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_tables(args) -> int:
+    from . import hurwitz
+
     if args.max_genus < 0:
         print(f"--max-genus must be >= 0, got {args.max_genus}", file=sys.stderr)
         return 2
@@ -61,7 +82,7 @@ def _cmd_tables(args) -> int:
         return 1
     rows = hurwitz.table_rows(table)
     if args.format == "json":
-        _emit(_json_dump(rows), args.output)
+        _emit_json(rows, args.output)
     elif args.format == "csv":
         _emit(hurwitz.table_csv(table), args.output)
     else:
@@ -75,6 +96,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_components(args) -> int:
+    from . import hurwitz
+
     g = args.genus
     if g < 1:
         print(f"components require genus >= 1, got {g}", file=sys.stderr)
@@ -93,7 +116,7 @@ def _cmd_components(args) -> int:
         "components": [{"l": l, "value": str(v)} for l, v in comps],
     }
     if args.format == "json":
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         lines = [f"genus {g}: A_g = {payload['A']}, "
                  f"independent of component: {independent}"]
@@ -106,7 +129,7 @@ def _verify_report(name: str, checks: list[dict], args, extra: dict | None = Non
     all_pass = all(c["status"] == "pass" for c in checks)
     payload = {"suite": name, **(extra or {}), "checks": checks, "all_pass": all_pass}
     if args.format == "json":
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         lines = [f"{c['name']}: {c['status']}" for c in checks]
         lines.append("all checks passed" if all_pass else "FAILURES present")
@@ -115,6 +138,8 @@ def _verify_report(name: str, checks: list[dict], args, extra: dict | None = Non
 
 
 def _cmd_verify_recursions(args) -> int:
+    from . import hurwitz
+
     G = args.max_genus
     if G < 1:
         print(f"--max-genus must be >= 1, got {G}", file=sys.stderr)
@@ -127,6 +152,8 @@ def _cmd_verify_recursions(args) -> int:
 
 
 def _cmd_verify_theta(args) -> int:
+    from . import hurwitz
+
     N = args.order
     if N < 0:
         print(f"--order must be >= 0, got {N}", file=sys.stderr)
@@ -138,6 +165,8 @@ def _cmd_verify_theta(args) -> int:
 
 
 def _cmd_verify_crc(args) -> int:
+    from . import potentials
+
     N = args.order
     if N < 3:
         print(f"--order must be >= 3, got {N}", file=sys.stderr)
@@ -147,7 +176,7 @@ def _cmd_verify_crc(args) -> int:
         return 1
     report = potentials.verify_crc(N, table)
     if args.format == "json":
-        _emit(_json_dump(report), args.output)
+        _emit_json(report, args.output)
     else:
         lines = [f"idx {c['idx']}: {c['status']}" for c in report["checks"]]
         lines.append("all checks passed" if report["all_pass"] else "FAILURES present")
@@ -156,6 +185,8 @@ def _cmd_verify_crc(args) -> int:
 
 
 def _cmd_localization(args) -> int:
+    from . import potentials
+
     data = potentials.FixedPointData.standard()
     triples = [("1", "1", "1"), ("1", "1", "C1"), ("1", "1", "C2"),
                ("1", "C1", "C1"), ("1", "C2", "C2"), ("1", "C1", "C2"),
@@ -167,7 +198,7 @@ def _cmd_localization(args) -> int:
         entries.append({"classes": list(classes), "value": value.to_json(),
                         "display": str(value)})
     if args.format == "json":
-        _emit(_json_dump({"entries": entries}), args.output)
+        _emit_json({"entries": entries}, args.output)
     else:
         lines = [f"<{', '.join(e['classes'])}> = {e['display']}" for e in entries]
         _emit("\n".join(lines) + "\n", args.output)
@@ -175,6 +206,8 @@ def _cmd_localization(args) -> int:
 
 
 def _cmd_duval(args) -> int:
+    from . import mckay
+
     if args.n < 2:
         print(f"--n must be >= 2, got {args.n}", file=sys.stderr)
         return 2
@@ -188,7 +221,7 @@ def _cmd_duval(args) -> int:
         lines.append("q: " + "  ".join(str(q) for q in transform.q_values))
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     return 0
 
 

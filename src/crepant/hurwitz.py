@@ -44,22 +44,30 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
 - Recursions and checks: both WDVV recursions run on b and beta with no
   division, and the functional equation, Ab = gamma A and the ODE are
   compared on the same integers.
-- Component systems: ``_over_common_denominator`` puts the lower-genus
-  A_h^m over one common denominator D (a power of 3 for every table
-  value, but any D stays exact), each degeneration equation is summed in
-  integers, and the chain of equations is solved by forward substitution
-  in ``solve_chain``.
-- Theta: the double sum runs on alpha in integers.
+- Weights: in both double sums below, a term with x + y = k pairs the
+  values of index 1 + k and 1 + r + s - k, so each sum groups by k with
+  the integer weight w(k) = V_0(k) - V_1(k) of ``_mod3_weights``, where
+  V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).  It
+  costs O(r + s) per (r, s) and is built only where a sum needs it.
+- Component systems: the lower genera are read once per genus, one value
+  F_h each, and put over one common denominator D by
+  ``_over_common_denominator`` (a power of 3 for every table value, but
+  any D stays exact).  The known part of each degeneration equation is
+  3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation, and the
+  chain of equations is solved by forward substitution in ``solve_chain``.
+- Theta: ``theta_check`` decides theta_0 - theta_1 on the integer totals
+  sum_k w(k) alpha_k alpha_(r+s-k), O(N^3) through degree N, with no
+  Fraction and no BiSeries.
 
 Fraction re-enters only at the boundary: in ``_unscale_b`` and
-``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), in
-the forward substitution of ``solve_chain``, which returns the solved
-A_g^l, and in one ``Fraction(total, 9 * 6^(r+s) r! s!)`` per theta
-coefficient.  ``build_hodge_table`` is the only producer of B_g, A_g and
+``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), and
+in the forward substitution of ``solve_chain``, which returns the solved
+A_g^l.  ``build_hodge_table`` is the only producer of B_g, A_g and
 Ab_g, and ``theta_check`` the only place the theta identity is decided.
 The Fraction series ``b_closed``, ``a_closed`` and ``abullet_functional``
-(over ``algebra.tau_series``) are test oracles of this kernel; no
-production path calls them.
+(over ``algebra.tau_series``) and the term-by-term double sum
+``theta_pair`` are test oracles of this kernel; no production path
+calls them.
 """
 from __future__ import annotations
 
@@ -393,24 +401,61 @@ _NODE_INDICATORS = {("phi", 0): (1, 0), ("phi", 2): (0, 1),
 _DEGENERATIONS = {"phi": (1, 2, 0), "theta": (-1, 1, 1)}
 
 
+def _mod3_weights(r: int, s: int) -> list[int]:
+    """w(k) = V_0(k) - V_1(k) for k = 0..r+s, in integers and O(r + s) steps.
+
+    V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3);
+    the theta identity and the component systems use it for r = s (mod 3).
+    With omega = exp(2 pi i/3), c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s
+    is V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
+    w(k) = a_k - b_k for c_k = a_k + b_k omega.  Since
+    (1 + omega u)(1 + omega^2 u) = 1 - u + u^2, the coefficients obey
+
+        (k + 1) c_(k+1) = ((k - s) + (r - s) omega) c_k + (r + s + 1 - k) c_(k-1),
+
+    and the division is exact because c_(k+1) lies in Z[omega].
+    """
+    n, q = r + s, r - s
+    a, b, a_prev, b_prev = 1, 0, 0, 0
+    weights = [1]
+    for k in range(n):
+        p, t = k - s, n + 1 - k
+        a, b, a_prev, b_prev = ((p * a - q * b + t * a_prev) // (k + 1),
+                                (p * b + q * a - q * b + t * b_prev) // (k + 1), a, b)
+        weights.append(a - b)
+    return weights
+
+
 def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction]:
     """Solve for all per-component integrals A_g^l of a single genus g >= 4.
 
-    Each WDVV comparison at genus g+1 with l leading markings produces one
-    linear equation whose genus-g ("principal") unknowns are A_g^{l-2} and
-    A_g^{l+1}; every other term is a known lower-genus product.  The chain
-    of principal equations is closed by the unordered symmetry (g odd) or
-    by the completed A-bullet evaluation (g even).  Equation i touches only
-    x_i and x_(i+1), so the system is a chain and ``solve_chain`` solves
-    it exactly by forward substitution in O(n) steps; a principal term at
-    any other unknown, or a zero coefficient at x_(i+1), raises
-    ``SingularSystemError``.
+    Each WDVV comparison at genus g+1 with l = r + 2 leading markings and
+    s = g + 1 - l others (r + s = g - 1, r = s mod 3) produces one linear
+    equation.  Its terms are products of a genus 1 + x + y and a genus
+    g - x - y factor over 0 <= x <= r, 0 <= y <= s; the two at (0, 0) and
+    (r, s) are "principal", with the unknowns A_g^{l-2} and A_g^{l+1}
+    times the genus-1 value.  The chain of principal equations is closed by
+    the unordered symmetry (g odd) or by the completed A-bullet evaluation
+    (g even).  Equation i touches only x_i and x_(i+1), so the system is a
+    chain and ``solve_chain`` solves it exactly by forward substitution in
+    O(n) steps; a principal term at any other unknown, or a zero
+    coefficient at x_(i+1), raises ``SingularSystemError``.
 
-    The equations are assembled in integers: every lower-genus A_h^m is
-    read from ``table.components`` (never from ``table.A``, which would
-    make the comparison with A_g circular) and scaled to a numerator over
-    one common denominator D, so a known product is an integer over D^2
-    and a principal coefficient, multiplied by D, is too.
+    Every other term is known.  The lower-genus values are read in one
+    pass over ``table.components`` (never from ``table.A``, which would
+    make the comparison with A_g circular): each genus h < g must be there,
+    else ``ValueError``, with one value F_h shared by all its labels, else
+    ``ComponentMismatchError``.  The factors of a term then depend only on
+    k = x + y, the phi side (sign +1) sums the residues x - y = 0 and 2,
+    and the theta side (sign -1) the residues 1 and 2, so the residue-2
+    sums cancel and the known part of the equation is
+
+        3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w = ``_mod3_weights(r, s)``,
+
+    which costs O(g) per equation.  It is summed in integers: the F_h are
+    scaled to numerators over one common denominator D, so a known product
+    is an integer over D^2 and a principal coefficient, multiplied by D,
+    is too.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
@@ -421,14 +466,18 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
 
-    # lower[m][h] = D * A_h^m for h < g, indexed by the raw label m (None off
-    # parity); ComponentLabel validates every label that is filled in.
-    raw = [(h, m) for h in range(1, g) for m in range(_nu(h), h + 3, 3)]
-    nums, D = _over_common_denominator(
-        table.components[ComponentLabel(h, m)] for h, m in raw)
-    lower: list[list[int | None]] = [[None] * g for _ in range(g + 3)]
-    for (h, m), v in zip(raw, nums):
-        lower[m][h] = v
+    lower: dict[int, Fraction] = {}
+    for label, value in table.components.items():
+        if label.g < g and lower.setdefault(label.g, value) != value:
+            raise ComponentMismatchError(
+                f"genus {label.g}: component values differ between labels")
+    missing = [h for h in range(1, g) if h not in lower]
+    if missing:
+        raise ValueError(f"table.components lacks genus {missing[0]}; "
+                         f"genus {g} needs genera 1..{g - 1}")
+    nums, D = _over_common_denominator(lower[h] for h in range(1, g))
+    f = [0, *nums]                      # f[h] = D * F_h for 1 <= h < g
+    known = [f[1 + k] * f[g - k] for k in range(1, g - 1)]  # k = 1..g-2
 
     def unknown(m: int) -> int:
         """The index of the unknown A_g^m, kept under its raw label m.
@@ -443,33 +492,20 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for i in range(n):
-        l = 3 * i + nu + 2
-        r, s = l - 2, g + 1 - l
-        binom_r = [math.comb(r, x) for x in range(r + 1)]
-        binom_s = [math.comb(s, y) for y in range(s + 1)]
+        r = 3 * i + nu
+        s = g - 1 - r
         coeff: dict[int, int] = {}      # by unknown index; i and i + 1 on a chain
-        const = 0
         for (side, d), (ind, ind_bar) in _NODE_INDICATORS.items():
-            sign, base1, base2 = _DEGENERATIONS[side]
-            for x in range(r + 1):
-                m1, m2 = base1 + x + ind, base2 + (r - x) + ind_bar
-                f1, f2 = lower[m1], lower[m2]
-                cx = sign * 3 * binom_r[x]
-                ys = range((x - d) % 3, s + 1, 3)
-                # The factor genera 1 + x + y and g - x - y sum to g + 1; with
-                # g >= 4 at most one of them is g, i.e. principal: the second
-                # at (x, y) = (0, 0), the first at (r, s).
-                if x == 0 and ys and ys[0] == 0:
-                    k = unknown(m2)
-                    coeff[k] = coeff.get(k, 0) + cx * binom_s[0] * D * f1[1]
-                    ys = ys[1:]
-                if x == r and ys and ys[-1] == s:
-                    k = unknown(m1)
-                    coeff[k] = coeff.get(k, 0) + cx * binom_s[s] * D * f2[1]
-                    ys = ys[:-1]
-                const += cx * sum(binom_s[y] * f1[1 + x + y] * f2[g - x - y] for y in ys)
+            # (0, 0) and (r, s) both have x - y = 0 (mod 3); the genus-g
+            # factor is the second at (0, 0) and the first at (r, s).
+            if d == 0:
+                sign, base1, base2 = _DEGENERATIONS[side]
+                for m in (base2 + r + ind_bar, base1 + r + ind):
+                    k = unknown(m)
+                    coeff[k] = coeff.get(k, 0) + sign * 3 * D * f[1]
+        w = _mod3_weights(r, s)
         rows.append(coeff)
-        rhs.append(-const)
+        rhs.append(-3 * sum(wk * pk for wk, pk in zip(w[1:-1], known)))
 
     # Closure: one more independent equation.
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
@@ -567,14 +603,16 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
 # ---------------------------------------------------------------------------
 
 def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
-    """The double-sum series theta_0 and theta_1 to total degree N.
+    """The double-sum series theta_0 and theta_1 to total degree N; a test oracle.
 
     theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
     pairs with x - y = i (mod 3); coefficients are stored divided by
     r! s! (exponential normalization), and vanish unless r = s (mod 3).
     The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
     ``_scaled_series``: the two A indices of every term sum to r + s + 2,
-    so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).
+    so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).  It is
+    the term-by-term double sum that ``theta_check`` groups by degree; no
+    production path calls it.
     """
     binom = _binomial_rows(N)
     _, alpha, _ = _scaled_series(N, binom)
@@ -595,18 +633,36 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     return theta0, theta1
 
 
+def _theta_totals(N: int):
+    """Yield ((r, s), 9 * 6^(r+s) r! s! (theta_0 - theta_1)_(r,s)) for r = s (mod 3), r + s <= N.
+
+    A term of theta_i with x + y = k has the A indices 1 + k and
+    1 + r + s - k, so the difference is sum_k w(k) alpha_k alpha_(r+s-k)
+    with w = ``_mod3_weights(r, s)``; the products are formed once per
+    degree r + s and every entry costs O(r + s).  The entries with
+    r != s (mod 3) are 0 by definition (see ``theta_pair``) and are not
+    yielded.
+    """
+    _, alpha, _ = _scaled_series(N, _binomial_rows(N))
+    for n in range(N + 1):
+        products = [alpha[k] * alpha[n - k] for k in range(n + 1)]
+        for r in range((2 * n) % 3, n + 1, 3):      # r = s (mod 3) for s = n - r
+            total = sum(wk * pk for wk, pk in zip(_mod3_weights(r, n - r), products))
+            yield (r, n - r), total
+
+
 def theta_check(N: int) -> bool:
     """Whether theta_0 - theta_1 is the constant 1/9 through total degree N.
 
     True when the difference is 1/9 at (0, 0) and 0 at every other
     (r, s) with r + s <= N; this is the one definition of the identity.
+    It is decided on the integer totals of ``_theta_totals``, which are 1
+    at (0, 0) exactly when the difference is 1/9 there, in O(N^3) steps.
 
     >>> theta_check(4)
     True
     """
-    theta0, theta1 = theta_pair(N)
-    return all(v == (Fraction(1, 9) if (r, s) == (0, 0) else 0)
-               for (r, s), v in (theta0 - theta1).items())
+    return all(total == (1 if rs == (0, 0) else 0) for rs, total in _theta_totals(N))
 
 
 # ---------------------------------------------------------------------------

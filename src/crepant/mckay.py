@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Cyc3, CycElement, CycField
-from .potentials import ChangeOfVars
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,8 @@ def embed_cyc3(z: Cyc3, field: CycField) -> CycElement:
 
 def check_n3_specialization() -> bool:
     """True iff the n = 3 transform equals the explicit cyclotomic jacobian."""
+    from .potentials import ChangeOfVars
+
     transform = duval_transform(3)
     cov = ChangeOfVars.standard()
     field = transform.field

@@ -1,8 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, byte stability."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crepant
 from crepant import hurwitz
 from crepant.cli import main
 
@@ -237,3 +242,26 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == message + "\n"
+
+
+_REPORT_MODULES = (
+    "import json, sys\n"
+    "from crepant.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps([code, sorted(m for m in sys.modules if m.startswith('crepant'))]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["duval", "--n", "3"], ["--help"]])
+def test_subcommand_imports_only_what_it_runs(argv):
+    # a fresh interpreter, so the modules the other tests imported do not count
+    src = str(Path(crepant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    code, loaded = json.loads(proc.stderr)
+    assert code == 0
+    assert "crepant.cli" in loaded
+    assert "crepant.hurwitz" not in loaded
+    assert "crepant.potentials" not in loaded

@@ -11,7 +11,9 @@ while the identity-sector constants of both potentials were still
 written by hand and the localization values came from a linear solve;
 the ``verify theta --order 8 --format text`` and ``--order 50`` outputs
 while ``theta_pair`` still summed on A_g over an lcm denominator and
-``verify theta`` decided the identity itself.
+``verify theta`` decided the identity itself; the ``components --genus
+40`` and ``verify theta --order 80`` outputs while the component rows
+and the theta identity were still summed term by term.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

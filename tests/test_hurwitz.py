@@ -12,6 +12,7 @@ from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
                              gamma_bruteforce, gamma_formula,
                              solve_chain, solve_components, table_csv,
                              table_rows, theta_check, theta_pair)
+from crepant.hurwitz import _mod3_weights, _theta_totals
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,8 @@ def test_components_match_a_through_14(table30):
 def test_solve_components_requires_lower_table(table30):
     # a fresh partial table lacking genus-4 entries cannot serve genus 5
     partial = build_hodge_table(6, component_max_genus=3)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="table.components lacks genus 4; "
+                                         "genus 5 needs genera 1..4"):
         solve_components(5, partial)
 
 
@@ -245,8 +247,33 @@ def test_solve_components_reads_lower_components_not_a():
     table = build_hodge_table(8, component_max_genus=4)
     table.components[ComponentLabel(4, 3)] += F(1, 7)
     with pytest.raises(ComponentMismatchError,
+                       match="genus 4: component values differ between labels"):
+        solve_components(5, table)
+
+
+def test_solve_components_rejects_consistent_lower_corruption():
+    # the same +1/7 on every genus-4 label passes the per-genus read and
+    # must still fail the genus-5 system
+    table = build_hodge_table(8, component_max_genus=4)
+    for label in [label for label in table.components if label.g == 4]:
+        table.components[label] += F(1, 7)
+    with pytest.raises(ComponentMismatchError,
                        match="genus 5: A-bullet closure fails redundancy"):
         solve_components(5, table)
+
+
+def _mod3_weights_double_loop(r, s):
+    w = [0] * (r + s + 1)
+    for x in range(r + 1):
+        for y in range(s + 1):
+            w[x + y] += binom(r, x) * binom(s, y) * {0: 1, 1: -1, 2: 0}[(x - y) % 3]
+    return w
+
+
+def test_mod3_weights_match_double_loop():
+    pairs = [(r, s) for r in range(25) for s in range(25 - r) if (r - s) % 3 == 0]
+    for r, s in pairs:
+        assert _mod3_weights(r, s) == _mod3_weights_double_loop(r, s), (r, s)
 
 
 def test_failed_component_system_is_recorded(corrupt_component_solver):
@@ -315,6 +342,25 @@ def test_theta_pair_matches_fraction_double_sum(N):
     for i, theta in ((0, t0), (1, t1)):
         assert all(theta.coefficient(r, s) == entry(i, r, s)
                    for r in range(N + 1) for s in range(N + 1 - r))
+
+
+def test_theta_totals_match_theta_pair():
+    """The degree-grouped totals against theta_pair's term-by-term double sum.
+
+    Each total is (theta_0 - theta_1)_(r,s) times 9 * 6^(r+s) r! s!; the
+    entries off r = s (mod 3) are zero and not yielded.
+    """
+    N = 30
+    t0, t1 = theta_pair(N)
+    totals = dict(_theta_totals(N))
+    assert set(totals) == {(r, s) for r in range(N + 1) for s in range(N + 1 - r)
+                           if (r - s) % 3 == 0}
+    for r in range(N + 1):
+        for s in range(N + 1 - r):
+            scaled = ((t0.coefficient(r, s) - t1.coefficient(r, s))
+                      * 9 * 6 ** (r + s) * factorial(r) * factorial(s))
+            assert scaled == totals.get((r, s), 0), (r, s)
+    assert dict(_theta_totals(13)) == {rs: v for rs, v in totals.items() if sum(rs) <= 13}
 
 
 def test_theta_factorization_over_cyc3():
