@@ -18,10 +18,9 @@ _EXPORTS = {
                 "LinT", "OMEGA", "OMEGA_BAR", "I_SQRT3", "I_OVER_SQRT3", "USeries",
                 "compose_linear", "tangent_series", "tau_series"),
     "hurwitz": ("ComponentLabel", "ComponentMismatchError", "HodgeTable",
-                "LabelParityError", "SingularSystemError", "a_closed",
-                "abullet_functional", "b_closed", "build_hodge_table", "delta",
-                "delta_direct", "gamma_bruteforce", "gamma_formula",
-                "solve_components", "theta_check", "theta_pair"),
+                "LabelParityError", "a_closed", "abullet_functional", "b_closed",
+                "build_hodge_table", "delta", "delta_direct", "gamma_bruteforce",
+                "gamma_formula", "solve_components", "theta_check", "theta_pair"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
     "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
                    "fx_third_partial", "fy_third_partial", "multicover_invariant",

@@ -53,21 +53,23 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   F_h each, and put over one common denominator D by
   ``_over_common_denominator`` (a power of 3 for every table value, but
   any D stays exact).  The known part of each degeneration equation is
-  3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation, and the
-  chain of equations is solved by forward substitution in ``solve_chain``.
+  3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation.  Every
+  equation reads 3 D f_1 (x_i + x_(i+1)) = rhs_i for neighbouring labels,
+  so ``solve_chain`` writes x_i = p_i + (-1)^i x_0 with integer partial
+  sums p_i and lets the closure equation fix x_0.
 - Theta: ``theta_check`` decides theta_0 - theta_1 on the integer totals
   sum_k w(k) alpha_k alpha_(r+s-k), O(N^3) through degree N, with no
   Fraction and no BiSeries.
 
 Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), and
-in the forward substitution of ``solve_chain``, which returns the solved
-A_g^l.  ``build_hodge_table`` is the only producer of B_g, A_g and
-Ab_g, and ``theta_check`` the only place the theta identity is decided.
-The Fraction series ``b_closed``, ``a_closed`` and ``abullet_functional``
-(over ``algebra.tau_series``) and the term-by-term double sum
-``theta_pair`` are test oracles of this kernel; no production path
-calls them.
+in the last step of ``solve_chain``, where the closure fixes x_0 and the
+solved A_g^l are formed.  ``build_hodge_table`` is the only producer of
+B_g, A_g and Ab_g, and ``theta_check`` the only place the theta identity
+is decided.  The Fraction series ``b_closed``, ``a_closed`` and
+``abullet_functional`` (over ``algebra.tau_series``) and the term-by-term
+double sum ``theta_pair`` are test oracles of this kernel; no production
+path calls them.
 """
 from __future__ import annotations
 
@@ -80,10 +82,6 @@ from .algebra import USeries, BiSeries, tangent_numbers, tau_series
 
 class LabelParityError(ValueError):
     """A component label violating l = l' (mod 3); always an indexing bug."""
-
-
-class SingularSystemError(ArithmeticError):
-    """The component system lost rank; always an indexing bug."""
 
 
 class ComponentMismatchError(ArithmeticError):
@@ -350,55 +348,25 @@ COMPONENT_CHECK = "components independent of label"
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving
-# ---------------------------------------------------------------------------
-
-def solve_chain(rows: list[dict[int, int]], rhs: list[int], closure: list[int],
-                closure_rhs: int) -> list[Fraction]:
-    """Solve a chain of n rows closed by one more row for x_0..x_n, in O(n).
-
-    ``rows[i]`` maps unknown indices to coefficients, and row i may touch
-    only x_i and x_(i+1), with a nonzero coefficient at x_(i+1).  Forward
-    substitution carries each x_i as p_i + q_i x_0, and the closure row
-    sum_i closure[i] x_i = closure_rhs then fixes x_0.  A row off the
-    chain, a zero superdiagonal or a closure that leaves x_0 free raises
-    ``SingularSystemError``.
-    """
-    n = len(rows)
-    if len(rhs) != n or len(closure) != n + 1:
-        raise ValueError("a chain of n rows needs n right-hand sides and n + 1 closure entries")
-    p, q = [Fraction(0)], [Fraction(1)]
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        off = sorted(set(row) - {i, i + 1})
-        if off:
-            raise SingularSystemError(f"row {i} touches x_{off[0]}, off the chain")
-        sup = row.get(i + 1, 0)
-        if sup == 0:
-            raise SingularSystemError(f"zero superdiagonal in row {i}")
-        diag = row.get(i, 0)
-        p.append((b - diag * p[i]) / sup)
-        q.append(-diag * q[i] / sup)
-    lead = sum(c * v for c, v in zip(closure, q))
-    if lead == 0:
-        raise SingularSystemError("the closure row leaves x_0 free")
-    x0 = (closure_rhs - sum(c * v for c, v in zip(closure, p))) / lead
-    return [a + c * x0 for a, c in zip(p, q)]
-
-
-# ---------------------------------------------------------------------------
 # The per-component system
 # ---------------------------------------------------------------------------
 
-# Node-monodromy indicators (ind, ind_bar) of a term with x - y = d (mod 3),
-# keyed by (side, d): "phi" is the (p1 p2 | q1 q2) degeneration and "theta"
-# is (p1 q1 | p2 q2).  The residue missing on each side (1 on phi, 0 on
-# theta) is a trivial node monodromy, which cannot occur on a connected
-# cover, so its terms are left out.
-_NODE_INDICATORS = {("phi", 0): (1, 0), ("phi", 2): (0, 1),
-                    ("theta", 1): (0, 1), ("theta", 2): (1, 0)}
+def solve_chain(rhs: list[int], scale: int, closure: list[int],
+                closure_rhs: Fraction | int) -> list[Fraction]:
+    """Solve scale (x_i + x_(i+1)) = rhs[i] for i < n and sum_i closure[i] x_i = closure_rhs.
 
-# Each side's sign in the WDVV comparison and the base labels of its two factors.
-_DEGENERATIONS = {"phi": (1, 2, 0), "theta": (-1, 1, 1)}
+    With c_i = rhs[i] / scale, the chain gives x_i = p_i + (-1)^i x_0 for
+    p_0 = 0 and p_(i+1) = c_i - p_i, and the closure row fixes x_0 through
+    its coefficient sum_i (-1)^i closure[i], which must be nonzero.  The
+    p_i are carried as the integers scale * p_i, so Fraction enters only
+    in that last step.
+    """
+    p = [0]
+    for b in rhs:
+        p.append(b - p[-1])
+    lead = sum(closure[::2]) - sum(closure[1::2])
+    x0 = Fraction(scale * closure_rhs - sum(c * v for c, v in zip(closure, p)), scale * lead)
+    return [Fraction(v, scale) + (-1) ** i * x0 for i, v in enumerate(p)]
 
 
 def _mod3_weights(r: int, s: int) -> list[int]:
@@ -433,13 +401,16 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     s = g + 1 - l others (r + s = g - 1, r = s mod 3) produces one linear
     equation.  Its terms are products of a genus 1 + x + y and a genus
     g - x - y factor over 0 <= x <= r, 0 <= y <= s; the two at (0, 0) and
-    (r, s) are "principal", with the unknowns A_g^{l-2} and A_g^{l+1}
-    times the genus-1 value.  The chain of principal equations is closed by
-    the unordered symmetry (g odd) or by the completed A-bullet evaluation
-    (g even).  Equation i touches only x_i and x_(i+1), so the system is a
-    chain and ``solve_chain`` solves it exactly by forward substitution in
-    O(n) steps; a principal term at any other unknown, or a zero
-    coefficient at x_(i+1), raises ``SingularSystemError``.
+    (r, s) are "principal", with the unknowns A_g^r and A_g^(r+3) times the
+    genus-1 value.  Both have x - y = 0 (mod 3), and only the phi side has
+    residue-0 terms, so with x_i = A_g^(3i+nu) equation i is
+
+        3 D f_1 (x_i + x_(i+1)) = rhs_i,
+
+    and ``solve_chain`` solves the chain in O(n) steps.  It is closed by
+    the unordered symmetry x_0 = x_n (g odd, so n is odd and the closure
+    fixes x_0 with coefficient 2) or by the completed A-bullet evaluation
+    (g even, coefficient (-1)^nu delta_g = -+2 * 3^(g/2)); neither is 0.
 
     Every other term is known.  The lower-genus values are read in one
     pass over ``table.components`` (never from ``table.A``, which would
@@ -453,9 +424,8 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
         3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w = ``_mod3_weights(r, s)``,
 
     which costs O(g) per equation.  It is summed in integers: the F_h are
-    scaled to numerators over one common denominator D, so a known product
-    is an integer over D^2 and a principal coefficient, multiplied by D,
-    is too.
+    scaled to numerators f_h = D F_h over one common denominator D, so a
+    known product is an integer over D^2 and so is 3 D f_1.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
@@ -463,6 +433,8 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     """
     if g < 4:
         raise ValueError("solve_components applies for g >= 4")
+    if g > table.max_genus:
+        raise ValueError(f"table holds genus <= {table.max_genus}, need {g}")
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
 
@@ -478,43 +450,16 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     nums, D = _over_common_denominator(lower[h] for h in range(1, g))
     f = [0, *nums]                      # f[h] = D * F_h for 1 <= h < g
     known = [f[1 + k] * f[g - k] for k in range(1, g - 1)]  # k = 1..g-2
-
-    def unknown(m: int) -> int:
-        """The index of the unknown A_g^m, kept under its raw label m.
-
-        The system is solved in the n+1 formal variables x_i = A_g^{3i+nu}
-        with the symmetry x_i = x_{n-i} imposed (g odd) or verified (g even)
-        separately, exactly as the principal-term bookkeeping requires.
-        """
-        ComponentLabel(g, m)  # rejects a label out of range or parity
-        return (m - nu) // 3
-
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    for i in range(n):
-        r = 3 * i + nu
-        s = g - 1 - r
-        coeff: dict[int, int] = {}      # by unknown index; i and i + 1 on a chain
-        for (side, d), (ind, ind_bar) in _NODE_INDICATORS.items():
-            # (0, 0) and (r, s) both have x - y = 0 (mod 3); the genus-g
-            # factor is the second at (0, 0) and the first at (r, s).
-            if d == 0:
-                sign, base1, base2 = _DEGENERATIONS[side]
-                for m in (base2 + r + ind_bar, base1 + r + ind):
-                    k = unknown(m)
-                    coeff[k] = coeff.get(k, 0) + sign * 3 * D * f[1]
-        w = _mod3_weights(r, s)
-        rows.append(coeff)
-        rhs.append(-3 * sum(wk * pk for wk, pk in zip(w[1:-1], known)))
+    rhs = [-3 * sum(wk * pk for wk, pk in zip(_mod3_weights(r, g - 1 - r)[1:-1], known))
+           for r in range(nu, 3 * n, 3)]
 
     # Closure: one more independent equation.
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
     vvv_rhs = 2 * table.Abullet[g]
     if g % 2 == 1:
-        sol = solve_chain(rows, rhs, [1] + [0] * (n - 1) + [-1], 0)
+        sol = solve_chain(rhs, 3 * D * f[1], [1] + [0] * (n - 1) + [-1], 0)
     else:
-        sol = solve_chain(rows, rhs, [b * vvv_rhs.denominator for b in vvv_row],
-                          vvv_rhs.numerator)
+        sol = solve_chain(rhs, 3 * D * f[1], vvv_row, vvv_rhs)
 
     # Post-checks: the unused closure must hold redundantly, all values
     # must agree, and the common value must be A_g.
@@ -547,6 +492,11 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     ``component_max_genus`` (defaults to ``max_genus``); the gamma
     enumeration checks g <= min(max_genus, enumeration_cap).
     """
+    if max_genus < 0:
+        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    if min(max_genus, enumeration_cap) > GAMMA_ENUMERATION_CAP:
+        raise ValueError(f"enumeration_cap must be <= {GAMMA_ENUMERATION_CAP} when max_genus "
+                         f"exceeds it, got {enumeration_cap}")
     if component_max_genus is None:
         component_max_genus = max_genus
     if component_max_genus > max_genus:

@@ -265,3 +265,8 @@ def test_subcommand_imports_only_what_it_runs(argv):
     assert "crepant.cli" in loaded
     assert "crepant.hurwitz" not in loaded
     assert "crepant.potentials" not in loaded
+
+
+def test_every_public_name_resolves():
+    # a stale export would otherwise fail only when someone first reads it
+    assert [name for name in crepant.__all__ if not hasattr(crepant, name)] == []

@@ -3,10 +3,13 @@ from fractions import Fraction as F
 from math import comb as binom, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from crepant import hurwitz
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
 from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
-                             LabelParityError, SingularSystemError, a_closed,
+                             LabelParityError, a_closed,
                              abullet_functional, b_closed,
                              build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
@@ -133,35 +136,60 @@ def test_functional_equation():
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solver
+# The chain solver
 # ---------------------------------------------------------------------------
 
-def test_chain_solver_matches_dense_solver():
-    # x = (2, -1/3, 5/7, 4): three chain rows and a closure touching every
-    # unknown; the right-hand sides come from the dense system
-    x = [F(2), F(-1, 3), F(5, 7), F(4)]
-    rows = [{0: 3, 1: -2}, {1: 5, 2: 7}, {3: 1, 2: -4}]
-    closure = [1, 2, 3, 4]
-    dense = [[row.get(j, 0) for j in range(4)] for row in rows] + [closure]
-    rhs = [sum(c * v for c, v in zip(r, x)) for r in dense]
-    assert solve_chain(rows, rhs[:3], closure, rhs[3]) == x
+def _dense_solve(matrix, rhs):
+    """Gauss-Jordan elimination over Fraction for a nonsingular square system."""
+    n = len(matrix)
+    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([{0: 1, 1: 0}, {1: 1, 2: 1}], "zero superdiagonal in row 0"),
-    ([{0: 1}, {1: 1, 2: 1}], "zero superdiagonal in row 0"),
-    ([{0: 1, 1: 1}, {0: 2, 1: 1, 2: 1}], "row 1 touches x_0, off the chain"),
-    ([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}], "row 0 touches x_2, off the chain"),
-])
-def test_chain_solver_rejects_rows_off_the_chain(rows, message):
-    with pytest.raises(SingularSystemError, match=message):
-        solve_chain(rows, [0, 0], [1, 0, 0], 1)
+@st.composite
+def chain_systems(draw):
+    """A chain scale (x_i + x_(i+1)) = rhs_i, i < n, with one of the two closure kinds."""
+    n = draw(st.integers(1, 8))
+    rhs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))
+    scale = draw(st.integers(-10 ** 3, 10 ** 3).filter(bool))
+    if n % 2 == 1 and draw(st.booleans()):
+        closure, closure_rhs = [1] + [0] * (n - 1) + [-1], 0      # x_0 = x_n, odd g
+    else:                                                          # an A-bullet row, even g
+        closure = draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1)
+                       .filter(lambda c: sum(c[::2]) != sum(c[1::2])))
+        closure_rhs = draw(st.fractions(max_denominator=10 ** 4))
+    return rhs, scale, closure, closure_rhs
 
 
-def test_chain_solver_rejects_dependent_closure():
-    # x_1 = x_0, so the closure x_0 - x_1 = 0 leaves x_0 free
-    with pytest.raises(SingularSystemError, match="leaves x_0 free"):
-        solve_chain([{0: 1, 1: -1}], [0], [1, -1], 0)
+@given(chain_systems())
+def test_chain_solver_matches_dense_solver(system):
+    rhs, scale, closure, closure_rhs = system
+    n = len(rhs)
+    matrix = [[scale if j in (i, i + 1) else 0 for j in range(n + 1)] for i in range(n)]
+    assert solve_chain(rhs, scale, closure, closure_rhs) == _dense_solve(
+        matrix + [closure], rhs + [closure_rhs])
+
+
+def test_closure_fixes_x0(monkeypatch):
+    # the chain leaves x_i = p_i + (-1)^i x_0, so the closure fixes x_0 with
+    # coefficient sum_i (-1)^i closure_i: 2 for odd g, (-1)^nu delta(g) for even g
+    leads = []
+    real = hurwitz.solve_chain
+
+    def spy(rhs, scale, closure, closure_rhs):
+        leads.append(sum((-1) ** i * c for i, c in enumerate(closure)))
+        return real(rhs, scale, closure, closure_rhs)
+
+    monkeypatch.setattr(hurwitz, "solve_chain", spy)
+    assert build_hodge_table(60).checks["components independent of label"]
+    assert leads == [2 if g % 2 else (-1) ** ((1 - g) % 3) * delta(g) for g in range(4, 61)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +259,11 @@ def test_solve_components_requires_lower_table(table30):
         solve_components(5, partial)
 
 
+def test_solve_components_requires_table_genus():
+    with pytest.raises(ValueError, match="table holds genus <= 6, need 7"):
+        solve_components(7, build_hodge_table(6))
+
+
 @pytest.mark.parametrize("g, message", [
     (5, "genus 5: A-bullet closure fails redundancy"),
     (6, "genus 6: label symmetry fails redundancy"),
@@ -286,6 +319,17 @@ def test_failed_component_system_is_recorded(corrupt_component_solver):
 def test_table_checks_pass(table30):
     assert table30.checks
     assert all(table30.checks.values())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_genus": -1}, "max_genus must be >= 0, got -1"),
+    ({"max_genus": 21, "enumeration_cap": 21},
+     "enumeration_cap must be <= 20 when max_genus exceeds it, got 21"),
+])
+def test_build_hodge_table_rejects_bad_input(enumerated_genera, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_hodge_table(**kwargs)
+    assert enumerated_genera == []      # rejected before any work
 
 
 def test_enumeration_cap_limits_gamma_enumeration(enumerated_genera):
