@@ -16,12 +16,13 @@ import importlib
 _EXPORTS = {
     "algebra": ("BiSeries", "Cyc3", "CycElement", "CycField", "DegreeOverflowError",
                 "LinT", "OMEGA", "OMEGA_BAR", "I_SQRT3", "I_OVER_SQRT3", "USeries",
-                "compose_linear", "tangent_series", "tau_series"),
+                "compose_linear"),
     "hurwitz": ("ComponentLabel", "ComponentMismatchError", "HodgeTable",
-                "LabelParityError", "a_closed", "abullet_functional", "b_closed",
-                "build_hodge_table", "delta", "delta_direct", "gamma_bruteforce",
-                "gamma_formula", "solve_components", "theta_check", "theta_pair"),
+                "LabelParityError", "build_hodge_table", "delta", "delta_direct",
+                "gamma_bruteforce", "gamma_formula", "solve_components", "theta_check"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
+    "oracles": ("a_closed", "abullet_functional", "b_closed", "tangent_series",
+                "tau_series", "theta_pair"),
     "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
                    "fx_third_partial", "fy_third_partial", "multicover_invariant",
                    "orbifold_invariant", "triple_intersection", "verify_crc"),

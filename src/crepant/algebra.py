@@ -16,9 +16,13 @@ rings, all built on arbitrary-precision `fractions.Fraction`:
 - ``USeries`` / ``BiSeries``: truncated power series in one or two
   variables over any of the above.  The truncation order is fixed at
   construction and mixing orders is an error; silent truncation
-  mismatches are the dominant bug class in series code.
+  mismatches are the dominant bug class in series code.  A BiSeries
+  multiplies by scalars only.
 
-No floating point appears anywhere.
+No floating point appears anywhere.  Only what a production path runs
+is here: the tangent series and the bivariate product, derivatives and
+swap that tests compare against live in ``oracles``, which no production
+module imports.
 """
 from __future__ import annotations
 
@@ -96,12 +100,6 @@ class Cyc3:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> Cyc3:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int) -> Cyc3:
         if n < 0:
             return self.inverse() ** (-n)
@@ -144,9 +142,6 @@ class Cyc3:
         c = self.conjugate()
         return Cyc3(c.a / n, c.b / n)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_rational(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} has a nonzero w-part")
@@ -154,10 +149,6 @@ class Cyc3:
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, d: dict) -> Cyc3:
-        return cls(Fraction(d["a"]), Fraction(d["b"]))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -418,9 +409,6 @@ class LinT:
 
     __rmul__ = __mul__
 
-    def evaluate(self, t1, t2) -> Cyc3:
-        return self.c0 + self.c1 * t1 + self.c2 * t2
-
     def swap_t(self) -> LinT:
         """Exchange the roles of t1 and t2."""
         return LinT(self.c0, self.c2, self.c1)
@@ -582,11 +570,6 @@ class USeries:
     def map_coeffs(self, fn: Callable) -> USeries:
         return USeries(self.order, tuple(fn(c) for c in self.coeffs))
 
-    def __str__(self) -> str:
-        parts = [f"({c})u^{k}" for k, c in enumerate(self.coeffs) if not (c == c * 0)]
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(u^{self.order + 1})"
-
 
 # ---------------------------------------------------------------------------
 # Truncated bivariate series (truncation by total degree)
@@ -623,9 +606,6 @@ class BiSeries:
     def coefficient(self, i: int, j: int):
         return self.rows[i][j]
 
-    def _zero(self):
-        return self.rows[0][0] * 0
-
     def _check(self, other: BiSeries) -> None:
         if self.order != other.order:
             raise ValueError(f"mixed-order series arithmetic: {self.order} vs {other.order}")
@@ -651,43 +631,12 @@ class BiSeries:
         return self.map_coeffs(lambda c: -c)
 
     def __mul__(self, other) -> BiSeries:
-        if not isinstance(other, BiSeries):
-            return self.map_coeffs(lambda c: c * other)
-        self._check(other)
-        zero = self._zero()
-        out = [[zero] * (self.order - i + 1) for i in range(self.order + 1)]
-        for i1 in range(self.order + 1):
-            for j1 in range(self.order - i1 + 1):
-                c = self.rows[i1][j1]
-                if c == zero:
-                    continue
-                for i2 in range(self.order - i1 - j1 + 1):
-                    for j2 in range(self.order - i1 - j1 - i2 + 1):
-                        out[i1 + i2][j1 + j2] = out[i1 + i2][j1 + j2] + c * other.rows[i2][j2]
-        return BiSeries(self.order, tuple(tuple(r) for r in out))
+        """A scalar multiple; the series product is ``oracles.biseries_product``."""
+        if isinstance(other, BiSeries):
+            return NotImplemented
+        return self.map_coeffs(lambda c: c * other)
 
     __rmul__ = __mul__
-
-    def d_dx1(self) -> BiSeries:
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return BiSeries.build(self.order - 1,
-                              lambda i, j: self.rows[i + 1][j] * (i + 1))
-
-    def d_dx2(self) -> BiSeries:
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return BiSeries.build(self.order - 1,
-                              lambda i, j: self.rows[i][j + 1] * (j + 1))
-
-    def swap(self) -> BiSeries:
-        """The series with x1 and x2 exchanged."""
-        return BiSeries.build(self.order, lambda i, j: self.rows[j][i])
-
-    def truncate(self, order: int) -> BiSeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return BiSeries.build(order, lambda i, j: self.rows[i][j])
 
     def map_coeffs(self, fn: Callable) -> BiSeries:
         return BiSeries.build(self.order, lambda i, j: fn(self.rows[i][j]))
@@ -705,67 +654,6 @@ class BiSeries:
 def exp_series(N: int) -> USeries:
     """exp(u) to order N over the rationals."""
     return USeries.from_coeffs([Fraction(1, math.factorial(k)) for k in range(N + 1)])
-
-
-def tangent_series(N: int) -> USeries:
-    """Maclaurin series of tan(u) to order N, computed as sin/cos exactly.
-
-    The Fraction test oracle of ``tangent_numbers``, which the Hodge
-    table uses.
-
-    >>> tangent_series(5).coeffs == (0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15))
-    True
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    sin = USeries.from_coeffs(
-        [Fraction(0) if k % 2 == 0 else Fraction((-1) ** (k // 2), math.factorial(k))
-         for k in range(N + 1)])
-    cos = USeries.from_coeffs(
-        [Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
-         for k in range(N + 1)])
-    return sin / cos
-
-
-def tangent_numbers(N: int) -> list[int]:
-    """The tangent numbers T_0..T_N, T_n = n! [u^n] tan(u), in integers.
-
-    The derivative polynomials P_0 = x, P_(n+1) = (1 + x^2) P_n' give
-    d^n/du^n tan(u) = P_n(tan u), so T_n = P_n(0) (Knuth and Buckholtz,
-    Math. Comp. 21, 1967).  No division is done.
-
-    >>> tangent_numbers(7)
-    [0, 1, 0, 2, 0, 16, 0, 272]
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    P = [0, 1]                          # coefficients of P_n in x
-    T = [0]
-    for _ in range(N):
-        dP = [k * c for k, c in enumerate(P)][1:]
-        P = dP + [0, 0]
-        for k, c in enumerate(dP):
-            P[k + 2] += c
-        T.append(P[0])
-    return T
-
-
-def tau_series(N: int) -> USeries:
-    """The rational odd series tau(u) = sqrt(3) * tan(u / sqrt(12)).
-
-    Substituting u/sqrt(12) into tan and clearing one factor of sqrt(3)
-    leaves rational coefficients: the u^(2k+1) coefficient is the tan
-    coefficient times 3^(-k) * 2^(-(2k+1)).  tau carries the entire
-    trigonometric content of the closed-form generating functions while
-    staying inside Q.
-    """
-    tan = tangent_series(N)
-    out = [Fraction(0)] * (N + 1)
-    for k in range(N + 1):
-        if k % 2 == 1:
-            half = (k - 1) // 2
-            out[k] = tan.coeffs[k] * Fraction(1, 3 ** half * 2 ** k)
-    return USeries.from_coeffs(out)
 
 
 def compose_linear(f: USeries, a, b, N: int) -> BiSeries:

@@ -2,22 +2,25 @@
 
 Exit codes: 0 when all requested checks pass (or output was written),
 1 on a verification mismatch, 2 on a usage error (an unwritable
-``-o/--output`` path included).  All rationals are
-emitted as exact strings; nothing is ever rounded.
+``-o/--output`` path included) and when stdout is closed before the
+output is written (a broken pipe, reported in one stderr line).  All
+rationals are emitted as exact strings; nothing is ever rounded.
 
 ``tables``, ``components`` and ``verify crc`` build a Hodge table first;
 if any of its dual-oracle checks fails they write no output, print one
 stderr line per failed check and exit 1.  ``verify recursions`` reports
 the same checks, pass or fail, as its output.
 
-Each subcommand handler imports the modules it runs, so ``--help`` and
-``duval`` never load ``hurwitz`` or ``potentials``.
+Each subcommand handler imports the modules it runs: ``--help`` and
+``duval`` never load ``hurwitz`` or ``potentials``, the Hodge-table
+subcommands load ``hurwitz`` alone, and none loads ``oracles``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -105,15 +108,13 @@ def _cmd_components(args) -> int:
     table = _checked_table(max(g, 4), component_max_genus=g)
     if table is None:
         return 1
-    comps = sorted((label.l, value) for label, value in table.components.items()
-                   if label.g == g)
     # no check is recorded below genus 4, where each genus has one component
     independent = table.checks.get(hurwitz.COMPONENT_CHECK, True)
     payload = {
         "g": g,
         "A": str(table.A[g]),
         "independent": independent,
-        "components": [{"l": l, "value": str(v)} for l, v in comps],
+        "components": hurwitz.component_entries(table, g),
     }
     if args.format == "json":
         _emit_json(payload, args.output)
@@ -285,9 +286,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()              # a broken pipe raises here, not at exit
+        return code
     except OutputPathError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush stays silent (the Python docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout was closed before the output was written", file=sys.stderr)
         return 2
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help

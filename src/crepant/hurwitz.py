@@ -37,7 +37,7 @@ otherwise; ``build_hodge_table`` only records that outcome.
 Integer kernel.  The table is computed in plain ints up to its boundary.
 
 - Series: scaled to 6u, tau(6u) = sqrt(3) tan(sqrt(3) u) has the integer
-  EGF coefficients 3^(k+1) T_(2k+1) (``algebra.tangent_numbers``), so
+  EGF coefficients 3^(k+1) T_(2k+1) (``tangent_numbers``), so
   b_n = 6^n B_n, alpha_n = 3 * 6^n A_(n+1) and beta_n = 3 * 6^n Ab_(n+1)
   are integer EGFs, and each quotient, with constant term 1 in its
   denominator, is an integer binomial convolution (``_scaled_series``).
@@ -66,10 +66,11 @@ Fraction re-enters only at the boundary: in ``_unscale_b`` and
 in the last step of ``solve_chain``, where the closure fixes x_0 and the
 solved A_g^l are formed.  ``build_hodge_table`` is the only producer of
 B_g, A_g and Ab_g, and ``theta_check`` the only place the theta identity
-is decided.  The Fraction series ``b_closed``, ``a_closed`` and
-``abullet_functional`` (over ``algebra.tau_series``) and the term-by-term
-double sum ``theta_pair`` are test oracles of this kernel; no production
-path calls them.
+is decided.  The module imports nothing from ``algebra``.  Its test
+oracles, the Fraction series ``b_closed``, ``a_closed`` and
+``abullet_functional`` over ``tau_series`` and the term-by-term double
+sum ``theta_pair``, live in ``oracles``, which no production module
+imports.
 """
 from __future__ import annotations
 
@@ -77,7 +78,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import USeries, BiSeries, tangent_numbers, tau_series
 
 
 class LabelParityError(ValueError):
@@ -100,31 +100,31 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form series over Fraction: test oracles of the integer kernel,
-# which no production path calls
-# ---------------------------------------------------------------------------
-
-def b_closed(N: int) -> USeries:
-    """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau); a test oracle."""
-    tau = tau_series(N)
-    return (tau * Fraction(1, 3) + 1) / (1 - tau)
-
-
-def a_closed(N: int) -> USeries:
-    """A(u) to order N as the rational quotient (1 + tau)/(3 - tau); a test oracle."""
-    tau = tau_series(N)
-    return (tau + 1) / (3 - tau)
-
-
-def abullet_functional(N: int) -> USeries:
-    """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2; a test oracle."""
-    B = b_closed(N)
-    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
-
-
-# ---------------------------------------------------------------------------
 # The integer kernel: EGFs of B(6u), 3A(6u) and 3A-bullet(6u)
 # ---------------------------------------------------------------------------
+
+def tangent_numbers(N: int) -> list[int]:
+    """The tangent numbers T_0..T_N, T_n = n! [u^n] tan(u), in integers.
+
+    The derivative polynomials P_0 = x, P_(n+1) = (1 + x^2) P_n' give
+    d^n/du^n tan(u) = P_n(tan u), so T_n = P_n(0) (Knuth and Buckholtz,
+    Math. Comp. 21, 1967).  No division is done.
+
+    >>> tangent_numbers(7)
+    [0, 1, 0, 2, 0, 16, 0, 272]
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    P = [0, 1]                          # coefficients of P_n in x
+    T = [0]
+    for _ in range(N):
+        dP = [k * c for k, c in enumerate(P)][1:]
+        P = dP + [0, 0]
+        for k, c in enumerate(dP):
+            P[k + 2] += c
+        T.append(P[0])
+    return T
+
 
 def _binomial_rows(N: int) -> list[list[int]]:
     """Pascal's triangle: rows[n][k] = C(n, k) for 0 <= k <= n <= N."""
@@ -338,9 +338,6 @@ class HodgeTable:
     components: dict[ComponentLabel, Fraction] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
 
-    def component_value(self, g: int, l: int) -> Fraction:
-        return self.components[ComponentLabel(g, l)]
-
 
 _BASE_LABELS = {1: 0, 2: 2, 3: 1}  # the unique component class per genus <= 3
 
@@ -494,6 +491,8 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     """
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    if enumeration_cap < 0:
+        raise ValueError(f"enumeration_cap must be >= 0, got {enumeration_cap}")
     if min(max_genus, enumeration_cap) > GAMMA_ENUMERATION_CAP:
         raise ValueError(f"enumeration_cap must be <= {GAMMA_ENUMERATION_CAP} when max_genus "
                          f"exceeds it, got {enumeration_cap}")
@@ -552,37 +551,6 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
 # The theta identity
 # ---------------------------------------------------------------------------
 
-def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
-    """The double-sum series theta_0 and theta_1 to total degree N; a test oracle.
-
-    theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
-    pairs with x - y = i (mod 3); coefficients are stored divided by
-    r! s! (exponential normalization), and vanish unless r = s (mod 3).
-    The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
-    ``_scaled_series``: the two A indices of every term sum to r + s + 2,
-    so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).  It is
-    the term-by-term double sum that ``theta_check`` groups by degree; no
-    production path calls it.
-    """
-    binom = _binomial_rows(N)
-    _, alpha, _ = _scaled_series(N, binom)
-    fact = [math.factorial(n) for n in range(N + 1)]
-
-    def entry(i_residue: int, r: int, s: int) -> Fraction:
-        if (r - s) % 3 != 0:
-            return Fraction(0)
-        binom_s = binom[s]
-        total = 0
-        for x, cx in enumerate(binom[r]):
-            total += cx * sum(binom_s[y] * alpha[x + y] * alpha[r + s - x - y]
-                              for y in range((x - i_residue) % 3, s + 1, 3))
-        return Fraction(total, 9 * 6 ** (r + s) * fact[r] * fact[s])
-
-    theta0 = BiSeries.build(N, lambda r, s: entry(0, r, s))
-    theta1 = BiSeries.build(N, lambda r, s: entry(1, r, s))
-    return theta0, theta1
-
-
 def _theta_totals(N: int):
     """Yield ((r, s), 9 * 6^(r+s) r! s! (theta_0 - theta_1)_(r,s)) for r = s (mod 3), r + s <= N.
 
@@ -590,7 +558,7 @@ def _theta_totals(N: int):
     1 + r + s - k, so the difference is sum_k w(k) alpha_k alpha_(r+s-k)
     with w = ``_mod3_weights(r, s)``; the products are formed once per
     degree r + s and every entry costs O(r + s).  The entries with
-    r != s (mod 3) are 0 by definition (see ``theta_pair``) and are not
+    r != s (mod 3) are 0 by definition (see ``oracles.theta_pair``) and are not
     yielded.
     """
     _, alpha, _ = _scaled_series(N, _binomial_rows(N))
@@ -619,19 +587,24 @@ def theta_check(N: int) -> bool:
 # Export
 # ---------------------------------------------------------------------------
 
+def component_entries(table: HodgeTable, g: int) -> list[dict]:
+    """The genus-g components as [{"l": l, "value": A_g^l as a string}], by label."""
+    comps = sorted((label.l, value) for label, value in table.components.items()
+                   if label.g == g)
+    return [{"l": l, "value": str(v)} for l, v in comps]
+
+
 def table_rows(table: HodgeTable) -> list[dict]:
     """Per-genus rows matching the JSON export schema."""
     rows = []
     for g in range(table.max_genus + 1):
-        comps = sorted((label.l, value) for label, value in table.components.items()
-                       if label.g == g)
         rows.append({
             "g": g,
             "B": str(table.B[g]),
             "Abullet": str(table.Abullet[g]) if g >= 1 else None,
             "A": str(table.A[g]) if g >= 1 else None,
             "gamma": table.gamma[g],
-            "components": [{"l": l, "value": str(v)} for l, v in comps],
+            "components": component_entries(table, g),
         })
     return rows
 

@@ -1,0 +1,130 @@
+"""Test oracles: the Fraction closed forms and series operations the tests compare against.
+
+The production modules compute the Hodge table on integers
+(``hurwitz``) and compare the potentials direction by direction
+(``potentials``).  The routes here are the slower, more literal ones
+they are checked against: tan as sin/cos, the tau quotients of the
+Appendix's closed formulas, the term-by-term theta double sum, and the
+bivariate series product, derivatives and swap.  No production module
+imports this one; ``tests/test_cli.py`` checks that no subcommand loads it.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .algebra import BiSeries, USeries
+from .hurwitz import _binomial_rows, _scaled_series
+
+
+def tangent_series(N: int) -> USeries:
+    """Maclaurin series of tan(u) to order N, computed as sin/cos exactly.
+
+    The Fraction oracle of ``hurwitz.tangent_numbers``.
+
+    >>> tangent_series(5).coeffs == (0, 1, 0, Fraction(1, 3), 0, Fraction(2, 15))
+    True
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    sin = USeries.from_coeffs(
+        [Fraction(0) if k % 2 == 0 else Fraction((-1) ** (k // 2), math.factorial(k))
+         for k in range(N + 1)])
+    cos = USeries.from_coeffs(
+        [Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
+         for k in range(N + 1)])
+    return sin / cos
+
+
+def tau_series(N: int) -> USeries:
+    """The rational odd series tau(u) = sqrt(3) * tan(u / sqrt(12)).
+
+    Substituting u/sqrt(12) into tan and clearing one factor of sqrt(3)
+    leaves rational coefficients: the u^(2k+1) coefficient is the tan
+    coefficient times 3^(-k) * 2^(-(2k+1)).  tau carries the entire
+    trigonometric content of the closed-form generating functions while
+    staying inside Q.
+    """
+    tan = tangent_series(N)
+    out = [Fraction(0)] * (N + 1)
+    for k in range(N + 1):
+        if k % 2 == 1:
+            half = (k - 1) // 2
+            out[k] = tan.coeffs[k] * Fraction(1, 3 ** half * 2 ** k)
+    return USeries.from_coeffs(out)
+
+
+def b_closed(N: int) -> USeries:
+    """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau)."""
+    tau = tau_series(N)
+    return (tau * Fraction(1, 3) + 1) / (1 - tau)
+
+
+def a_closed(N: int) -> USeries:
+    """A(u) to order N as the rational quotient (1 + tau)/(3 - tau)."""
+    tau = tau_series(N)
+    return (tau + 1) / (3 - tau)
+
+
+def abullet_functional(N: int) -> USeries:
+    """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2."""
+    B = b_closed(N)
+    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
+
+
+def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
+    """The double-sum series theta_0 and theta_1 to total degree N.
+
+    theta_{i,r,s} sums C(r,x) C(s,y) A_{1+x+y} A_{1+(r-x)+(s-y)} over
+    pairs with x - y = i (mod 3); coefficients are stored divided by
+    r! s! (exponential normalization), and vanish unless r = s (mod 3).
+    The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
+    ``hurwitz._scaled_series``: the two A indices of every term sum to
+    r + s + 2, so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).
+    It is the term-by-term double sum that ``hurwitz.theta_check`` groups
+    by degree.
+    """
+    binom = _binomial_rows(N)
+    _, alpha, _ = _scaled_series(N, binom)
+    fact = [math.factorial(n) for n in range(N + 1)]
+
+    def entry(i_residue: int, r: int, s: int) -> Fraction:
+        if (r - s) % 3 != 0:
+            return Fraction(0)
+        binom_s = binom[s]
+        total = 0
+        for x, cx in enumerate(binom[r]):
+            total += cx * sum(binom_s[y] * alpha[x + y] * alpha[r + s - x - y]
+                              for y in range((x - i_residue) % 3, s + 1, 3))
+        return Fraction(total, 9 * 6 ** (r + s) * fact[r] * fact[s])
+
+    theta0 = BiSeries.build(N, lambda r, s: entry(0, r, s))
+    theta1 = BiSeries.build(N, lambda r, s: entry(1, r, s))
+    return theta0, theta1
+
+
+def biseries_product(f: BiSeries, g: BiSeries) -> BiSeries:
+    """f * g to their common total degree; each coefficient sums over its splits."""
+    f._check(g)
+    zero = f.rows[0][0] * 0
+    return BiSeries.build(f.order, lambda i, j: sum(
+        (f.rows[a][b] * g.rows[i - a][j - b] for a in range(i + 1) for b in range(j + 1)), zero))
+
+
+def d_dx1(f: BiSeries) -> BiSeries:
+    """d/dx1; the result is known to one total degree lower."""
+    if f.order == 0:
+        raise ValueError("cannot differentiate an order-0 truncation")
+    return BiSeries.build(f.order - 1, lambda i, j: f.rows[i + 1][j] * (i + 1))
+
+
+def d_dx2(f: BiSeries) -> BiSeries:
+    """d/dx2; the result is known to one total degree lower."""
+    if f.order == 0:
+        raise ValueError("cannot differentiate an order-0 truncation")
+    return BiSeries.build(f.order - 1, lambda i, j: f.rows[i][j + 1] * (j + 1))
+
+
+def swap_series(series: BiSeries) -> BiSeries:
+    """Apply the simultaneous swap x1 <-> x2, t1 <-> t2 to a LinT series."""
+    return BiSeries.build(series.order, lambda i, j: series.rows[j][i].swap_t())

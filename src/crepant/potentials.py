@@ -536,8 +536,3 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
             "first_mismatch": mismatch,
         })
     return {"order": N, "checks": checks, "all_pass": all_pass}
-
-
-def swap_series(series: BiSeries) -> BiSeries:
-    """Apply the simultaneous swap x1 <-> x2, t1 <-> t2 to a LinT series."""
-    return series.swap().map_coeffs(lambda c: c.swap_t())

@@ -10,15 +10,14 @@ import random
 import time
 from fractions import Fraction as F
 
-from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series, tangent_series
-from crepant.hurwitz import (ComponentLabel, a_closed, b_closed,
-                             build_hodge_table, delta, delta_direct,
+from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
+from crepant.hurwitz import (ComponentLabel, build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
                              solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
+from crepant.oracles import a_closed, b_closed, swap_series, tangent_series
 from crepant.potentials import (FixedPointData, InverseT1T2, fx_third_partial,
-                                fy_third_partial, swap_series,
-                                triple_intersection, verify_crc)
+                                fy_third_partial, triple_intersection, verify_crc)
 
 
 def criterion(num, desc):

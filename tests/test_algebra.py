@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from crepant.algebra import (BiSeries, Cyc3, CycField, DegreeOverflowError,
                              I_OVER_SQRT3, I_SQRT3, LinT, OMEGA, OMEGA_BAR,
                              T1, T2, USeries, compose_linear,
-                             cyclotomic_polynomial, geometric_exp_series,
-                             tangent_numbers, tangent_series, tau_series)
+                             cyclotomic_polynomial, geometric_exp_series)
+from crepant.hurwitz import tangent_numbers
+from crepant.oracles import d_dx1, d_dx2, swap_series, tangent_series, tau_series
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 cyc3s = st.builds(Cyc3, rationals, rationals)
@@ -27,7 +28,6 @@ def series(coeffs, order=None):
 
 def test_cyc3_json_roundtrip():
     z = Cyc3(F(-2, 7), F(5, 3))
-    assert Cyc3.from_json(z.to_json()) == z
     assert z.to_json() == {"a": "-2/7", "b": "5/3"}
 
 
@@ -59,7 +59,7 @@ def test_conjugation_involution(z):
 @given(cyc3s)
 def test_norm_is_rational_and_nonnegative(z):
     prod = z * z.conjugate()
-    assert prod.is_rational()
+    assert prod.b == 0
     assert prod.as_rational() >= 0
     assert (prod.as_rational() == 0) == (z == Cyc3(F(0)))
 
@@ -155,7 +155,7 @@ def test_lint_rejects_t_degree_two():
 
 def test_lint_scalar_products():
     v = T1 * OMEGA + T2 * F(1, 2) + LinT.of(3)
-    assert v.evaluate(F(2), F(4)) == OMEGA * 2 + 5
+    assert (v.c0, v.c1, v.c2) == (3, OMEGA, F(1, 2))
     assert v.swap_t() == T2 * OMEGA + T1 * F(1, 2) + LinT.of(3)
     assert LinT.of(F(1, 3)) * v == v * F(1, 3)
 
@@ -306,14 +306,18 @@ def test_compose_linear_order_guard():
 def test_biseries_product_and_division():
     g = compose_linear(geometric_exp_series(OMEGA, 6), OMEGA, OMEGA_BAR, 6)
     with pytest.raises(ValueError, match="mixed-order"):
-        g * g.truncate(4)
+        g + compose_linear(geometric_exp_series(OMEGA, 6), OMEGA, OMEGA_BAR, 4)
+    # a BiSeries multiplies by scalars only; the product is an oracle
+    with pytest.raises(TypeError):
+        g * g
 
 
 def test_biseries_swap_and_derivatives():
     g = compose_linear(geometric_exp_series(OMEGA, 5), OMEGA, OMEGA_BAR, 5)
-    assert g.swap().swap() == g
+    h = g.map_coeffs(lambda z: LinT.of(z, z, 2 * z))
+    assert swap_series(swap_series(h)) == h
     # d/dx1 then d/dx2 commutes
-    assert g.d_dx1().d_dx2() == g.d_dx2().d_dx1()
+    assert d_dx1(d_dx2(g)) == d_dx2(d_dx1(g))
 
 
 def test_geometric_series_functional_identity():

@@ -252,19 +252,55 @@ _REPORT_MODULES = (
 )
 
 
-@pytest.mark.parametrize("argv", [["duval", "--n", "3"], ["--help"]])
-def test_subcommand_imports_only_what_it_runs(argv):
-    # a fresh interpreter, so the modules the other tests imported do not count
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's crepant."""
     src = str(Path(crepant.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+_HODGE = ["hurwitz"]
+_SERIES = ["algebra", "hurwitz", "potentials"]
+# (argv, the crepant modules besides crepant and crepant.cli it loads):
+# none loads crepant.oracles, and the Hodge-side ones load neither
+# algebra nor potentials.
+_IMPORT_CASES = [
+    (["duval", "--n", "3"], ["algebra", "mckay"]),
+    (["--help"], []),
+    (["tables", "--max-genus", "4"], _HODGE),
+    (["components", "--genus", "4"], _HODGE),
+    (["verify", "recursions", "--max-genus", "4"], _HODGE),
+    (["verify", "theta", "--order", "4"], _HODGE),
+    (["verify", "crc", "--order", "4"], _SERIES),
+    (["localization"], _SERIES),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _IMPORT_CASES,
+                         ids=[f"argv{i}" for i in range(len(_IMPORT_CASES))])
+def test_subcommand_imports_only_what_it_runs(argv, modules):
+    # a fresh interpreter, so the modules the other tests imported do not count
     proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_child_env(), check=True)
     code, loaded = json.loads(proc.stderr)
     assert code == 0
-    assert "crepant.cli" in loaded
-    assert "crepant.hurwitz" not in loaded
-    assert "crepant.potentials" not in loaded
+    assert loaded == sorted(["crepant", "crepant.cli", *(f"crepant.{m}" for m in modules)])
+
+
+def test_closed_stdout_is_a_usage_error_not_a_traceback():
+    # the reader stops after 100 of the ~0.7 MiB, so a later write meets a broken pipe
+    proc = subprocess.Popen([sys.executable, "-m", "crepant.cli", "duval", "--n", "30",
+                             "--format", "json"], env=_child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == b"stdout was closed before the output was written\n"
 
 
 def test_every_public_name_resolves():

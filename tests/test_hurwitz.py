@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from crepant import hurwitz
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
 from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
-                             LabelParityError, a_closed,
-                             abullet_functional, b_closed,
-                             build_hodge_table, delta, delta_direct,
-                             gamma_bruteforce, gamma_formula,
+                             LabelParityError, build_hodge_table, delta,
+                             delta_direct, gamma_bruteforce, gamma_formula,
                              solve_chain, solve_components, table_csv,
-                             table_rows, theta_check, theta_pair)
+                             table_rows, theta_check)
 from crepant.hurwitz import _mod3_weights, _theta_totals
+from crepant.oracles import (a_closed, abullet_functional, b_closed,
+                             biseries_product, theta_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +229,9 @@ def test_label_parity_is_hard_error():
 
 
 def test_base_lookup(table30):
-    assert table30.component_value(1, 0) == F(1, 3)
-    assert table30.component_value(2, 2) == F(2, 9)
-    assert table30.component_value(3, 1) == F(2, 27)
+    assert table30.components[ComponentLabel(1, 0)] == F(1, 3)
+    assert table30.components[ComponentLabel(2, 2)] == F(2, 9)
+    assert table30.components[ComponentLabel(3, 1)] == F(2, 27)
 
 
 def test_genus_four_components(table30):
@@ -325,6 +325,7 @@ def test_table_checks_pass(table30):
     ({"max_genus": -1}, "max_genus must be >= 0, got -1"),
     ({"max_genus": 21, "enumeration_cap": 21},
      "enumeration_cap must be <= 20 when max_genus exceeds it, got 21"),
+    ({"max_genus": 10, "enumeration_cap": -1}, "enumeration_cap must be >= 0, got -1"),
 ])
 def test_build_hodge_table_rejects_bad_input(enumerated_genera, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -422,8 +423,8 @@ def test_theta_factorization_over_cyc3():
         return (comp[0] + comp[1] * OMEGA_BAR ** (i % 3) + comp[2] * OMEGA ** (i % 3)) * F(1, 3)
 
     t0, t1 = theta_pair(N)
-    assert Q(0) * Q(0) == t0.map_coeffs(Cyc3)
-    assert Q(1) * Q(2) == t1.map_coeffs(Cyc3)
+    assert biseries_product(Q(0), Q(0)) == t0.map_coeffs(Cyc3)
+    assert biseries_product(Q(1), Q(2)) == t1.map_coeffs(Cyc3)
 
 
 # ---------------------------------------------------------------------------

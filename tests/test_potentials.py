@@ -10,8 +10,9 @@ from crepant.hurwitz import build_hodge_table
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
                                 InverseT1T2, _first_mismatch, fx_third_partial,
                                 fy_third_partial, multicover_invariant,
-                                orbifold_invariant, swap_series,
-                                triple_intersection, verify_crc)
+                                orbifold_invariant, triple_intersection,
+                                verify_crc)
+from crepant.oracles import d_dx1, d_dx2, swap_series
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def test_mixed_partial_consistency():
     N = 9
     f112 = fy_third_partial((1, 1, 2), N=N)
     f111 = fy_third_partial((1, 1, 1), N=N)
-    assert f112.d_dx1() == f111.d_dx2()
+    assert d_dx1(f112) == d_dx2(f111)
 
 
 def test_t1_equals_minus_t2_specialization(table16):
@@ -198,7 +199,8 @@ def test_t1_equals_minus_t2_specialization(table16):
         fx = fx_third_partial(idx, table16, N=N)
         for (i, j), a in fy.items():
             b = fx.coefficient(i, j)
-            assert a.evaluate(F(1), F(-1)) == b.evaluate(F(1), F(-1)), (idx, i, j)
+            # the value at t1 = 1, t2 = -1
+            assert a.c0 + a.c1 - a.c2 == b.c0 + b.c1 - b.c2, (idx, i, j)
 
 
 def test_series_coefficients_are_t_linear(table16):
