@@ -17,9 +17,9 @@ _EXPORTS = {
     "algebra": ("BiSeries", "Cyc3", "CycElement", "CycField", "DegreeOverflowError",
                 "LinT", "OMEGA", "OMEGA_BAR", "I_SQRT3", "I_OVER_SQRT3", "USeries",
                 "compose_linear"),
-    "hurwitz": ("ComponentLabel", "ComponentMismatchError", "HodgeTable",
-                "LabelParityError", "build_hodge_table", "delta", "delta_direct",
-                "gamma_bruteforce", "gamma_formula", "solve_components", "theta_check"),
+    "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
+                "delta_direct", "gamma_bruteforce", "gamma_formula", "solve_components",
+                "theta_check"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
     "oracles": ("a_closed", "abullet_functional", "b_closed", "tangent_series",
                 "tau_series", "theta_pair"),

@@ -32,7 +32,7 @@ and, when component systems of genus >= 4 are solved,
 The last one is decided by ``solve_components`` alone: it checks the
 closure equation it did not solve with, that the solved A_g^l are all
 equal, and that they equal A_g, and raises ``ComponentMismatchError``
-otherwise; ``build_hodge_table`` only records that outcome.
+otherwise; ``build_hodge_table`` records that and keeps the one value.
 
 Integer kernel.  The table is computed in plain ints up to its boundary.
 
@@ -47,10 +47,10 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
 - Weights: in both double sums below, a term with x + y = k pairs the
   values of index 1 + k and 1 + r + s - k, so each sum groups by k with
   the integer weight w(k) = V_0(k) - V_1(k) of ``_mod3_weights``, where
-  V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).  It
-  costs O(r + s) per (r, s) and is built only where a sum needs it.
-- Component systems: the lower genera are read once per genus, one value
-  F_h each, and put over one common denominator D by
+  V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).
+  ``_degree_sums`` forms these sums, O(r + s) each, half of them mirrored.
+- Component systems: ``table.components`` holds one value F_h per genus;
+  each lower genus is read once and put over one common denominator D by
   ``_over_common_denominator`` (a power of 3 for every table value, but
   any D stays exact).  The known part of each degeneration equation is
   3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation.  Every
@@ -78,10 +78,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-
-
-class LabelParityError(ValueError):
-    """A component label violating l = l' (mod 3); always an indexing bug."""
 
 
 class ComponentMismatchError(ArithmeticError):
@@ -299,35 +295,25 @@ def delta_direct(g: int) -> int:
 # Component labels and table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentLabel:
-    """A connected-component class of the genus-g trigonal space.
+def component_labels(g: int) -> list[int]:
+    """The labels min(l, g + 2 - l) of the component classes of genus g.
 
-    The raw label l counts markings of one monodromy type; l and g+2-l
-    name the same (unordered) component class, so labels are normalized
-    to l <= g+2-l.  The parity l = g+2-l (mod 3) must hold.
+    A raw label l counts markings of one monodromy type, with 2l = g + 2
+    (mod 3), and l and g + 2 - l name the same unordered class.
+
+    >>> component_labels(4)
+    [0, 3]
     """
-    g: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.g < 1:
-            raise ValueError("component labels require g >= 1")
-        if not 0 <= self.l <= self.g + 2:
-            raise LabelParityError(f"label {self.l} out of range for genus {self.g}")
-        if (2 * self.l - (self.g + 2)) % 3 != 0:
-            raise LabelParityError(
-                f"label {self.l} violates parity for genus {self.g}")
-        object.__setattr__(self, "l", min(self.l, self.g + 2 - self.l))
+    return sorted({min(l, g + 2 - l) for l in range(_nu(g), g + 3, 3)})
 
 
 @dataclass
 class HodgeTable:
     """Computed Hurwitz-Hodge values with their cross-check status.
 
-    ``components`` maps normalized labels to the per-component integrals
-    A_g^l; ``checks`` records the outcome of every dual-oracle comparison
-    run while building.
+    ``components`` maps each solved genus g to the value A_g^l that every
+    label l of ``component_labels(g)`` shares; ``checks`` records the
+    outcome of every dual-oracle comparison run while building.
     """
     max_genus: int
     B: dict[int, Fraction] = field(default_factory=dict)
@@ -335,11 +321,9 @@ class HodgeTable:
     A: dict[int, Fraction] = field(default_factory=dict)
     gamma: dict[int, int] = field(default_factory=dict)
     delta: dict[int, int] = field(default_factory=dict)
-    components: dict[ComponentLabel, Fraction] = field(default_factory=dict)
+    components: dict[int, Fraction] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
 
-
-_BASE_LABELS = {1: 0, 2: 2, 3: 1}  # the unique component class per genus <= 3
 
 COMPONENT_CHECK = "components independent of label"
 
@@ -391,8 +375,23 @@ def _mod3_weights(r: int, s: int) -> list[int]:
     return weights
 
 
-def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction]:
-    """Solve for all per-component integrals A_g^l of a single genus g >= 4.
+def _degree_sums(values: list[int], n: int) -> list[int]:
+    """sum_k w(k) values[k] values[n-k], w = ``_mod3_weights(r, s)``, for r + s = n, r = s (mod 3).
+
+    The entries run over r = 2n mod 3, ..., n in steps of 3 and form a
+    palindrome: (x, y) -> (s - y, r - x) keeps x - y mod 3 as r = s (mod 3),
+    so the weights of (s, r) are those of (r, s) reversed in k, and the
+    products are symmetric in k.  Only the first half is summed.
+    """
+    products = [values[k] * values[n - k] for k in range(n + 1)]
+    rs = range((2 * n) % 3, n + 1, 3)
+    half = [sum(wk * pk for wk, pk in zip(_mod3_weights(r, n - r), products))
+            for r in rs[:(len(rs) + 1) // 2]]
+    return half + half[:len(rs) // 2][::-1]
+
+
+def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
+    """Solve for the per-component integrals x_i = A_g^(3i+nu), i = 0..n, of one genus g >= 4.
 
     Each WDVV comparison at genus g+1 with l = r + 2 leading markings and
     s = g + 1 - l others (r + s = g - 1, r = s mod 3) produces one linear
@@ -400,7 +399,7 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     g - x - y factor over 0 <= x <= r, 0 <= y <= s; the two at (0, 0) and
     (r, s) are "principal", with the unknowns A_g^r and A_g^(r+3) times the
     genus-1 value.  Both have x - y = 0 (mod 3), and only the phi side has
-    residue-0 terms, so with x_i = A_g^(3i+nu) equation i is
+    residue-0 terms, so equation i reads
 
         3 D f_1 (x_i + x_(i+1)) = rhs_i,
 
@@ -409,20 +408,20 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     fixes x_0 with coefficient 2) or by the completed A-bullet evaluation
     (g even, coefficient (-1)^nu delta_g = -+2 * 3^(g/2)); neither is 0.
 
-    Every other term is known.  The lower-genus values are read in one
-    pass over ``table.components`` (never from ``table.A``, which would
-    make the comparison with A_g circular): each genus h < g must be there,
-    else ``ValueError``, with one value F_h shared by all its labels, else
-    ``ComponentMismatchError``.  The factors of a term then depend only on
-    k = x + y, the phi side (sign +1) sums the residues x - y = 0 and 2,
-    and the theta side (sign -1) the residues 1 and 2, so the residue-2
-    sums cancel and the known part of the equation is
+    Every other term is known.  Each lower genus h < g is read with one
+    lookup in ``table.components`` (never from ``table.A``, which would
+    make the comparison with A_g circular), else ``ValueError``.  The
+    factors of a term then depend only on k = x + y, the phi side (sign +1)
+    sums the residues x - y = 0 and 2, and the theta side (sign -1) the
+    residues 1 and 2, so the residue-2 sums cancel and the known part of
+    the equation is
 
         3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w = ``_mod3_weights(r, s)``,
 
     which costs O(g) per equation.  It is summed in integers: the F_h are
     scaled to numerators f_h = D F_h over one common denominator D, so a
-    known product is an integer over D^2 and so is 3 D f_1.
+    known product is an integer over D^2 and so is 3 D f_1.  ``_degree_sums``
+    forms it, with 0 in the unknown genus-g slot to drop the principal terms.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
@@ -435,28 +434,21 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
     nu = _nu(g)
     n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
 
-    lower: dict[int, Fraction] = {}
-    for label, value in table.components.items():
-        if label.g < g and lower.setdefault(label.g, value) != value:
-            raise ComponentMismatchError(
-                f"genus {label.g}: component values differ between labels")
-    missing = [h for h in range(1, g) if h not in lower]
-    if missing:
-        raise ValueError(f"table.components lacks genus {missing[0]}; "
-                         f"genus {g} needs genera 1..{g - 1}")
-    nums, D = _over_common_denominator(lower[h] for h in range(1, g))
-    f = [0, *nums]                      # f[h] = D * F_h for 1 <= h < g
-    known = [f[1 + k] * f[g - k] for k in range(1, g - 1)]  # k = 1..g-2
-    rhs = [-3 * sum(wk * pk for wk, pk in zip(_mod3_weights(r, g - 1 - r)[1:-1], known))
-           for r in range(nu, 3 * n, 3)]
+    try:
+        lower = [table.components[h] for h in range(1, g)]
+    except KeyError as missing:
+        raise ValueError(f"table.components lacks genus {missing.args[0]}; "
+                         f"genus {g} needs genera 1..{g - 1}") from None
+    nums, D = _over_common_denominator(lower)   # nums[h - 1] = D * F_h
+    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1)]
 
     # Closure: one more independent equation.
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
     vvv_rhs = 2 * table.Abullet[g]
     if g % 2 == 1:
-        sol = solve_chain(rhs, 3 * D * f[1], [1] + [0] * (n - 1) + [-1], 0)
+        sol = solve_chain(rhs, 3 * D * nums[0], [1] + [0] * (n - 1) + [-1], 0)
     else:
-        sol = solve_chain(rhs, 3 * D * f[1], vvv_row, vvv_rhs)
+        sol = solve_chain(rhs, 3 * D * nums[0], vvv_row, vvv_rhs)
 
     # Post-checks: the unused closure must hold redundantly, all values
     # must agree, and the common value must be A_g.
@@ -473,7 +465,7 @@ def solve_components(g: int, table: HodgeTable) -> dict[ComponentLabel, Fraction
         raise ComponentMismatchError(
             f"genus {g}: components equal {sol[0]}, expected A_g = {table.A[g]}")
 
-    return {ComponentLabel(g, 3 * i + nu): sol[i] for i in range(n + 1)}
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +525,13 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     table.Abullet = _unscale_a(beta, genera)
     table.A = _unscale_a(alpha, genera)
 
-    for h, l in _BASE_LABELS.items():
-        if h <= max_genus:
-            table.components[ComponentLabel(h, l)] = table.A[h]
+    # each genus <= 3 has one component class, of value A_g
+    table.components = {h: table.A[h] for h in range(1, min(G, 3) + 1)}
     if component_max_genus >= 4:
         checks[COMPONENT_CHECK] = True
         try:
             for g in range(4, component_max_genus + 1):
-                table.components.update(solve_components(g, table))
+                table.components[g] = solve_components(g, table)[0]
         except ComponentMismatchError:
             checks[COMPONENT_CHECK] = False
 
@@ -556,16 +547,13 @@ def _theta_totals(N: int):
 
     A term of theta_i with x + y = k has the A indices 1 + k and
     1 + r + s - k, so the difference is sum_k w(k) alpha_k alpha_(r+s-k)
-    with w = ``_mod3_weights(r, s)``; the products are formed once per
-    degree r + s and every entry costs O(r + s).  The entries with
-    r != s (mod 3) are 0 by definition (see ``oracles.theta_pair``) and are not
-    yielded.
+    with w = ``_mod3_weights(r, s)``: the ``_degree_sums`` of alpha at
+    degree r + s, O(r + s) per entry.  The entries with r != s (mod 3) are
+    0 by definition (see ``oracles.theta_pair``) and are not yielded.
     """
     _, alpha, _ = _scaled_series(N, _binomial_rows(N))
     for n in range(N + 1):
-        products = [alpha[k] * alpha[n - k] for k in range(n + 1)]
-        for r in range((2 * n) % 3, n + 1, 3):      # r = s (mod 3) for s = n - r
-            total = sum(wk * pk for wk, pk in zip(_mod3_weights(r, n - r), products))
+        for r, total in zip(range((2 * n) % 3, n + 1, 3), _degree_sums(alpha, n)):
             yield (r, n - r), total
 
 
@@ -588,10 +576,11 @@ def theta_check(N: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def component_entries(table: HodgeTable, g: int) -> list[dict]:
-    """The genus-g components as [{"l": l, "value": A_g^l as a string}], by label."""
-    comps = sorted((label.l, value) for label, value in table.components.items()
-                   if label.g == g)
-    return [{"l": l, "value": str(v)} for l, v in comps]
+    """[{"l": l, "value": A_g^l as a string}] for the labels of genus g; [] if unsolved."""
+    if g not in table.components:
+        return []
+    value = str(table.components[g])
+    return [{"l": l, "value": value} for l in component_labels(g)]
 
 
 def table_rows(table: HodgeTable) -> list[dict]:

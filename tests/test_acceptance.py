@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
-from crepant.hurwitz import (ComponentLabel, build_hodge_table, delta, delta_direct,
+from crepant.hurwitz import (build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
                              solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
@@ -79,15 +79,14 @@ def test_criterion_5_component_independence():
     A = table.A
     for g in range(4, 15):
         solved = solve_components(g, table)
-        table.components.update(solved)
-        values = list(solved.values())
-        assert values and all(v == values[0] for v in values)
-        assert values[0] == A[g]
+        table.components[g] = solved[0]
+        assert solved and all(v == solved[0] for v in solved)
+        assert solved[0] == A[g]
         # the closure not used during solving, recomputed from the solution
         nu = (1 - g) % 3
         n = (g + 2 - 2 * nu) // 3
-        vvv = sum(math.comb(g + 2, 3 * i + nu)
-                  * solved[ComponentLabel(g, 3 * i + nu)] for i in range(n + 1))
+        assert len(solved) == n + 1
+        vvv = sum(math.comb(g + 2, 3 * i + nu) * solved[i] for i in range(n + 1))
         assert vvv == 2 * table.Abullet[g]
         assert table.Abullet[g] == gamma_formula(g) * A[g]
     elapsed = time.monotonic() - start

@@ -13,7 +13,10 @@ the ``verify theta --order 8 --format text`` and ``--order 50`` outputs
 while ``theta_pair`` still summed on A_g over an lcm denominator and
 ``verify theta`` decided the identity itself; the ``components --genus
 40`` and ``verify theta --order 80`` outputs while the component rows
-and the theta identity were still summed term by term.
+and the theta identity were still summed term by term; and every
+``tables`` and ``components`` output while the table still stored one
+value per component label.  Every ``tables``, ``components`` and
+``verify theta`` output predates the mirrored degree sums.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

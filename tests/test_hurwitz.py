@@ -3,17 +3,17 @@ from fractions import Fraction as F
 from math import comb as binom, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crepant import hurwitz
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
-from crepant.hurwitz import (ComponentLabel, ComponentMismatchError,
-                             LabelParityError, build_hodge_table, delta,
+from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
+                             component_entries, component_labels, delta,
                              delta_direct, gamma_bruteforce, gamma_formula,
                              solve_chain, solve_components, table_csv,
                              table_rows, theta_check)
-from crepant.hurwitz import _mod3_weights, _theta_totals
+from crepant.hurwitz import _degree_sums, _mod3_weights, _theta_totals
 from crepant.oracles import (a_closed, abullet_functional, b_closed,
                              biseries_product, theta_pair)
 
@@ -213,42 +213,35 @@ def test_integer_route_matches_fraction_oracles(G):
 # Component labels and systems
 # ---------------------------------------------------------------------------
 
-def test_label_normalization():
-    assert ComponentLabel(1, 3) == ComponentLabel(1, 0)
-    assert ComponentLabel(4, 6) == ComponentLabel(4, 0)
-    assert ComponentLabel(4, 3).l == 3
-
-
-def test_label_parity_is_hard_error():
-    with pytest.raises(LabelParityError):
-        ComponentLabel(4, 1)
-    with pytest.raises(LabelParityError):
-        ComponentLabel(5, 3)
-    with pytest.raises(LabelParityError):
-        ComponentLabel(4, 9)
+def test_component_labels_are_the_parity_classes():
+    # raw labels 0 <= l <= g + 2 with 2l = g + 2 (mod 3), l ~ g + 2 - l
+    for g in range(1, 61):
+        classes = {min(l, g + 2 - l) for l in range(g + 3) if (2 * l - g - 2) % 3 == 0}
+        assert component_labels(g) == sorted(classes), g
 
 
 def test_base_lookup(table30):
-    assert table30.components[ComponentLabel(1, 0)] == F(1, 3)
-    assert table30.components[ComponentLabel(2, 2)] == F(2, 9)
-    assert table30.components[ComponentLabel(3, 1)] == F(2, 27)
+    assert table30.components[1] == F(1, 3)
+    assert table30.components[2] == F(2, 9)
+    assert table30.components[3] == F(2, 27)
+    assert [component_labels(g) for g in (1, 2, 3)] == [[0], [2], [1]]
 
 
 def test_genus_four_components(table30):
-    comps = {k.l: v for k, v in table30.components.items() if k.g == 4}
-    assert set(comps) == {0, 3}  # raw labels 0, 3, 6 with 6 ~ 0
-    assert all(v == F(2, 27) for v in comps.values())
+    # raw labels 0, 3, 6 with 6 ~ 0
+    assert component_entries(table30, 4) == [{"l": 0, "value": "2/27"},
+                                             {"l": 3, "value": "2/27"}]
 
 
 def test_genus_five_components(table30):
-    comps = {k.l: v for k, v in table30.components.items() if k.g == 5}
-    assert all(v == table30.A[5] for v in comps.values())
+    # x_0 = A^2 and x_1 = A^5 name the one class l = 2
+    solved = solve_components(5, table30)
+    assert (len(solved), component_labels(5)) == (2, [2])
+    assert all(v == table30.A[5] for v in solved)
 
 
 def test_components_match_a_through_14(table30):
-    for g in range(4, 15):
-        comps = [v for k, v in table30.components.items() if k.g == g]
-        assert comps and all(v == table30.A[g] for v in comps)
+    assert table30.components == {g: table30.A[g] for g in range(1, 15)}
 
 
 def test_solve_components_requires_lower_table(table30):
@@ -274,22 +267,11 @@ def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_
         solve_components(g, table30)
 
 
-def test_solve_components_reads_lower_components_not_a():
-    # a non-3-adic corruption of one genus-4 component must reach genus 5:
+def test_solve_components_rejects_consistent_lower_corruption():
+    # a non-3-adic corruption of the genus-4 value must reach genus 5:
     # the system is built from table.components, not from A_4
     table = build_hodge_table(8, component_max_genus=4)
-    table.components[ComponentLabel(4, 3)] += F(1, 7)
-    with pytest.raises(ComponentMismatchError,
-                       match="genus 4: component values differ between labels"):
-        solve_components(5, table)
-
-
-def test_solve_components_rejects_consistent_lower_corruption():
-    # the same +1/7 on every genus-4 label passes the per-genus read and
-    # must still fail the genus-5 system
-    table = build_hodge_table(8, component_max_genus=4)
-    for label in [label for label in table.components if label.g == 4]:
-        table.components[label] += F(1, 7)
+    table.components[4] += F(1, 7)
     with pytest.raises(ComponentMismatchError,
                        match="genus 5: A-bullet closure fails redundancy"):
         solve_components(5, table)
@@ -307,6 +289,27 @@ def test_mod3_weights_match_double_loop():
     pairs = [(r, s) for r in range(25) for s in range(25 - r) if (r - s) % 3 == 0]
     for r, s in pairs:
         assert _mod3_weights(r, s) == _mod3_weights_double_loop(r, s), (r, s)
+
+
+def _degree_sums_double_loop(values, n):
+    w = {0: 1, 1: -1, 2: 0}
+    return [sum(binom(r, x) * binom(n - r, y) * w[(x - y) % 3] * values[x + y] * values[n - x - y]
+                for x in range(r + 1) for y in range(n - r + 1))
+            for r in range(n + 1) if (2 * r - n) % 3 == 0]
+
+
+@given(st.integers(0, 24).flatmap(
+    lambda n: st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1)))
+@example(list(range(1, 26)))
+def test_degree_sums_match_double_loop(values):
+    """Every r = s (mod 3) at degree n = len(values) - 1, both r < s and r > s.
+
+    The values are arbitrary, so the entries for different r differ and a
+    mirror that is not reversed fails; on table values every entry of a
+    degree is the same, and no end-to-end test sees it.
+    """
+    n = len(values) - 1
+    assert _degree_sums(values, n) == _degree_sums_double_loop(values, n)
 
 
 def test_failed_component_system_is_recorded(corrupt_component_solver):
