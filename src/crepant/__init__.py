@@ -24,8 +24,8 @@ _EXPORTS = {
     "oracles": ("a_closed", "abullet_functional", "b_closed", "tangent_series",
                 "tau_series", "theta_pair"),
     "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
-                   "fx_third_partial", "fy_third_partial", "multicover_invariant",
-                   "orbifold_invariant", "triple_intersection", "verify_crc"),
+                   "fx_third_partial", "fy_third_partial", "orbifold_invariant",
+                   "triple_intersection", "verify_crc"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -16,13 +16,16 @@ rings, all built on arbitrary-precision `fractions.Fraction`:
 - ``USeries`` / ``BiSeries``: truncated power series in one or two
   variables over any of the above.  The truncation order is fixed at
   construction and mixing orders is an error; silent truncation
-  mismatches are the dominant bug class in series code.  A BiSeries
-  multiplies by scalars only.
+  mismatches are the dominant bug class in series code.  A USeries is
+  never divided, and a BiSeries multiplies by scalars only.
 
-No floating point appears anywhere.  Only what a production path runs
-is here: the tangent series and the bivariate product, derivatives and
-swap that tests compare against live in ``oracles``, which no production
-module imports.
+The one quotient of series that production needs, the multi-cover
+series G_q = q e^u / (1 - q e^u), is built in integers from Eulerian
+numbers and checked against its defining equation
+(``geometric_exp_series``).  No floating point appears anywhere.  Only
+what a production path runs is here: the series reciprocal, the tangent
+series and the bivariate product, derivatives and swap that tests
+compare against live in ``oracles``, which no production module imports.
 """
 from __future__ import annotations
 
@@ -438,17 +441,6 @@ T2 = LinT.of(0, 0, 1)
 # Truncated univariate series
 # ---------------------------------------------------------------------------
 
-def _inverse_of(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    if isinstance(c, int):
-        return Fraction(1, c)
-    inv = getattr(c, "inverse", None)
-    if inv is None:
-        raise TypeError(f"no inverse for coefficient of type {type(c).__name__}")
-    return inv()
-
-
 @dataclass(frozen=True)
 class USeries:
     """A power series truncated at a fixed order N: coefficients c_0..c_N.
@@ -519,32 +511,6 @@ class USeries:
         return USeries(self.order, tuple(out))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> USeries:
-        if not isinstance(other, USeries):
-            inv = _inverse_of(other) if not isinstance(other, (int, Fraction)) else None
-            if inv is not None:
-                return self * inv
-            return USeries(self.order, tuple(c / other for c in self.coeffs))
-        self._check(other)
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other) -> USeries:
-        return self.reciprocal() * other
-
-    def reciprocal(self) -> USeries:
-        """Multiplicative inverse; requires an invertible constant term."""
-        try:
-            h0 = _inverse_of(self.coeffs[0])
-        except ZeroDivisionError:
-            raise ZeroDivisionError("series divisor has non-invertible constant term") from None
-        out = [h0] + [h0 * 0] * self.order
-        for n in range(1, self.order + 1):
-            acc = h0 * 0
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(h0 * acc)
-        return USeries(self.order, tuple(out))
 
     def differentiate(self) -> USeries:
         """d/du; the result is known one order lower."""
@@ -651,11 +617,6 @@ class BiSeries:
 # Series constructors
 # ---------------------------------------------------------------------------
 
-def exp_series(N: int) -> USeries:
-    """exp(u) to order N over the rationals."""
-    return USeries.from_coeffs([Fraction(1, math.factorial(k)) for k in range(N + 1)])
-
-
 def compose_linear(f: USeries, a, b, N: int) -> BiSeries:
     """The bivariate truncation of f(a*x1 + b*x2) to total degree N.
 
@@ -674,14 +635,77 @@ def compose_linear(f: USeries, a, b, N: int) -> BiSeries:
         N, lambda i, j: f.coeffs[i + j] * math.comb(i + j, i) * apow[i] * bpow[j])
 
 
-def geometric_exp_series(q: Cyc3, N: int) -> USeries:
-    """G_q(u) = q e^u / (1 - q e^u) over Q(w), truncated at order N.
+def _geometric_numerators(N: int) -> list[tuple[int, int]]:
+    """h_n = w A_n(w) (2 + w)^(n+1) for 0 <= n <= N, each as the pair (a, b) of a + b*w.
 
-    This is the thrice-differentiated closed form of the multi-cover sum
-    sum_d (1/d^3) (q e^u)^d; it is a legitimate formal series whenever
-    1 - q is invertible, which holds for q in {w, w-bar}.  It is computed
-    as 1/(1 - q e^u) - 1, one reciprocal and no series product.
+    A_n(x) = sum_k A(n, k) x^k is the Eulerian polynomial (A_0 = 1), run
+    by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); since w^3 = 1,
+    A_n(w) folds its coefficients by k mod 3.  Everything is an integer.
     """
-    if not bool(Cyc3(1) - q):
+    numerators = []
+    row = [1]          # A(n, k), 0 <= k < max(n, 1)
+    power = (2, 1)     # (2 + w)^(n+1)
+    for n in range(N + 1):
+        if n:
+            padded = [0] + row + [0]
+            row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+        s0, s1, s2 = (sum(row[r::3]) for r in range(3))
+        a, b = s2 - s1, s0 - s1          # w (s0 + s1 w + s2 w^2)
+        c, d = power
+        numerators.append((a * c - b * d, a * d + b * c - b * d))
+        power = (2 * c - d, c + d)
+    return numerators
+
+
+def _check_geometric_numerators(h: Sequence[tuple[int, int]]) -> None:
+    """Raise ArithmeticError at the first n where h breaks (1 - w e^u) G_w = w e^u.
+
+    With G_w = sum_n h_n u^n / (3^(n+1) n!), the u^n coefficient of that
+    equation times 3^(n+1) n! reads
+
+        h_n - w * sum_(k <= n) C(n, k) 3^(n-k) h_k = 3^(n+1) w.
+
+    The coefficient 1 - w of h_n is a unit, so the equation has one
+    solution, and the pairs that pass it through n are G_w through u^n.
+    """
+    weights = [1]      # C(n, k) 3^(n-k), 0 <= k <= n
+    power = 3          # 3^(n+1)
+    for n, (a, b) in enumerate(h):
+        sa = sum(wk * hk[0] for wk, hk in zip(weights, h))
+        sb = sum(wk * hk[1] for wk, hk in zip(weights, h))
+        # h_n - w (sa + sb w) = (a + sb) + (b - sa + sb) w
+        if a + sb != 0 or b - sa + sb != power:
+            raise ArithmeticError(
+                f"geometric series numerator h_{n} = {(a, b)} breaks (1 - w e^u) G = w e^u")
+        weights = [3 * x + y for x, y in zip(weights + [0], [0] + weights)]
+        power *= 3
+
+
+def geometric_exp_series(q: Cyc3, N: int) -> USeries:
+    """G_q(u) = q e^u / (1 - q e^u) over Q(w), truncated at order N, for q in {w, w-bar}.
+
+    The thrice-differentiated multi-cover sum sum_d (1/d^3) (q e^u)^d.  Its
+    coefficients are n! [u^n] G_q = Li_(-n)(q) = q A_n(q) / (1 - q)^(n+1),
+    A_n the Eulerian polynomial; since 1/(1 - w) = (2 + w)/3, at q = w that
+    is h_n / 3^(n+1) for the integer pairs h_n of ``_geometric_numerators``.
+    The pairs are checked against the defining equation (1 - w e^u) G_w =
+    w e^u (``_check_geometric_numerators``, ArithmeticError) before any
+    rational is formed, so no series is divided.  G_(w-bar) is the
+    conjugate.  q = 1 raises ZeroDivisionError (1 - q e^u has constant
+    term 0); any other q raises ValueError.
+    """
+    if q == 1:
         raise ZeroDivisionError("geometric series denominator has constant term 0")
-    return (1 - exp_series(N).map_coeffs(Cyc3) * q).reciprocal() - 1
+    if q not in (OMEGA, OMEGA_BAR):
+        raise ValueError(f"geometric series is built for q in {{w, w-bar}}, not {q}")
+    h = _geometric_numerators(N)
+    _check_geometric_numerators(h)
+    if q == OMEGA_BAR:
+        h = [(a - b, -b) for a, b in h]
+    coeffs = []
+    den = 3            # 3^(n+1) n!
+    for n, (a, b) in enumerate(h):
+        if n:
+            den *= 3 * n
+        coeffs.append(Cyc3(Fraction(a, den), Fraction(b, den)))
+    return USeries(N, tuple(coeffs))

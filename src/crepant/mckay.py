@@ -105,11 +105,11 @@ def entry_square_identity(transform: DuValTransform) -> bool:
     """Branch-free consistency: each entry squares to (chi_rho - 2) chi_R^2 / n^2."""
     field, n = transform.field, transform.n
     inv_n2 = Fraction(1, n * n)
+    rho_part = [(character_rho(field, k) - 2) * inv_n2 for k in range(1, n)]
     for j in range(1, n):
         for k in range(1, n):
             entry = transform.matrix[j - 1][k - 1]
-            target = ((character_rho(field, k) - 2)
-                      * character_irrep(field, j, k) ** 2 * inv_n2)
+            target = rho_part[k - 1] * character_irrep(field, j, k) ** 2
             if entry * entry != target:
                 return False
     return True
@@ -120,8 +120,7 @@ def galois_row_action(transform: DuValTransform, a: int) -> bool:
 
     For a odd and coprime to n (so that sigma_a is an automorphism of
     Q(zeta_2n)) the image of an entry equals the entry in column a*k mod n
-    up to the explicit branch sign (-1)^floor(a*k/n); the squared entries
-    match on the nose.
+    times the explicit branch sign (-1)^floor(a*k/n).
     """
     n, field = transform.n, transform.field
     if a % 2 == 0 or math.gcd(a, n) != 1:
@@ -140,8 +139,6 @@ def galois_row_action(transform: DuValTransform, a: int) -> bool:
             target = transform.matrix[j - 1][kk - 1]
             sign = (-1) ** ((a * k) // n)
             if image != target * sign:
-                return False
-            if image * image != target * target:
                 return False
     return True
 

@@ -1,20 +1,48 @@
 """Test oracles: the Fraction closed forms and series operations the tests compare against.
 
 The production modules compute the Hodge table on integers
-(``hurwitz``) and compare the potentials direction by direction
-(``potentials``).  The routes here are the slower, more literal ones
-they are checked against: tan as sin/cos, the tau quotients of the
-Appendix's closed formulas, the term-by-term theta double sum, and the
-bivariate series product, derivatives and swap.  No production module
-imports this one; ``tests/test_cli.py`` checks that no subcommand loads it.
+(``hurwitz``), the multi-cover series from Eulerian numbers
+(``algebra.geometric_exp_series``) and compare the potentials direction
+by direction (``potentials``).  The routes here are the slower, more
+literal ones they are checked against: the one series reciprocal, tan as
+sin/cos, the tau quotients of the Appendix's closed formulas, the
+multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta double
+sum, and the bivariate series product, derivatives and swap.  No
+production module imports this one, and no production module divides a
+series; ``tests/test_cli.py`` checks that no subcommand loads it.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .algebra import BiSeries, USeries
+from .algebra import BiSeries, Cyc3, USeries
 from .hurwitz import _binomial_rows, _scaled_series
+
+
+def series_reciprocal(f: USeries) -> USeries:
+    """1/f to the order of f, over Q or Q(w); the constant term must be invertible."""
+    c0 = f.coeffs[0]
+    if not c0:
+        raise ZeroDivisionError("series divisor has non-invertible constant term")
+    h0 = c0.inverse() if isinstance(c0, Cyc3) else 1 / Fraction(c0)
+    out = [h0]
+    for n in range(1, f.order + 1):
+        acc = h0 * 0
+        for k in range(1, n + 1):
+            acc = acc + f.coeffs[k] * out[n - k]
+        out.append(-(h0 * acc))
+    return USeries(f.order, tuple(out))
+
+
+def geometric_series_by_reciprocal(q: Cyc3, N: int) -> USeries:
+    """G_q(u) = q e^u / (1 - q e^u) to order N as 1/(1 - q e^u) - 1.
+
+    The series-division route of ``algebra.geometric_exp_series``, for any
+    q != 1 in Q(w).
+    """
+    exp = USeries.from_coeffs([Cyc3(Fraction(1, math.factorial(k))) for k in range(N + 1)])
+    return series_reciprocal(1 - exp * q) - 1
 
 
 def tangent_series(N: int) -> USeries:
@@ -33,7 +61,7 @@ def tangent_series(N: int) -> USeries:
     cos = USeries.from_coeffs(
         [Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
          for k in range(N + 1)])
-    return sin / cos
+    return sin * series_reciprocal(cos)
 
 
 def tau_series(N: int) -> USeries:
@@ -57,19 +85,19 @@ def tau_series(N: int) -> USeries:
 def b_closed(N: int) -> USeries:
     """B(u) to order N as the rational quotient (1 + tau/3)/(1 - tau)."""
     tau = tau_series(N)
-    return (tau * Fraction(1, 3) + 1) / (1 - tau)
+    return (tau * Fraction(1, 3) + 1) * series_reciprocal(1 - tau)
 
 
 def a_closed(N: int) -> USeries:
     """A(u) to order N as the rational quotient (1 + tau)/(3 - tau)."""
     tau = tau_series(N)
-    return (tau + 1) / (3 - tau)
+    return (tau + 1) * series_reciprocal(3 - tau)
 
 
 def abullet_functional(N: int) -> USeries:
     """A-bullet(u) to order N as (2B - 1/B)/3, i.e. 1 + 3*Ab*B = 2*B^2."""
     B = b_closed(N)
-    return (B * 2 - B.reciprocal()) * Fraction(1, 3)
+    return (B * 2 - series_reciprocal(B)) * Fraction(1, 3)
 
 
 def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:

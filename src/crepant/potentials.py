@@ -4,7 +4,9 @@ The resolution-side potential has two kinds of stable data: a cubic
 polynomial in y0..y2 whose coefficients are the ten triple products of
 1, C1, C2 (computed here by localization over the three fixed points),
 and a multi-cover sum whose third derivative collapses to the geometric
-series G_q(L) = q e^L / (1 - q e^L).  The orbifold-side potential
+series G_q(L) = q e^L / (1 - q e^L).  Its exponential coefficients are
+the polylogarithms Li_(-n)(q), which ``algebra.geometric_exp_series``
+builds in integers from Eulerian numbers.  The orbifold-side potential
 consists of cubic terms, the three-point values of
 ``orbifold_invariant``, plus the symmetrized Hurwitz-Hodge series.
 
@@ -176,19 +178,6 @@ def triple_intersection(a: str, b: str, c: str,
                 f"localization sum for {classes} does not simplify to a "
                 "t-linear value; fixed-point weights are corrupted")
     return LinT.of(c0, c1, c2)
-
-
-def multicover_invariant(d1: int, d2: int) -> LinT:
-    """The degree-(d1, d2) zero-point invariant of the resolution.
-
-    (t1 + t2)/d^3 on the classes (d, d), (d, 0), (0, d); zero otherwise.
-    """
-    if d1 < 0 or d2 < 0 or (d1, d2) == (0, 0):
-        raise ValueError("degrees must be nonnegative and not both zero")
-    if d1 == d2 or d1 == 0 or d2 == 0:
-        d = max(d1, d2)
-        return LinT.of(0, Fraction(1, d ** 3), Fraction(1, d ** 3))
-    return LinT.zero()
 
 
 def orbifold_invariant(n1: int, n2: int, table: HodgeTable, *, n0: int = 0) -> LinT | InverseT1T2:

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crepant import algebra
 from crepant.algebra import (BiSeries, Cyc3, CycField, DegreeOverflowError,
                              I_OVER_SQRT3, I_SQRT3, LinT, OMEGA, OMEGA_BAR,
-                             T1, T2, USeries, compose_linear,
+                             T1, T2, USeries, _check_geometric_numerators,
+                             _geometric_numerators, compose_linear,
                              cyclotomic_polynomial, geometric_exp_series)
 from crepant.hurwitz import tangent_numbers
-from crepant.oracles import d_dx1, d_dx2, swap_series, tangent_series, tau_series
+from crepant.oracles import (d_dx1, d_dx2, geometric_series_by_reciprocal,
+                             series_reciprocal, swap_series, tangent_series,
+                             tau_series)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 cyc3s = st.builds(Cyc3, rationals, rationals)
@@ -161,11 +165,11 @@ def test_lint_scalar_products():
 
 
 # ---------------------------------------------------------------------------
-# USeries: multiplication and division
+# USeries: multiplication, and division by the oracle reciprocal
 # ---------------------------------------------------------------------------
 
 def test_geometric_series():
-    assert (1 / series([1, -1], 3)).coeffs == (1, 1, 1, 1)
+    assert series_reciprocal(series([1, -1], 3)).coeffs == (1, 1, 1, 1)
 
 
 def test_multiplicative_identity():
@@ -176,7 +180,7 @@ def test_multiplicative_identity():
 def test_quotient_example():
     # (1 + tau/3)/(1 - tau) with tau = u/2 + u^3/72 matches the hand expansion
     tau = series([0, F(1, 2), 0, F(1, 72)])
-    q = (tau / 3 + 1) / (1 - tau)
+    q = (tau * F(1, 3) + 1) * series_reciprocal(1 - tau)
     assert q.coeffs == (1, F(2, 3), F(1, 3), F(5, 27))
 
 
@@ -189,7 +193,7 @@ def test_mixed_order_rejected():
 
 def test_division_requires_invertible_constant():
     with pytest.raises(ZeroDivisionError, match="non-invertible"):
-        series([1, 1], 3) / series([0, 1], 3)
+        series([1, 1], 3) * series_reciprocal(series([0, 1], 3))
 
 
 @given(st.lists(rationals, min_size=1, max_size=6),
@@ -200,7 +204,7 @@ def test_mul_div_roundtrip(fs, gs):
     g = series(gs, order)
     if gs[0] == 0:
         return
-    assert f * g / g == f
+    assert f * g * series_reciprocal(g) == f
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +334,27 @@ def test_geometric_series_functional_identity():
 def test_geometric_series_rejects_unit_q():
     with pytest.raises(ZeroDivisionError):
         geometric_exp_series(Cyc3(F(1)), 4)
+
+
+def test_eulerian_geometric_series_matches_reciprocal():
+    for N in (0, 1, 2, 30, 60):
+        for q in (OMEGA, OMEGA_BAR):
+            assert geometric_exp_series(q, N) == geometric_series_by_reciprocal(q, N), (q, N)
+
+
+def test_geometric_series_rejects_other_q():
+    with pytest.raises(ValueError, match="w-bar"):
+        geometric_exp_series(Cyc3(F(2)), 4)
+
+
+def test_geometric_numerator_check_rejects_off_by_one(monkeypatch):
+    h = _geometric_numerators(12)
+    _check_geometric_numerators(h)
+    a, b = h[7]
+    bad = h[:7] + [(a, b + 1)] + h[8:]
+    with pytest.raises(ArithmeticError, match="h_7 "):
+        _check_geometric_numerators(bad)
+    # geometric_exp_series runs the check on the numerators it builds
+    monkeypatch.setattr(algebra, "_geometric_numerators", lambda N: bad[:N + 1])
+    with pytest.raises(ArithmeticError, match="h_7 "):
+        geometric_exp_series(OMEGA_BAR, 12)

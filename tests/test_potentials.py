@@ -9,9 +9,8 @@ from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR
 from crepant.hurwitz import build_hodge_table
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
                                 InverseT1T2, _first_mismatch, fx_third_partial,
-                                fy_third_partial, multicover_invariant,
-                                orbifold_invariant, triple_intersection,
-                                verify_crc)
+                                fy_third_partial, orbifold_invariant,
+                                triple_intersection, verify_crc)
 from crepant.oracles import d_dx1, d_dx2, swap_series
 
 
@@ -68,17 +67,8 @@ def test_triple_identity_product_detects_corrupted_tangent_weight():
 
 
 # ---------------------------------------------------------------------------
-# Curve-class and orbifold invariants
+# Orbifold invariants
 # ---------------------------------------------------------------------------
-
-def test_multicover_values():
-    assert multicover_invariant(2, 2) == LinT.of(0, F(1, 8), F(1, 8))
-    assert multicover_invariant(1, 2) == LinT.zero()
-    assert multicover_invariant(3, 0) == LinT.of(0, F(1, 27), F(1, 27))
-    assert multicover_invariant(0, 5) == LinT.of(0, F(1, 125), F(1, 125))
-    with pytest.raises(ValueError):
-        multicover_invariant(0, 0)
-
 
 def test_orbifold_cubic_cases(table16):
     assert orbifold_invariant(3, 0, table16) == LinT.of(0, F(1, 3), 0)
