@@ -524,15 +524,6 @@ class USeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return USeries(order, self.coeffs[:order + 1])
 
-    def scale_variable(self, lam) -> USeries:
-        """The series f(lam * u)."""
-        out = []
-        p = None
-        for k, c in enumerate(self.coeffs):
-            p = (self.coeffs[0] * 0 + 1) if k == 0 else p * lam
-            out.append(c * p)
-        return USeries(self.order, tuple(out))
-
     def map_coeffs(self, fn: Callable) -> USeries:
         return USeries(self.order, tuple(fn(c) for c in self.coeffs))
 

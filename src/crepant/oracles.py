@@ -2,12 +2,13 @@
 
 The production modules compute the Hodge table on integers
 (``hurwitz``), the multi-cover series from Eulerian numbers
-(``algebra.geometric_exp_series``) and compare the potentials direction
-by direction (``potentials``).  The routes here are the slower, more
-literal ones they are checked against: the one series reciprocal, tan as
+(``algebra.geometric_exp_series``) and compare the potentials form by
+form (``potentials``).  The routes here are the slower, more literal
+ones they are checked against: the one series reciprocal, tan as
 sin/cos, the tau quotients of the Appendix's closed formulas, the
 multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta double
-sum, and the bivariate series product, derivatives and swap.  No
+sum, the substitution f(lam u), and the bivariate series product,
+derivatives and swap.  No
 production module imports this one, and no production module divides a
 series; ``tests/test_cli.py`` checks that no subcommand loads it.
 """
@@ -43,6 +44,11 @@ def geometric_series_by_reciprocal(q: Cyc3, N: int) -> USeries:
     """
     exp = USeries.from_coeffs([Cyc3(Fraction(1, math.factorial(k))) for k in range(N + 1)])
     return series_reciprocal(1 - exp * q) - 1
+
+
+def scale_variable(f: USeries, lam) -> USeries:
+    """The series f(lam * u)."""
+    return USeries(f.order, tuple(c * lam ** k for k, c in enumerate(f.coeffs)))
 
 
 def tangent_series(N: int) -> USeries:

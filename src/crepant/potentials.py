@@ -20,20 +20,24 @@ with fewer than three insertions are zero by definition on both sides.
 
 Each series-valued third partial, on either side, is a cubic constant
 plus (t1 + t2) times a sum of univariate series composed with linear
-forms in (x1, x2).  On the orbifold side the forms are the three
-L_k = w^k x1 + wbar^k x2; on the resolution side, under the standard
-change of variables, the multi-cover pieces y1, y2 and y1 + y2 are
-scalar multiples of L_1, L_2 and L_0.  For
-d >= 2 the d-th powers of three pairwise non-proportional binary forms
-are linearly independent, so the degree-d parts of the two sides agree
-exactly when, direction by direction, the degree-d coefficients of the
-univariate series agree: O(N) univariate comparisons instead of O(N^2)
-bivariate ones.  Degrees 0 and 1 are compared in aggregate on the
-bivariate coefficients, since the cubic constants live there and
-L_0 + L_1 + L_2 = 0.  A change of variables whose pieces are not
-multiples of the L_k is compared coefficient by coefficient on the
-bivariate series, which also serve as the low-order test oracle and
-give the first mismatching monomial of a failing partial.
+forms in (x1, x2), each times its chain-rule factor u1^n1 u2^n2 for the
+form u1 x1 + u2 x2 and n_i the count of i in the index.  On the orbifold
+side the forms are the three L_k = w^k x1 + wbar^k x2, each carrying
+A(-u)/6 with the unit factor w^(k(n1 - n2)); on the resolution side,
+under the standard change of variables, the multi-cover pieces y1, y2
+and y1 + y2 are multiples lam L_k, and a piece G_q(lam L_k) has the
+factor lam^3 w^(k(n1 - n2)), the same unit times lam^3.  For d >= 2 the
+d-th powers of three pairwise non-proportional binary forms are
+linearly independent, so for every index at once degree d agrees
+exactly when, for each k, the sum of lam^(d+3) G_q[d] over the pieces
+on L_k equals [u^d] A(-u)/6: O(N) univariate comparisons per call
+instead of O(N^2) bivariate ones per index.  Degrees 0 and 1, which hold
+the cubic constants (and L_0 + L_1 + L_2 = 0), are compared index by
+index from the same per-form coefficient lists.  A change of variables
+whose pieces are not multiples of the L_k, and any index that fails,
+are compared coefficient by coefficient on the bivariate series, which
+also serve as the low-order test oracle and give the first mismatching
+monomial of a failing partial.
 
 Degree bookkeeping: every stable coefficient is t-linear and lives in
 LinT; the two degree -2 exceptions (the triple product of identity
@@ -47,7 +51,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3,
                       USeries, compose_linear, geometric_exp_series)
@@ -245,77 +248,57 @@ def _validate_index(idx) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Sides of a series-valued third partial
+# Series-valued third partials
 # ---------------------------------------------------------------------------
 
 # The orbifold-side linear forms L_k = w^k x1 + wbar^k x2, as (w^k, wbar^k).
 _FORMS = ((Cyc3(1), Cyc3(1)), (OMEGA, OMEGA_BAR), (OMEGA_BAR, OMEGA))
 
 
-class _Side(NamedTuple):
-    """cubic + (t1 + t2) * sum of series(a x1 + b x2) over (a, b, series) in terms.
+def _form_of(u1: Cyc3, u2: Cyc3) -> tuple[int, Cyc3] | None:
+    """(k, lam) with u1 x1 + u2 x2 = lam * L_k, or None when it is off every L_k.
 
-    Every series-valued third partial of either potential has this shape;
-    the series are univariate over Q(w), all of one order.
+    w^k is a unit with inverse conj(w^k) = wbar^k, so lam = u1 wbar^k.
     """
-    cubic: LinT
-    terms: tuple
+    for k, (_, wbar_k) in enumerate(_FORMS):
+        lam = u1 * wbar_k
+        if lam * wbar_k == u2:
+            return k, lam
+    return None
 
 
-def _on_form(u1: Cyc3, u2: Cyc3, series: USeries) -> tuple[Cyc3, Cyc3, USeries]:
-    """series(u1 x1 + u2 x2) as (a, b, series') with series'(a x1 + b x2) equal.
+def _chain(idx: tuple[int, int, int], u1: Cyc3, u2: Cyc3) -> Cyc3:
+    """u1^n1 u2^n2, n_i the count of i in idx: the chain-rule factor of f(u1 x1 + u2 x2)."""
+    return u1 ** idx.count(1) * u2 ** idx.count(2)
 
-    When u1 x1 + u2 x2 = lam * L_k, (a, b) is the k-th of ``_FORMS`` and
-    series' is series(lam u); otherwise the input comes back unchanged.
+
+def _series_partial(idx: tuple[int, int, int], cubic: LinT, terms, N: int) -> BiSeries:
+    """cubic + (t1 + t2) * sum of chain * series(u1 x1 + u2 x2), truncated at degree N.
+
+    The sum runs over (u1, u2, series) in terms, chain is ``_chain``.  Every
+    series-valued third partial of either potential has this shape; this
+    is the bivariate oracle and the failure reporter of ``verify_crc``.
     """
-    for a, b in _FORMS:
-        lam = u1 / a
-        if lam * b == u2:
-            return a, b, series.scale_variable(lam)
-    return u1, u2, series
-
-
-def _assemble(side: _Side, N: int) -> BiSeries:
-    """The bivariate series of a side, truncated at total degree N."""
     acc = BiSeries.zeros(N, Cyc3(0))
-    for a, b, series in side.terms:
-        acc = acc + compose_linear(series, a, b, N)
-    return acc.map_coeffs(lambda z: LinT(Cyc3(0), z, z)) + side.cubic
+    for u1, u2, series in terms:
+        acc = acc + compose_linear(series * _chain(idx, u1, u2), u1, u2, N)
+    return acc.map_coeffs(lambda z: LinT(Cyc3(0), z, z)) + cubic
 
 
-def _coefficients_by_form(side: _Side, N: int) -> list[list[Cyc3]] | None:
-    """For each L_k, the summed coefficients of the terms on L_k.
+def _low_coefficients(idx: tuple[int, int, int], cubic: LinT, by_form, N: int) -> tuple:
+    """The coefficients of 1, x1, x2 of cubic + (t1 + t2) * sum_k w^(k(n1-n2)) c_k(L_k).
 
-    None when some term lies on a form outside ``_FORMS``.
+    c_k is the coefficient list by_form[k]; w^(k(n1-n2)) is the chain
+    factor of L_k.  At N = 0 there is no degree 1, and x1, x2 stay 0.
     """
-    sums = [[Cyc3(0)] * (N + 1) for _ in _FORMS]
-    for a, b, series in side.terms:
-        if (a, b) not in _FORMS:
-            return None
-        row = sums[_FORMS.index((a, b))]
-        for d, c in enumerate(series.coeffs):
-            row[d] = row[d] + c
-    return sums
-
-
-def _agree_by_direction(fy: _Side, fx: _Side, N: int) -> bool:
-    """True when the two sides are certified equal to total degree N.
-
-    Degrees 0 and 1 are compared in aggregate, on the bivariate
-    coefficients.  For 2 <= d <= N the d-th powers of the pairwise
-    non-proportional L_0, L_1, L_2 are linearly independent, so the
-    degree-d parts agree if and only if each form's degree-d coefficients
-    do.  False means a mismatch or a term off every L_k; the bivariate
-    comparison then decides.
-    """
-    by_form_y = _coefficients_by_form(fy, N)
-    by_form_x = _coefficients_by_form(fx, N)
-    if by_form_y is None or by_form_x is None:
-        return False
-    low = min(N, 1)
-    if _assemble(fy, low) != _assemble(fx, low):
-        return False
-    return all(cy[2:] == cx[2:] for cy, cx in zip(by_form_y, by_form_x))
+    const, x1, x2 = Cyc3(0), Cyc3(0), Cyc3(0)
+    for (a, b), c in zip(_FORMS, by_form):
+        unit = _chain(idx, a, b)
+        const = const + unit * c[0]
+        if N >= 1:
+            x1 = x1 + unit * c[1] * a
+            x2 = x2 + unit * c[1] * b
+    return cubic + LinT(Cyc3(0), const, const), x1, x2
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +328,12 @@ def _cubic_partial(idx: tuple[int, int, int], J, products) -> LinT | InverseT1T2
     return cubic
 
 
-def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple]:
-    """The pieces (q1, y1), (q2, y2), (q1 q2, y1 + y2) as (u1, u2, a, b, G).
+def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple[Cyc3, Cyc3, USeries]]:
+    """The pieces (q1, y1), (q2, y2), (q1 q2, y1 + y2) as (u1, u2, G_q).
 
-    (u1, u2) is the piece's linear form in x, which gives the chain
-    factors; (a, b, G) is G_q on that form, rewritten by ``_on_form``.
-    Each distinct q builds its geometric series once.
+    (u1, u2) is the piece's linear form in x.  Each distinct q builds its
+    geometric series once, and G_(conj q) is the conjugate of G_q (e^u is
+    rational), so G_w and G_(w-bar) share one build and check.
     """
     J = cov.jacobian
     q1, q2 = cov.q_values
@@ -359,24 +342,31 @@ def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple]:
     for q, u1, u2 in ((q1, J[0][0], J[0][1]), (q2, J[1][0], J[1][1]),
                       (q1 * q2, J[0][0] + J[1][0], J[0][1] + J[1][1])):
         if q not in geometric:
-            geometric[q] = geometric_exp_series(q, N)
-        pieces.append((u1, u2, *_on_form(u1, u2, geometric[q])))
+            conj = geometric.get(q.conjugate())
+            geometric[q] = (geometric_exp_series(q, N) if conj is None
+                            else conj.map_coeffs(Cyc3.conjugate))
+        pieces.append((u1, u2, geometric[q]))
     return pieces
 
 
-def _fy_side(idx: tuple[int, int, int], J, products, pieces) -> _Side:
-    """The resolution side of a partial with every index in {1, 2}.
+def _coefficients_on_forms(pieces, N: int) -> list[list[Cyc3]] | None:
+    """For each L_k, sum of lam^(d+3) G_q[d] over the pieces G_q(lam L_k), d <= N.
 
-    The constant jacobian chain rule contracts the localization cubic,
-    and each multi-cover piece contributes chain-factor times G_q(form).
+    A piece on lam L_k enters every index with chain factor
+    lam^3 w^(k(n1-n2)), so these lists times that unit are its
+    coefficients along L_k.  None when some piece lies off every L_k.
     """
-    terms = []
-    for u1, u2, a, b, G in pieces:
-        chain = Cyc3(1)
-        for m in idx:
-            chain = chain * (u1 if m == 1 else u2)
-        terms.append((a, b, G * chain))
-    return _Side(_cubic_partial(idx, J, products), tuple(terms))
+    sums = [[Cyc3(0)] * (N + 1) for _ in _FORMS]
+    for u1, u2, G in pieces:
+        form = _form_of(u1, u2)
+        if form is None:
+            return None
+        k, lam = form
+        row, scale = sums[k], lam ** 3
+        for d, c in enumerate(G.coeffs):
+            row[d] = row[d] + scale * c
+            scale = scale * lam
+    return sums
 
 
 def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
@@ -393,65 +383,48 @@ def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
         cov = ChangeOfVars.standard()
     if data is None:
         data = FixedPointData.standard()
-    products = _triple_products(data)
+    cubic = _cubic_partial(idx, cov.jacobian, _triple_products(data))
     if 0 in idx:
-        return _cubic_partial(idx, cov.jacobian, products)
-    side = _fy_side(idx, cov.jacobian, products, _multicover_pieces(cov, N))
-    return _assemble(side, N)
+        return cubic
+    return _series_partial(idx, cubic, _multicover_pieces(cov, N), N)
 
 
 # ---------------------------------------------------------------------------
 # Third partials of the orbifold potential
 # ---------------------------------------------------------------------------
 
-def _a_series_negated(table: HodgeTable, N: int) -> USeries:
-    """A(-u) without its constant term, over Q(w), to order N.
+def _orbifold_series(table: HodgeTable, N: int) -> USeries:
+    """A(-u)/6 without its constant term, over Q(w), to order N.
 
-    The constant (genus-1) term is carried by the explicit cubic part of
-    the potential instead, which is t1/t2-asymmetric where the
-    symmetrized series is not.
+    1/6 is the 1/3 of the average over the three forms times the 1/2 of
+    the (t1 + t2)/2 weight.  The constant (genus-1) term is carried by the
+    explicit cubic part of the potential instead, which is
+    t1/t2-asymmetric where the symmetrized series is not.
     """
     if table.max_genus < N + 1:
         raise ValueError(
             f"table holds genus <= {table.max_genus}, need {N + 1} for order {N}")
-    coeffs = [Cyc3(0)] + [
-        Cyc3(table.A[m + 1] * Fraction((-1) ** m, math.factorial(m)))
-        for m in range(1, N + 1)]
-    return USeries.from_coeffs(coeffs)
-
-
-def _fx_series(table: HodgeTable, N: int) -> list[USeries]:
-    """w^e A(-u) / 6 for e = 0, 1, 2.
-
-    1/6 is the 1/3 of the average over the three forms times the 1/2 of
-    the (t1 + t2)/2 weight; w^e is a chain-rule prefactor.
-    """
-    ser = _a_series_negated(table, N)
-    return [ser * (OMEGA ** e * Fraction(1, 6)) for e in range(3)]
-
-
-def _fx_side(idx: tuple[int, int, int], table: HodgeTable, series: list[USeries]) -> _Side:
-    """The orbifold side of a partial with every index in {1, 2}."""
-    n1, n2 = idx.count(1), idx.count(2)
-    return _Side(orbifold_invariant(n1, n2, table),
-                 tuple((a, b, series[(k * (n1 - n2)) % 3])
-                       for k, (a, b) in enumerate(_FORMS)))
+    return USeries.from_coeffs([Cyc3(0)] + [
+        Cyc3(table.A[m + 1] * Fraction((-1) ** m, 6 * math.factorial(m)))
+        for m in range(1, N + 1)])
 
 
 def fx_third_partial(idx, table: HodgeTable, N: int = 12):
     """d^3 F^X / dx_idx, truncated at total degree N.
 
-    The constant part is ``orbifold_invariant`` with n_i the count of i
-    in idx; an index containing 0 is that constant alone.  Indices wholly
-    in {1, 2} add the (t1+t2)/2-weighted symmetrization of A composed
-    with the three linear forms -(x1+x2), -(w x1 + wbar x2),
-    -(wbar x1 + w x2); mixed indices pick up cube-root-of-unity
-    prefactors from the chain rule.
+    The constant part is ``orbifold_invariant`` with n_i the count of i in
+    idx; an index containing 0 is that constant alone.  Indices wholly in
+    {1, 2} add the (t1+t2)/2-weighted symmetrization of A composed with
+    the three linear forms -(x1+x2), -(w x1 + wbar x2), -(wbar x1 + w x2),
+    each with its cube-root-of-unity chain factor.
     """
     idx = _validate_index(idx)
+    n1, n2 = idx.count(1), idx.count(2)
     if 0 in idx:
-        return orbifold_invariant(idx.count(1), idx.count(2), table, n0=idx.count(0))
-    return _assemble(_fx_side(idx, table, _fx_series(table, N)), N)
+        return orbifold_invariant(n1, n2, table, n0=idx.count(0))
+    series = _orbifold_series(table, N)
+    return _series_partial(idx, orbifold_invariant(n1, n2, table),
+                           [(a, b, series) for a, b in _FORMS], N)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +460,16 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     potentials to order N, the sub-cubic terms being zero by definition.
 
     The ten triple products, the geometric series and the orbifold series
-    do not depend on the index and are built once per call.  A series index
-    is compared direction by direction (see the module docstring): degrees
-    0 and 1 in aggregate on the bivariate coefficients, each degree d >= 2
-    on the univariate coefficients along each L_k.  When a piece of the
-    change of variables lies off every L_k, or an index fails, the index
-    is compared on the bivariate series that ``fy_third_partial`` and
-    ``fx_third_partial`` return, which gives the first mismatching
+    do not depend on the index and are built once per call.  Degrees
+    d >= 2 are compared once for every series index, form by form: for
+    each L_k, the sum of lam^(d+3) G_q[d] over the pieces G_q(lam L_k)
+    against [u^d] A(-u)/6, since the chain factors of both sides on L_k
+    differ from those by the same unit w^(k(n1-n2)) (see the module
+    docstring).  Degrees 0 and 1, which hold the cubic constants, are
+    compared index by index from the same per-form lists.  When a piece
+    of the change of variables lies off every L_k, or an index fails, the
+    index is compared on the bivariate series that ``fy_third_partial``
+    and ``fx_third_partial`` return, which gives the first mismatching
     monomial.
     """
     if N < 3:
@@ -505,18 +481,25 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
         data = FixedPointData.standard()
     products = _triple_products(data)
     pieces = _multicover_pieces(cov, order)
-    fx_series = _fx_series(table, order)
+    orbifold = _orbifold_series(table, order)
+    orbifold_terms = [(a, b, orbifold) for a, b in _FORMS]
+    on_forms = _coefficients_on_forms(pieces, order)
+    high = list(orbifold.coeffs[2:])
+    forms_agree = on_forms is not None and all(c[2:] == high for c in on_forms)
     checks = []
     all_pass = True
     for idx in ALL_INDICES:
+        fy_cubic = _cubic_partial(idx, cov.jacobian, products)
         if 0 in idx:
-            mismatch = _first_mismatch(_cubic_partial(idx, cov.jacobian, products),
-                                       fx_third_partial(idx, table, order))
+            mismatch = _first_mismatch(fy_cubic, fx_third_partial(idx, table, order))
         else:
-            fy = _fy_side(idx, cov.jacobian, products, pieces)
-            fx = _fx_side(idx, table, fx_series)
-            mismatch = None if _agree_by_direction(fy, fx, order) else \
-                _first_mismatch(_assemble(fy, order), _assemble(fx, order))
+            fx_cubic = orbifold_invariant(idx.count(1), idx.count(2), table)
+            agree = forms_agree and (
+                _low_coefficients(idx, fy_cubic, on_forms, order)
+                == _low_coefficients(idx, fx_cubic, [orbifold.coeffs] * len(_FORMS), order))
+            mismatch = None if agree else _first_mismatch(
+                _series_partial(idx, fy_cubic, pieces, order),
+                _series_partial(idx, fx_cubic, orbifold_terms, order))
         ok = mismatch is None
         all_pass = all_pass and ok
         checks.append({

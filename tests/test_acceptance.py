@@ -15,8 +15,8 @@ from crepant.hurwitz import (build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
                              solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
-from crepant.oracles import (a_closed, b_closed, series_reciprocal, swap_series,
-                             tangent_series)
+from crepant.oracles import (a_closed, b_closed, scale_variable, series_reciprocal,
+                             swap_series, tangent_series)
 from crepant.potentials import (FixedPointData, InverseT1T2, fx_third_partial,
                                 fy_third_partial, triple_intersection, verify_crc)
 
@@ -99,7 +99,7 @@ def test_criterion_6_functional_equation():
     B = b_closed(30)
     A = a_closed(30)
     diff = (B * F(2, 3) - series_reciprocal(B) * F(1, 3)
-            - A.scale_variable(F(2)) * F(4, 3) + A.scale_variable(F(-1)) * F(1, 3))
+            - scale_variable(A, F(2)) * F(4, 3) + scale_variable(A, F(-1)) * F(1, 3))
     assert diff == B * 0
 
 

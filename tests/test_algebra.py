@@ -15,8 +15,8 @@ from crepant.algebra import (BiSeries, Cyc3, CycField, DegreeOverflowError,
                              cyclotomic_polynomial, geometric_exp_series)
 from crepant.hurwitz import tangent_numbers
 from crepant.oracles import (d_dx1, d_dx2, geometric_series_by_reciprocal,
-                             series_reciprocal, swap_series, tangent_series,
-                             tau_series)
+                             scale_variable, series_reciprocal, swap_series,
+                             tangent_series, tau_series)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 cyc3s = st.builds(Cyc3, rationals, rationals)
@@ -271,8 +271,8 @@ def test_tau_transported_derivative():
 
 def test_scale_variable():
     f = series([1, 2, 3])
-    assert f.scale_variable(F(-1)).coeffs == (1, -2, 3)
-    assert f.scale_variable(F(2)).coeffs == (1, 4, 12)
+    assert scale_variable(f, F(-1)).coeffs == (1, -2, 3)
+    assert scale_variable(f, F(2)).coeffs == (1, 4, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from crepant import potentials
-from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR
+from crepant import algebra, potentials
+from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
 from crepant.hurwitz import build_hodge_table
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
                                 InverseT1T2, _first_mismatch, fx_third_partial,
@@ -324,16 +324,19 @@ def test_direction_route_matches_oracle_on_corrupted_a(g, table16):
     # every piece still a multiple of some L_k, with other scales
     _with_jacobian(tuple(tuple(-u for u in row) for row in _STD_J)),
     _with_jacobian((_STD_J[1], _STD_J[0])),
+    # on-form pieces with lam != +-1, which weight G_q[d] by lam^(d+3)
+    _with_jacobian(tuple(tuple(u * 2 for u in row) for row in _STD_J)),
+    _with_jacobian(tuple(tuple(u * OMEGA for u in row) for row in _STD_J)),
     # y1 off every L_k: the bivariate fallback
     _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1])),
 ], ids=["q_wbar_wbar", "jacobian_negated", "jacobian_rows_swapped",
-        "jacobian_off_direction"])
+        "jacobian_doubled", "jacobian_times_w", "jacobian_off_direction"])
 def test_direction_route_matches_oracle_on_other_changes_of_variables(cov, table16):
     assert verify_crc(8, table16, cov=cov) == _bivariate_report(8, table16, cov)
 
 
 def test_route_follows_the_linear_forms(table16, monkeypatch):
-    """Standard variables never compose beyond degree 1; off-form ones do."""
+    """Standard variables are compared on the forms and compose nothing; off-form ones compose."""
     degrees = []
     compose = potentials.compose_linear
 
@@ -343,8 +346,25 @@ def test_route_follows_the_linear_forms(table16, monkeypatch):
 
     monkeypatch.setattr(potentials, "compose_linear", spy)
     assert verify_crc(10, table16)["all_pass"] is True
-    assert degrees and max(degrees) <= 1
-    degrees.clear()
+    assert degrees == []
     off = _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1]))
     verify_crc(10, table16, cov=off)
     assert max(degrees) == 7
+
+
+@pytest.mark.parametrize("q", [OMEGA, OMEGA_BAR])
+def test_geometric_series_is_built_and_checked_once(q, table16, monkeypatch):
+    """G_w and G_(w-bar) share one build and one check of the integer pairs per call."""
+    checked = []
+    check = algebra._check_geometric_numerators
+
+    def spy(h):
+        checked.append(len(h))
+        return check(h)
+
+    monkeypatch.setattr(algebra, "_check_geometric_numerators", spy)
+    report = verify_crc(10, table16, cov=_with_jacobian(_STD_J, (q, q)))
+    assert report["all_pass"] is (q == OMEGA)
+    assert checked == [8]
+    pieces = potentials._multicover_pieces(_with_jacobian(_STD_J, (q, q)), 7)
+    assert [G for _, _, G in pieces] == [geometric_exp_series(p, 7) for p in (q, q, q * q)]
