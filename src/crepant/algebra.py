@@ -1,15 +1,17 @@
 """Exact scalar and truncated-series arithmetic.
 
-Every quantity in this package is computed over one of the following
-rings, all built on arbitrary-precision `fractions.Fraction`:
+Every quantity in this package is computed exactly, over one of the
+following rings of arbitrary-precision rationals:
 
 - ``Cyc3``: the field Q(w) for a primitive cube root of unity w, stored
   as a + b*w with the reduction rule w^2 = -1 - w.  The square root of
   -3 lives here as 2w + 1, so i/sqrt(3) is encoded as (2w + 1)/3.
 - ``CycField(m)``: the general cyclotomic field Q[x]/Phi_m(x), used for
-  the cyclic DuVal transforms.  Phi_m is monic with integer
-  coefficients, so elements are reduced through one integer table of
-  the powers zeta^e, 0 <= e < m, and no polynomial division is done.
+  the cyclic DuVal transforms.  An element is an integer numerator
+  vector over one positive denominator, in lowest terms.  Phi_m is
+  monic with integer coefficients, so elements are reduced in ints
+  through one table of the powers zeta^e, 0 <= e < m, and no
+  polynomial division is done.
 - ``LinT``: polynomials c0 + c1*t1 + c2*t2 of t-degree at most one over
   Cyc3.  Products that would create t-degree two are rejected: every
   stable potential coefficient is t-linear, so such a product is a bug.
@@ -22,7 +24,8 @@ rings, all built on arbitrary-precision `fractions.Fraction`:
 The one quotient of series that production needs, the multi-cover
 series G_q = q e^u / (1 - q e^u), is built in integers from Eulerian
 numbers and checked against its defining equation
-(``geometric_exp_series``).  No floating point appears anywhere.  Only
+(``geometric_exp_series``).  No floating point appears anywhere:
+``Cyc3`` and ``CycField`` reject a float with TypeError.  Only
 what a production path runs is here: the series reciprocal, the tangent
 series and the bivariate product, derivatives and swap that tests
 compare against live in ``oracles``, which no production module imports.
@@ -37,6 +40,13 @@ from typing import Callable, Sequence
 
 class DegreeOverflowError(ArithmeticError):
     """Raised when a product would exceed t-degree one in LinT."""
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction.  Floats are rejected: no quantity here is inexact."""
+    if isinstance(x, float):
+        raise TypeError(f"a float is not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +66,9 @@ class Cyc3:
     b: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction or type(self.b) is not Fraction:
+            object.__setattr__(self, "a", _rational(self.a))
+            object.__setattr__(self, "b", _rational(self.b))
 
     @staticmethod
     def _coerce(x) -> "Cyc3 | None":
@@ -216,8 +227,10 @@ class CycField:
     vector.  Row e+1 is row e shifted up one place, with zeta^degree
     replaced by -(Phi_m - x^degree); Phi_m is monic with integer
     coefficients, so the table needs no division.  It is the only way an
-    element is reduced: a coefficient list c of any length becomes
-    sum_e c_e * powers[e mod m], since zeta^m = 1.
+    element is reduced: an integer vector c of any length becomes
+    sum_e c_e * powers[e mod m], since zeta^m = 1.  Elements are integer
+    numerators over one denominator (``CycElement``), so the reduction
+    and every product are done in ints.
     """
 
     def __init__(self, m: int):
@@ -242,41 +255,82 @@ class CycField:
     def __repr__(self) -> str:
         return f"CycField({self.m})"
 
-    def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.degree
-        for e, c in enumerate(coeffs):
+    def _reduce(self, nums: Sequence[int]) -> list[int]:
+        """The integer vector sum_e nums[e] * zeta^e in the power basis."""
+        d, m, powers = self.degree, self.m, self.powers
+        out = list(nums[:d])
+        out += [0] * (d - len(out))
+        for e in range(d, len(nums)):
+            c = nums[e]
             if c:
-                for i, p in enumerate(self.powers[e % self.m]):
+                for i, p in enumerate(powers[e % m]):
                     if p:
                         out[i] += c * p
-        return tuple(out)
+        return out
 
-    def element(self, coeffs: Sequence) -> CycElement:
-        """The element sum_e coeffs[e] * zeta^e; any length, rational entries."""
-        return CycElement(self, self._reduce([Fraction(c) for c in coeffs]))
+    def _canonical(self, nums: Sequence[int], den: int) -> CycElement:
+        """The element nums/den with den > 0 and gcd(den, *nums) == 1."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return CycElement(self, tuple(nums), den)
+
+    def element(self, coeffs: Sequence, den: int = 1) -> CycElement:
+        """The element (sum_e coeffs[e] * zeta^e) / den.
+
+        ``coeffs`` has any length and int or Fraction entries; ``den`` is
+        a nonzero int.  Floats are rejected with TypeError.
+        """
+        if type(den) is not int:
+            raise TypeError(f"denominator must be an int, got {den!r}")
+        if not den:
+            raise ZeroDivisionError("element with denominator 0")
+        nums = list(coeffs)
+        if not {int}.issuperset(map(type, nums)):
+            nums = [_rational(c) for c in nums]
+            scale = math.lcm(*(c.denominator for c in nums))
+            nums = [(c * scale).numerator for c in nums]
+            den *= scale
+        return self._canonical(self._reduce(nums), den)
 
     def zero(self) -> CycElement:
-        return self.element([])
+        return CycElement(self, (0,) * self.degree, 1)
 
     def one(self) -> CycElement:
-        return self.element([1])
+        return self.zeta_pow(0)
 
     def from_rational(self, q) -> CycElement:
-        return self.element([Fraction(q)])
+        return self.element([q])
 
     def zeta(self) -> CycElement:
-        return self.element([0, 1])
+        return self.zeta_pow(1)
 
     def zeta_pow(self, e: int) -> CycElement:
         """zeta^e for any integer e; zeta^m = 1 so the exponent reduces mod m."""
-        e %= self.m
-        return self.element([0] * e + [1])
+        return CycElement(self, self.powers[e % self.m], 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycElement:
+    """An element of Q(zeta_m): the integer vector ``nums`` over ``den``.
+
+    The form is canonical: ``den > 0``, gcd(den, *nums) == 1, and zero is
+    all zeros over 1.  Build elements through ``CycField``; every
+    operation reduces its result to canonical form once, so equal
+    elements have equal ``nums`` and ``den``.  Rational elements compare
+    and hash like their Fraction value.
+    """
     field: CycField
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients nums[i]/den as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _check(self, other: CycElement) -> None:
         if self.field != other.field:
@@ -295,7 +349,9 @@ class CycElement:
         if o is None:
             return NotImplemented
         self._check(o)
-        return CycElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d1, d2 = self.den, o.den
+        return self.field._canonical(
+            [a * d2 + b * d1 for a, b in zip(self.nums, o.nums)], d1 * d2)
 
     __radd__ = __add__
 
@@ -306,7 +362,7 @@ class CycElement:
         return (-self) + other
 
     def __neg__(self) -> CycElement:
-        return CycElement(self.field, tuple(-c for c in self.coeffs))
+        return CycElement(self.field, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other) -> CycElement:
         o = self._coerce(other, self.field)
@@ -314,11 +370,11 @@ class CycElement:
             return NotImplemented
         self._check(o)
         prod = [0] * (2 * self.field.degree - 1)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c:
-                for j, d in enumerate(o.coeffs):
-                    prod[i + j] += c * d
-        return CycElement(self.field, self.field._reduce(prod))
+                for j, d in enumerate(o.nums, i):
+                    prod[j] += c * d
+        return self.field._canonical(self.field._reduce(prod), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -334,13 +390,33 @@ class CycElement:
             n >>= 1
         return result
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CycElement):
+            return (self.field == other.field and self.den == other.den
+                    and self.nums == other.nums)
+        if isinstance(other, (int, Fraction)):
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Rational elements must hash like their Fraction value.
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field.m, self.nums, self.den))
+
     def to_coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """``str(c)`` for each Fraction coefficient c, without forming the Fractions."""
+        den, out = self.den, []
+        for c in self.nums:
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, c in enumerate(self.to_coeff_strings()):
+            if c == "0":
                 continue
             term = "1" if i == 0 else ("z" if i == 1 else f"z^{i}")
             parts.append(f"{c}*{term}" if i > 0 else f"{c}")

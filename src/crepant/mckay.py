@@ -17,12 +17,12 @@ branch
 which squares to the right thing identically and reproduces the n = 3
 jacobian exactly (``check_n3_specialization`` is the guard for that
 choice).  The branch is written in one place, ``duval_transform``: entry
-(j, k) = (zeta^k - zeta^(-k)) zeta^(2jk) / n is the exponent vector with
-+1/n at k + 2jk and -1/n at 2jk - k (mod 2n), reduced by one
-``CycField.element`` call.  The oracle ``entry_square_identity`` is built
-from the characters instead.  The quantum parameters are zeta_n^(n_R)
-with n_R = 1 for every nontrivial R, all marks of the A_{n-1} diagram
-being 1.
+(j, k) = (zeta^k - zeta^(-k)) zeta^(2jk) / n is the integer exponent
+vector with +1 at k + 2jk and -1 at 2jk - k (mod 2n) over the
+denominator n, reduced in ints by one ``CycField.element`` call.  The
+oracle ``entry_square_identity`` is built from the characters instead.
+The quantum parameters are zeta_n^(n_R) with n_R = 1 for every
+nontrivial R, all marks of the A_{n-1} diagram being 1.
 """
 from __future__ import annotations
 
@@ -62,13 +62,12 @@ def duval_transform(n: int) -> DuValTransform:
         raise ValueError("n must be >= 2")
     m = 2 * n
     field = CycField(m)
-    inv_n = Fraction(1, n)
 
     def entry(j: int, k: int) -> CycElement:
         exponents = [0] * m
-        exponents[(k + 2 * j * k) % m] += inv_n
-        exponents[(2 * j * k - k) % m] -= inv_n
-        return field.element(exponents)
+        exponents[(k + 2 * j * k) % m] += 1
+        exponents[(2 * j * k - k) % m] -= 1
+        return field.element(exponents, n)
 
     matrix = tuple(tuple(entry(j, k) for k in range(1, n)) for j in range(1, n))
     q = field.zeta_pow(2)  # the primitive n-th root of unity
@@ -127,10 +126,11 @@ def galois_row_action(transform: DuValTransform, a: int) -> bool:
         raise ValueError("need a odd and coprime to n")
 
     def sigma(elt: CycElement) -> CycElement:
+        # Move the numerator of zeta^e to zeta^(a*e); the denominator is fixed.
         exponents = [0] * field.m
-        for e, c in enumerate(elt.coeffs):
+        for e, c in enumerate(elt.nums):
             exponents[(a * e) % field.m] += c
-        return field.element(exponents)
+        return field.element(exponents, elt.den)
 
     for j in range(1, n):
         for k in range(1, n):

@@ -1,4 +1,5 @@
 """Scalar and series arithmetic: frozen examples and ring-axiom properties."""
+import math
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -144,6 +145,105 @@ def test_cycfield3_matches_cyc3(a1, b1, a2, b2):
     assert (ex + ey).coeffs == ((x + y).a, (x + y).b)
     assert (ex * ey).coeffs == ((x * y).a, (x * y).b)
     assert (ex - ey).coeffs == ((x - y).a, (x - y).b)
+
+
+def test_cycelement_equals_rationals():
+    K = CycField(6)
+    assert K.one() == 1 and 1 == K.one()
+    assert K.one() + 1 == 2
+    assert K.from_rational(F(-3, 4)) == F(-3, 4)
+    assert K.zeta() != 1 and K.zeta() != K.one() and K.zero() == 0
+    assert hash(K.one()) == hash(1)
+    assert hash(K.from_rational(F(-3, 4))) == hash(F(-3, 4))
+    assert {K.one() + 1: "two"}[2] == "two"
+
+
+def test_floats_are_rejected():
+    K = CycField(10)
+    with pytest.raises(TypeError):
+        K.element([0.5])
+    with pytest.raises(TypeError):
+        K.element([1, F(1, 2), 0.5])
+    with pytest.raises(TypeError):
+        K.element([1], 2.0)
+    with pytest.raises(TypeError):
+        K.one() + 0.5
+    with pytest.raises(TypeError):
+        Cyc3(0.1)
+    with pytest.raises(TypeError):
+        Cyc3(1, 0.5)
+
+
+CYC_ORDERS = (1, 2, 3, 4, 5, 6, 10, 12, 30, 60)
+
+
+def _is_canonical(x):
+    return (len(x.nums) == x.field.degree and type(x.den) is int and x.den > 0
+            and all(type(c) is int for c in x.nums)
+            and math.gcd(x.den, *x.nums) == 1)
+
+
+def _fraction_mod_phi(coeffs, m):
+    """Fraction coefficients, lowest first, reduced modulo Phi_m by long division."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    out = [F(c) for c in coeffs]
+    for e in range(len(out) - 1, d - 1, -1):
+        c = out[e]
+        for i, p in enumerate(phi):
+            out[e - d + i] -= c * p
+    return tuple(out[:d] + [F(0)] * (d - len(out)))
+
+
+def _fraction_product(x, y, m):
+    prod = [F(0)] * (len(x) + len(y))
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return _fraction_mod_phi(prod, m)
+
+
+@st.composite
+def cyc_vectors(draw):
+    m = draw(st.sampled_from(CYC_ORDERS))
+    vectors = st.lists(rationals, max_size=m + 2)
+    return m, draw(vectors), draw(vectors)
+
+
+@given(cyc_vectors(), st.integers(min_value=0, max_value=3))
+def test_cycfield_kernel_matches_fraction_reference(mvw, k):
+    m, v, w = mvw
+    K = CycField(m)
+    x, y = K.element(v), K.element(w)
+    X, Y = _fraction_mod_phi(v, m), _fraction_mod_phi(w, m)
+    power = _fraction_mod_phi([1], m)
+    for _ in range(k):
+        power = _fraction_product(power, X, m)
+    cases = [(x, X), (y, Y),
+             (x + y, tuple(a + b for a, b in zip(X, Y))),
+             (x - y, tuple(a - b for a, b in zip(X, Y))),
+             (x * y, _fraction_product(X, Y, m)),
+             (x ** k, power)]
+    for z, expected in cases:
+        assert _is_canonical(z)
+        assert z.coeffs == expected
+        assert z.to_coeff_strings() == [str(c) for c in z.coeffs]
+    assert x - x == K.zero() and (x - x).den == 1
+    # The same element from integer numerators over a common denominator.
+    den = math.lcm(*(c.denominator for c in v))
+    assert K.element([int(c * den) for c in v], den) == x
+
+
+@given(rationals, st.sampled_from(CYC_ORDERS))
+def test_cycfield_routes_to_a_rational_agree(q, m):
+    K = CycField(m)
+    routes = [K.element([q]), K.from_rational(q), K.one() * q, q * K.zeta_pow(m),
+              K.zeta_pow(-1) * K.zeta() * q, K.element([2 * q], 2),
+              K.zero() + q]
+    for z in routes:
+        assert _is_canonical(z)
+        assert z == routes[0] and z == q and q == z
+        assert hash(z) == hash(routes[0]) == hash(q)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,12 @@ def test_n2_single_entry_is_minus_i():
 
 
 def test_entry_squares_are_branch_free():
-    for n in [*range(2, 9), 12, 15]:
+    for n in [*range(2, 9), 12, 15, 20, 30]:
         assert entry_square_identity(duval_transform(n)), n
 
 
 def test_galois_action_permutes_columns_up_to_branch_sign():
-    for n in [*range(2, 9), 12, 15]:
+    for n in [*range(2, 9), 12, 15, 20, 30]:
         t = duval_transform(n)
         for a in range(3, 2 * n, 2):
             if math.gcd(a, 2 * n) == 1:
