@@ -3,9 +3,11 @@
 Every quantity in this package is computed exactly, over one of the
 following rings of arbitrary-precision rationals:
 
-- ``Cyc3``: the field Q(w) for a primitive cube root of unity w, stored
-  as a + b*w with the reduction rule w^2 = -1 - w.  The square root of
-  -3 lives here as 2w + 1, so i/sqrt(3) is encoded as (2w + 1)/3.
+- ``Cyc3``: the field Q(w) for a primitive cube root of unity w, an
+  element a + b*w stored as integer numerators over one positive
+  denominator, in lowest terms, and multiplied in ints with the
+  reduction rule w^2 = -1 - w.  The square root of -3 lives here as
+  2w + 1, so i/sqrt(3) is encoded as (2w + 1)/3.
 - ``CycField(m)``: the general cyclotomic field Q[x]/Phi_m(x), used for
   the cyclic DuVal transforms.  An element is an integer numerator
   vector over one positive denominator, in lowest terms.  Phi_m is
@@ -25,15 +27,17 @@ The one quotient of series that production needs, the multi-cover
 series G_q = q e^u / (1 - q e^u), is built in integers from Eulerian
 numbers and checked against its defining equation
 (``geometric_exp_series``).  No floating point appears anywhere:
-``Cyc3`` and ``CycField`` reject a float with TypeError.  Only
-what a production path runs is here: the series reciprocal, the tangent
-series and the bivariate product, derivatives and swap that tests
-compare against live in ``oracles``, which no production module imports.
+``Cyc3`` and ``CycField`` reject a float with TypeError.  The value
+types are plain classes on ``Record`` (immutable fields, compared,
+hashed and shown by value), not dataclasses: importing ``dataclasses``
+imports ``inspect``, a fixed cost of every run.  Only what a production
+path runs is here: the series reciprocal, the tangent series and the
+bivariate product, derivatives and swap that tests compare against live
+in ``oracles``, which no production module imports.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -49,62 +53,122 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
+class Record:
+    """An immutable record of the fields named in ``_fields``.
+
+    A subclass's ``__init__`` stores them once through ``_init``; no
+    attribute can be set or deleted after that.  Records of one class
+    compare and hash by their field values, and the repr shows them in
+    order.
+    """
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting fields
+        return type(self), self._values()
+
+
 # ---------------------------------------------------------------------------
 # Cyc3: the field Q(w), w^2 + w + 1 = 0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Cyc3:
-    """An element a + b*w of Q(w), w a primitive cube root of unity.
+class Cyc3(Record):
+    """An element (na + nb*w)/den of Q(w), w a primitive cube root of unity.
+
+    ``Cyc3(a, b)`` is a + b*w for ints or Fractions a and b.  It is stored
+    as integer numerators over one positive denominator in lowest terms,
+    gcd(na, nb, den) == 1 with zero as 0/1, and every operation reduces
+    its result once, so equal elements have equal fields.  ``a`` and
+    ``b`` are the Fraction views na/den and nb/den.  A rational element
+    compares and hashes like its Fraction.
 
     >>> OMEGA * OMEGA == OMEGA_BAR
     True
     >>> I_SQRT3 * I_SQRT3
     Cyc3('-3')
     """
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("na", "nb", "den")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not Fraction or type(self.b) is not Fraction:
-            object.__setattr__(self, "a", _rational(self.a))
-            object.__setattr__(self, "b", _rational(self.b))
+    def __new__(cls, a, b=0) -> Cyc3:
+        if type(a) is int and type(b) is int:
+            return _cyc3(a, b, 1)
+        a, b = _rational(a), _rational(b)
+        den = math.lcm(a.denominator, b.denominator)
+        return _cyc3(a.numerator * (den // a.denominator),
+                     b.numerator * (den // b.denominator), den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
 
     @staticmethod
     def _coerce(x) -> "Cyc3 | None":
         if isinstance(x, Cyc3):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyc3(Fraction(x))
+            return _cyc3(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other) -> Cyc3:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc3(self.a + o.a, self.b + o.b)
+        d, e = self.den, o.den
+        if d == e:
+            return _cyc3(self.na + o.na, self.nb + o.nb, d)
+        return _cyc3(self.na * e + o.na * d, self.nb * e + o.nb * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Cyc3:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc3(self.a - o.a, self.b - o.b)
+        return self + (-other)
 
     def __rsub__(self, other) -> Cyc3:
         return -self + other
 
     def __neg__(self) -> Cyc3:
-        return Cyc3(-self.a, -self.b)
+        return _cyc3(-self.na, -self.nb, self.den)
 
     def __mul__(self, other) -> Cyc3:
+        if type(other) is int:
+            return _cyc3(self.na * other, self.nb * other, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # (a + bw)(c + dw) with w^2 = -1 - w
-        return Cyc3(self.a * o.a - self.b * o.b,
-                    self.a * o.b + self.b * o.a - self.b * o.b)
+        a, b, c, d = self.na, self.nb, o.na, o.nb
+        bd = b * d
+        return _cyc3(a * c - bd, a * d + b * c - bd, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -117,7 +181,7 @@ class Cyc3:
     def __pow__(self, n: int) -> Cyc3:
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyc3(Fraction(1))
+        result = _cyc3(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -127,37 +191,36 @@ class Cyc3:
         return result
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, Cyc3):
+            return self.na == other.na and self.nb == other.nb and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return (self.nb == 0 and self.na == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # Rational elements must hash like their Fraction value.
-        if self.b == 0:
-            return hash(self.a)
+        if self.nb == 0:
+            return hash(Fraction(self.na, self.den))
         return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return bool(self.na or self.nb)
 
     def conjugate(self) -> Cyc3:
         """Complex conjugation: w -> w-bar, i.e. (a, b) -> (a - b, -b)."""
-        return Cyc3(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """z * conj(z) = a^2 - ab + b^2, a nonnegative rational."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return _cyc3(self.na - self.nb, -self.nb, self.den)
 
     def inverse(self) -> Cyc3:
-        n = self.norm()
-        if n == 0:
+        """conj(z) / (z * conj(z)); the norm x^2 - xy + y^2 of x + yw is positive."""
+        x, y = self.na, self.nb
+        norm = x * x - x * y + y * y
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        c = self.conjugate()
-        return Cyc3(c.a / n, c.b / n)
+        return _cyc3((x - y) * self.den, -y * self.den, norm)
 
     def as_rational(self) -> Fraction:
-        if self.b != 0:
+        if self.nb:
             raise ValueError(f"{self!r} has a nonzero w-part")
         return self.a
 
@@ -165,27 +228,49 @@ class Cyc3:
         return {"a": str(self.a), "b": str(self.b)}
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if b == 1:
             wpart = "w"
-        elif self.b == -1:
+        elif b == -1:
             wpart = "-w"
         else:
-            wpart = f"{self.b}w"
-        if self.a == 0:
+            wpart = f"{b}w"
+        if a == 0:
             return wpart
-        sign = "+" if self.b > 0 else "-"
+        sign = "+" if b > 0 else "-"
         mag = wpart.lstrip("-")
-        return f"{self.a} {sign} {mag}"
+        return f"{a} {sign} {mag}"
 
     def __repr__(self) -> str:
         return f"Cyc3('{self}')"
 
+    def __reduce__(self):
+        return _cyc3, (self.na, self.nb, self.den)
 
-OMEGA = Cyc3(Fraction(0), Fraction(1))
-OMEGA_BAR = Cyc3(Fraction(-1), Fraction(-1))
-I_SQRT3 = Cyc3(Fraction(1), Fraction(2))          # i*sqrt(3) = 2w + 1
+
+# Record refuses attribute assignment, so _cyc3 sets the slots through
+# their descriptors, the cheapest route for the hot constructor.
+_new_cyc3 = object.__new__
+_set_na, _set_nb, _set_den = Cyc3.na.__set__, Cyc3.nb.__set__, Cyc3.den.__set__
+
+
+def _cyc3(x: int, y: int, d: int) -> Cyc3:
+    """The element (x + y*w)/d for ints x, y and d > 0, in lowest terms."""
+    g = math.gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    z = _new_cyc3(Cyc3)
+    _set_na(z, x)
+    _set_nb(z, y)
+    _set_den(z, d)
+    return z
+
+
+OMEGA = Cyc3(0, 1)
+OMEGA_BAR = Cyc3(-1, -1)
+I_SQRT3 = Cyc3(1, 2)                              # i*sqrt(3) = 2w + 1
 I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
 
 
@@ -313,19 +398,19 @@ class CycField:
         return CycElement(self, self.powers[e % self.m], 1)
 
 
-@dataclass(frozen=True, eq=False)
-class CycElement:
+class CycElement(Record):
     """An element of Q(zeta_m): the integer vector ``nums`` over ``den``.
 
     The form is canonical: ``den > 0``, gcd(den, *nums) == 1, and zero is
     all zeros over 1.  Build elements through ``CycField``; every
     operation reduces its result to canonical form once, so equal
     elements have equal ``nums`` and ``den``.  Rational elements compare
-    and hash like their Fraction value.
+    and hash like their Fraction value, whatever their field.
     """
-    field: CycField
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = _fields = ("field", "nums", "den")
+
+    def __init__(self, field: CycField, nums: tuple[int, ...], den: int):
+        self._init(field, nums, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -392,8 +477,12 @@ class CycElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycElement):
-            return (self.field == other.field and self.den == other.den
-                    and self.nums == other.nums)
+            if self.field == other.field:
+                return self.den == other.den and self.nums == other.nums
+            # Two fields share only the rationals.
+            if any(other.nums[1:]):
+                return False
+            other = Fraction(other.nums[0], other.den)
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator and self.nums[0] == other.numerator
                     and not any(self.nums[1:]))
@@ -427,21 +516,21 @@ class CycElement:
 # LinT: c0 + c1*t1 + c2*t2 over Cyc3, t-degree <= 1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinT:
+class LinT(Record):
     """A polynomial c0 + c1*t1 + c2*t2 of degree at most one in (t1, t2).
 
     The equivariant parameters only ever appear linearly in stable
     coefficients, so a product of two elements with nonzero t-parts
     raises DegreeOverflowError instead of widening the type.
     """
-    c0: Cyc3
-    c1: Cyc3
-    c2: Cyc3
+    __slots__ = _fields = ("c0", "c1", "c2")
+
+    def __init__(self, c0: Cyc3, c1: Cyc3, c2: Cyc3):
+        self._init(c0, c1, c2)
 
     @classmethod
     def of(cls, c0=0, c1=0, c2=0) -> LinT:
-        conv = lambda x: x if isinstance(x, Cyc3) else Cyc3(Fraction(x))
+        conv = lambda x: x if isinstance(x, Cyc3) else Cyc3(x)
         return cls(conv(c0), conv(c1), conv(c2))
 
     @classmethod
@@ -517,21 +606,20 @@ T2 = LinT.of(0, 0, 1)
 # Truncated univariate series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class USeries:
+class USeries(Record):
     """A power series truncated at a fixed order N: coefficients c_0..c_N.
 
     All arithmetic truncates at N.  Operands of different orders are
     rejected rather than silently truncated.
     """
-    order: int
-    coeffs: tuple
+    __slots__ = _fields = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: tuple):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(f"expected {self.order + 1} coefficients, got {len(self.coeffs)}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        self._init(order, coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> USeries:
@@ -608,24 +696,23 @@ class USeries:
 # Truncated bivariate series (truncation by total degree)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(Record):
     """A power series in (x1, x2) truncated at total degree N.
 
     Coefficients are stored in triangular rows: rows[i][j] is the
     coefficient of x1^i x2^j, for i + j <= N.
     """
-    order: int
-    rows: tuple
+    __slots__ = _fields = ("order", "rows")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, rows: tuple):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if len(self.rows) != self.order + 1:
+        if len(rows) != order + 1:
             raise ValueError("row count must be order + 1")
-        for i, row in enumerate(self.rows):
-            if len(row) != self.order - i + 1:
-                raise ValueError(f"row {i} must have {self.order - i + 1} entries")
+        for i, row in enumerate(rows):
+            if len(row) != order - i + 1:
+                raise ValueError(f"row {i} must have {order - i + 1} entries")
+        self._init(order, rows)
 
     @classmethod
     def build(cls, order: int, fn: Callable[[int, int], object]) -> BiSeries:
@@ -774,5 +861,5 @@ def geometric_exp_series(q: Cyc3, N: int) -> USeries:
     for n, (a, b) in enumerate(h):
         if n:
             den *= 3 * n
-        coeffs.append(Cyc3(Fraction(a, den), Fraction(b, den)))
+        coeffs.append(_cyc3(a, b, den))
     return USeries(N, tuple(coeffs))

@@ -13,7 +13,8 @@ the same checks, pass or fail, as its output.
 
 Each subcommand handler imports the modules it runs: ``--help`` and
 ``duval`` never load ``hurwitz`` or ``potentials``, the Hodge-table
-subcommands load ``hurwitz`` alone, and none loads ``oracles``.
+subcommands load ``hurwitz`` alone, and none loads ``oracles`` or
+``dataclasses`` (which imports ``inspect``).
 """
 from __future__ import annotations
 

@@ -75,7 +75,6 @@ imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -307,22 +306,30 @@ def component_labels(g: int) -> list[int]:
     return sorted({min(l, g + 2 - l) for l in range(_nu(g), g + 3, 3)})
 
 
-@dataclass
 class HodgeTable:
     """Computed Hurwitz-Hodge values with their cross-check status.
 
     ``components`` maps each solved genus g to the value A_g^l that every
     label l of ``component_labels(g)`` shares; ``checks`` records the
-    outcome of every dual-oracle comparison run while building.
+    outcome of every dual-oracle comparison run while building.  The
+    table starts empty and ``build_hodge_table`` fills it.
     """
-    max_genus: int
-    B: dict[int, Fraction] = field(default_factory=dict)
-    Abullet: dict[int, Fraction] = field(default_factory=dict)
-    A: dict[int, Fraction] = field(default_factory=dict)
-    gamma: dict[int, int] = field(default_factory=dict)
-    delta: dict[int, int] = field(default_factory=dict)
-    components: dict[int, Fraction] = field(default_factory=dict)
-    checks: dict[str, bool] = field(default_factory=dict)
+
+    def __init__(self, max_genus: int):
+        self.max_genus = max_genus
+        self.B: dict[int, Fraction] = {}
+        self.Abullet: dict[int, Fraction] = {}
+        self.A: dict[int, Fraction] = {}
+        self.gamma: dict[int, int] = {}
+        self.delta: dict[int, int] = {}
+        self.components: dict[int, Fraction] = {}
+        self.checks: dict[str, bool] = {}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is HodgeTable and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"HodgeTable({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 COMPONENT_CHECK = "components independent of label"

@@ -27,23 +27,22 @@ nontrivial R, all marks of the A_{n-1} diagram being 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Cyc3, CycElement, CycField
+from .algebra import Cyc3, CycElement, CycField, Record
 
 
-@dataclass(frozen=True)
-class DuValTransform:
+class DuValTransform(Record):
     """The substitution matrix for the cyclic group of order n.
 
     ``matrix[j-1][k-1]`` is the coefficient of the class variable of
     gamma^k in the resolution variable of R_j, an element of Q(zeta_2n).
     """
-    n: int
-    field: CycField
-    matrix: tuple[tuple[CycElement, ...], ...]
-    q_values: tuple[CycElement, ...]
+    __slots__ = _fields = ("n", "field", "matrix", "q_values")
+
+    def __init__(self, n: int, field: CycField, matrix: tuple[tuple[CycElement, ...], ...],
+                 q_values: tuple[CycElement, ...]):
+        self._init(n, field, matrix, q_values)
 
 
 def character_rho(field: CycField, k: int) -> CycElement:
@@ -80,8 +79,8 @@ def embed_cyc3(z: Cyc3, field: CycField) -> CycElement:
     if field.m % 3 != 0:
         raise ValueError(f"Q(w) does not embed into Q(zeta_{field.m})")
     exponents = [0] * field.m
-    exponents[0], exponents[field.m // 3] = z.a, z.b
-    return field.element(exponents)
+    exponents[0], exponents[field.m // 3] = z.na, z.nb
+    return field.element(exponents, z.den)
 
 
 def check_n3_specialization() -> bool:

@@ -48,19 +48,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3,
+from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3, Record,
                       USeries, compose_linear, geometric_exp_series)
 from .hurwitz import HodgeTable
 
 
-@dataclass(frozen=True)
-class InverseT1T2:
+class InverseT1T2(Record):
     """A rational multiple of 1/(t1*t2): the single degree -2 value."""
-    scale: Fraction
+    __slots__ = _fields = ("scale",)
+
+    def __init__(self, scale: Fraction):
+        self._init(scale)
 
     def to_json(self) -> dict:
         return {"inverse_t1t2_scale": str(self.scale)}
@@ -73,16 +74,19 @@ class InverseT1T2:
 # Fixed-point data and localization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """Torus weights at the three fixed points of the resolved surface.
 
     ``tangent_weights[p]`` is the pair of tangent-space weights at fixed
     point p; ``bundle_weights[i][p]`` is the weight of the line bundle
-    dual to the i-th exceptional curve at fixed point p.
+    dual to the i-th exceptional curve at fixed point p.  No
+    ``__slots__``: ``sample_values`` is cached in the instance dict.
     """
-    tangent_weights: tuple[tuple[LinT, LinT], ...]
-    bundle_weights: tuple[tuple[LinT, LinT, LinT], ...]
+    _fields = ("tangent_weights", "bundle_weights")
+
+    def __init__(self, tangent_weights: tuple[tuple[LinT, LinT], ...],
+                 bundle_weights: tuple[tuple[LinT, LinT, LinT], ...]):
+        self._init(tangent_weights, bundle_weights)
 
     @classmethod
     def standard(cls) -> FixedPointData:
@@ -100,17 +104,31 @@ class FixedPointData:
         )
 
     @cached_property
-    def sample_values(self) -> dict[tuple[Fraction, Fraction], list[tuple[dict, Fraction]]]:
-        """At each verify point (t1, t2): per fixed point, every class weight and
-        the tangent denominator e1*e2, evaluated once for all triple products."""
-        values = {}
+    def sample_values(self) -> tuple[dict[tuple[int, int], list[tuple[dict, int]]], int]:
+        """The localization terms at every verify point, over one denominator.
+
+        Every class weight, at every verify point and fixed point, is
+        W[cls]/D, and every 1/(e1*e2) is R/L, for integers W[cls] and R and
+        common denominators D and L.  The localization sum of classes
+        (a, b, c) at a point is then sum_p W[a] W[b] W[c] R / (D^3 L).  The
+        value is ({point: [(W, R) per fixed point]}, D^3 L), evaluated
+        once for all triple products.
+        """
+        weights, tangents = {}, {}
         for t1, t2 in _VERIFY_POINTS:
-            at = lambda w: w.c0.as_rational() + w.c1.as_rational() * t1 + w.c2.as_rational() * t2
-            values[(t1, t2)] = [
-                ({cls_id: at(_class_weight(cls_id, p, self)) for cls_id in CLASS_IDS},
-                 at(e1) * at(e2))
-                for p, (e1, e2) in enumerate(self.tangent_weights)]
-        return values
+            at = lambda w: (w.c0 + w.c1 * t1 + w.c2 * t2).as_rational()
+            weights[t1, t2] = [{cls_id: at(_class_weight(cls_id, p, self)) for cls_id in CLASS_IDS}
+                               for p in range(len(self.tangent_weights))]
+            tangents[t1, t2] = [at(e1) * at(e2) for e1, e2 in self.tangent_weights]
+            if 0 in tangents[t1, t2]:
+                raise ZeroDivisionError(f"tangent weight vanishes at {(t1, t2)}")
+        D = math.lcm(*(v.denominator for ws in weights.values() for w in ws for v in w.values()))
+        L = math.lcm(*(e.numerator for es in tangents.values() for e in es))
+        terms = {point: [({cls_id: v.numerator * (D // v.denominator) for cls_id, v in w.items()},
+                          L * e.denominator // e.numerator)
+                         for w, e in zip(weights[point], tangents[point])]
+                 for point in _VERIFY_POINTS}
+        return terms, D ** 3 * L
 
 
 CLASS_IDS = ("1", "C1", "C2")
@@ -121,8 +139,7 @@ CLASS_IDS = ("1", "C1", "C2")
 # fractions times the common denominator is homogeneous of degree <= 7,
 # so agreement at the eight points on the t2 = 1 line proves the
 # identity, not merely samples it.
-_VERIFY_POINTS = ([(Fraction(k), Fraction(1)) for k in range(3, 11)]
-                  + [(Fraction(1), Fraction(4)), (Fraction(1), Fraction(7))])
+_VERIFY_POINTS = [(k, 1) for k in range(3, 11)] + [(1, 4), (1, 7)]
 
 
 def _class_weight(cls_id: str, p: int, data: FixedPointData) -> LinT:
@@ -135,15 +152,17 @@ def _class_weight(cls_id: str, p: int, data: FixedPointData) -> LinT:
     raise ValueError(f"unknown class id {cls_id!r}")
 
 
-def _localization_sum(classes, data: FixedPointData, t1: Fraction, t2: Fraction) -> Fraction:
-    total = Fraction(0)
-    for weights, den in data.sample_values[(t1, t2)]:
-        num = Fraction(1)
+def _localization_sum(classes, terms: list[tuple[dict, int]]) -> int:
+    """The numerator of the localization sum of ``classes`` at one verify point.
+
+    ``terms`` are that point's terms of ``FixedPointData.sample_values``,
+    whose denominator is common to every point.
+    """
+    total = 0
+    for weights, num in terms:
         for cls_id in classes:
             num *= weights[cls_id]
-        if den == 0:
-            raise ZeroDivisionError(f"tangent weight vanishes at {(t1, t2)}")
-        total += num / den
+        total += num
     return total
 
 
@@ -156,6 +175,9 @@ def triple_intersection(a: str, b: str, c: str,
     3 f(3, 1), for three identity classes, else as c0 + c1 t1 + c2 t2
     with c1 = f(4, 1) - f(3, 1), c2 = (f(1, 4) - f(3, 1) + 2 c1)/3 and
     c0 = f(3, 1) - 3 c1 - c2; a miss at any point raises ArithmeticError.
+    Every f is an integer F over the one denominator den of
+    ``sample_values``, so the fit and its checks run on F, and on
+    3 den (c0, c1, c2), in integers.
     """
     if data is None:
         data = FixedPointData.standard()
@@ -163,24 +185,25 @@ def triple_intersection(a: str, b: str, c: str,
     for cls_id in classes:
         if cls_id not in CLASS_IDS:
             raise ValueError(f"unknown class id {cls_id!r}")
-    f = {(t1, t2): _localization_sum(classes, data, t1, t2) for t1, t2 in _VERIFY_POINTS}
+    terms, den = data.sample_values
+    F = {point: _localization_sum(classes, terms[point]) for point in _VERIFY_POINTS}
 
     if classes == ("1", "1", "1"):
-        scale = f[3, 1] * 3
-        if any(value * t1 * t2 != scale for (t1, t2), value in f.items()):
+        scale = F[3, 1] * 3
+        if any(value * t1 * t2 != scale for (t1, t2), value in F.items()):
             raise ArithmeticError(
                 "localization sum is not a multiple of 1/(t1*t2)")
-        return InverseT1T2(scale)
+        return InverseT1T2(Fraction(scale, den))
 
-    c1 = f[4, 1] - f[3, 1]
-    c2 = (f[1, 4] - f[3, 1] + 2 * c1) / 3
-    c0 = f[3, 1] - 3 * c1 - c2
-    for (t1, t2), value in f.items():
-        if value != c0 + c1 * t1 + c2 * t2:
+    c1 = 3 * (F[4, 1] - F[3, 1])
+    c2 = F[1, 4] - F[3, 1] + 2 * (F[4, 1] - F[3, 1])
+    c0 = 3 * F[3, 1] - 3 * c1 - c2
+    for (t1, t2), value in F.items():
+        if 3 * value != c0 + c1 * t1 + c2 * t2:
             raise ArithmeticError(
                 f"localization sum for {classes} does not simplify to a "
                 "t-linear value; fixed-point weights are corrupted")
-    return LinT.of(c0, c1, c2)
+    return LinT.of(*(Fraction(x, 3 * den) for x in (c0, c1, c2)))
 
 
 def orbifold_invariant(n1: int, n2: int, table: HodgeTable, *, n0: int = 0) -> LinT | InverseT1T2:
@@ -220,16 +243,18 @@ def orbifold_invariant(n1: int, n2: int, table: HodgeTable, *, n0: int = 0) -> L
 # Change of variables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChangeOfVars:
+class ChangeOfVars(Record):
     """The cyclotomic substitution identifying the two sets of variables.
 
     jacobian[a][i] = dy_{a+1}/dx_{i+1} (constant); the identity-sector
     variable maps through unchanged and the quantum parameters are set to
     the primitive cube root of unity.
     """
-    jacobian: tuple[tuple[Cyc3, Cyc3], tuple[Cyc3, Cyc3]]
-    q_values: tuple[Cyc3, Cyc3]
+    __slots__ = _fields = ("jacobian", "q_values")
+
+    def __init__(self, jacobian: tuple[tuple[Cyc3, Cyc3], tuple[Cyc3, Cyc3]],
+                 q_values: tuple[Cyc3, Cyc3]):
+        self._init(jacobian, q_values)
 
     @classmethod
     def standard(cls) -> ChangeOfVars:

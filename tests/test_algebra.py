@@ -1,5 +1,8 @@
 """Scalar and series arithmetic: frozen examples and ring-axiom properties."""
+import copy
+import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -87,6 +90,84 @@ def test_cyc3_inverse(z):
         assert z * z.inverse() == 1
 
 
+# The Fraction formulas of Q(w) on pairs (a, b) = a + b*w, the reference
+# for the integer numerators of Cyc3.
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        a, b = x
+        norm = a * a - a * b + b * b
+        x, n = ((a - b) / norm, -b / norm), -n
+    out = (F(1), F(0))
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _ref_str(a, b):
+    if b == 0:
+        return str(a)
+    wpart = "w" if b == 1 else "-w" if b == -1 else f"{b}w"
+    if a == 0:
+        return wpart
+    return f"{a} {'+' if b > 0 else '-'} {wpart.lstrip('-')}"
+
+
+def _is_canonical_cyc3(z):
+    return (all(type(v) is int for v in (z.na, z.nb, z.den)) and z.den > 0
+            and math.gcd(z.na, z.nb, z.den) == 1 and (bool(z) or (z.na, z.den) == (0, 1)))
+
+
+@given(rationals, rationals, rationals, rationals, st.integers(min_value=-3, max_value=4))
+def test_integer_cyc3_matches_fraction_formulas(a, b, c, d, n):
+    x, y = Cyc3(a, b), Cyc3(c, d)
+    cases = [(x, (a, b)), (y, (c, d)), (x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
+             (x * y, _ref_mul((a, b), (c, d))), (-x, (-a, -b)), (x.conjugate(), (a - b, -b))]
+    if x or n >= 0:
+        cases.append((x ** n, _ref_pow((a, b), n)))
+    for z, (p, q) in cases:
+        assert _is_canonical_cyc3(z)
+        assert (z.a, z.b) == (p, q)
+        assert z == Cyc3(p, q) and (z == y) == ((p, q) == (c, d))
+        assert hash(z) == (hash(p) if q == 0 else hash((p, q)))
+        assert str(z) == _ref_str(p, q)
+        assert z.to_json() == {"a": str(p), "b": str(q)}
+
+
+@given(rationals)
+def test_rational_cyc3_is_its_fraction(q):
+    z = Cyc3(q)
+    assert z == q and q == z and hash(z) == hash(q)
+    assert z.as_rational() == q and (z.na, z.den) == (q.numerator, q.denominator)
+    assert Cyc3(q, 1) != q
+    assert OMEGA * q == Cyc3(0, q) and OMEGA + q == Cyc3(q, 1)
+
+
+def test_cyc3_zero_and_floats():
+    for zero in (Cyc3(0), Cyc3(F(0, 7), 0), OMEGA - OMEGA, Cyc3(F(1, 3)) * 0):
+        assert (zero.na, zero.nb, zero.den) == (0, 0, 1)
+    for bad in (lambda: Cyc3(0.5), lambda: Cyc3(1, 0.5), lambda: OMEGA + 0.5,
+                lambda: OMEGA * 0.5, lambda: OMEGA - 0.5, lambda: LinT.of(0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(AttributeError):
+        OMEGA.na = 1
+
+
+def test_values_copy_and_pickle_by_value():
+    # Record fields cannot be set, so copy and pickle go through the constructors
+    values = [I_OVER_SQRT3, T1 * OMEGA, USeries.from_coeffs([OMEGA, F(1, 2)]),
+              CycField(6).zeta() * F(2, 3)]
+    for z in values:
+        for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert twin == z and hash(twin) == hash(z) and repr(twin) == repr(z)
+
+
 @given(st.fractions(min_value=-30, max_value=30, max_denominator=12),
        st.fractions(min_value=-30, max_value=30, max_denominator=12))
 def test_rational_field_axioms(x, y):
@@ -156,6 +237,18 @@ def test_cycelement_equals_rationals():
     assert hash(K.one()) == hash(1)
     assert hash(K.from_rational(F(-3, 4))) == hash(F(-3, 4))
     assert {K.one() + 1: "two"}[2] == "two"
+
+
+def test_rationals_compare_alike_across_fields():
+    elements = [CycField(6).one(), CycField(10).one(), 1]
+    for order in itertools.permutations(elements):
+        assert len(set(order)) == 1
+    assert CycField(6).from_rational(F(-3, 4)) == CycField(12).from_rational(F(-3, 4))
+    assert CycField(6).from_rational(F(-3, 4)) != CycField(12).from_rational(F(3, 4))
+    # irrational elements of different fields stay unequal
+    assert CycField(6).zeta() != CycField(10).zeta()
+    assert CycField(3).zeta() != CycField(6).zeta_pow(2)
+    assert CycField(6).zeta() != CycField(10).one() and CycField(6).one() != CycField(10).zeta()
 
 
 def test_floats_are_rejected():

@@ -244,11 +244,16 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
     assert err == message + "\n"
 
 
+# Besides the crepant modules, the child reports whether it loaded
+# dataclasses or inspect: no subcommand needs them, and importing
+# dataclasses imports inspect, about 12 ms of every run.
 _REPORT_MODULES = (
     "import json, sys\n"
     "from crepant.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "sys.stderr.write(json.dumps([code, sorted(m for m in sys.modules if m.startswith('crepant'))]))\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('crepant'))\n"
+    "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+    "sys.stderr.write(json.dumps([code, loaded, slow]))\n"
 )
 
 
@@ -282,9 +287,10 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     # a fresh interpreter, so the modules the other tests imported do not count
     proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
                           capture_output=True, text=True, env=_child_env(), check=True)
-    code, loaded = json.loads(proc.stderr)
+    code, loaded, slow = json.loads(proc.stderr)
     assert code == 0
     assert loaded == sorted(["crepant", "crepant.cli", *(f"crepant.{m}" for m in modules)])
+    assert slow == []
 
 
 def test_closed_stdout_is_a_usage_error_not_a_traceback():
