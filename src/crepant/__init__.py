@@ -14,18 +14,17 @@ subcommand, loads only the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "algebra": ("BiSeries", "Cyc3", "CycElement", "CycField", "DegreeOverflowError",
-                "LinT", "OMEGA", "OMEGA_BAR", "I_SQRT3", "I_OVER_SQRT3", "USeries",
-                "compose_linear"),
+    "algebra": ("Cyc3", "CycElement", "CycField", "DegreeOverflowError", "LinT",
+                "OMEGA", "OMEGA_BAR", "I_OVER_SQRT3"),
     "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
                 "delta_direct", "gamma_bruteforce", "gamma_formula", "solve_components",
                 "theta_check"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
-    "oracles": ("a_closed", "abullet_functional", "b_closed", "tangent_series",
-                "tau_series", "theta_pair"),
+    "oracles": ("BiSeries", "USeries", "a_closed", "abullet_functional", "b_closed",
+                "compose_linear", "fx_third_partial", "fy_third_partial",
+                "tangent_series", "tau_series", "theta_pair"),
     "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
-                   "fx_third_partial", "fy_third_partial", "orbifold_invariant",
-                   "triple_intersection", "verify_crc"),
+                   "orbifold_invariant", "triple_intersection", "verify_crc"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,4 +1,4 @@
-"""Exact scalar and truncated-series arithmetic.
+"""Exact scalar arithmetic and the multi-cover series.
 
 Every quantity in this package is computed exactly, over one of the
 following rings of arbitrary-precision rationals:
@@ -17,29 +17,26 @@ following rings of arbitrary-precision rationals:
 - ``LinT``: polynomials c0 + c1*t1 + c2*t2 of t-degree at most one over
   Cyc3.  Products that would create t-degree two are rejected: every
   stable potential coefficient is t-linear, so such a product is a bug.
-- ``USeries`` / ``BiSeries``: truncated power series in one or two
-  variables over any of the above.  The truncation order is fixed at
-  construction and mixing orders is an error; silent truncation
-  mismatches are the dominant bug class in series code.  A USeries is
-  never divided, and a BiSeries multiplies by scalars only.
 
-The one quotient of series that production needs, the multi-cover
-series G_q = q e^u / (1 - q e^u), is built in integers from Eulerian
-numbers and checked against its defining equation
-(``geometric_exp_series``).  No floating point appears anywhere:
-``Cyc3`` and ``CycField`` reject a float with TypeError.  The value
-types are plain classes on ``Record`` (immutable fields, compared,
+A series in production is the plain tuple of its coefficients.  The one
+quotient of series that production needs, the multi-cover series
+G_q = q e^u / (1 - q e^u), is built in integers from Eulerian numbers
+and checked against its defining equation (``geometric_exp_series``);
+no series is multiplied or divided.  No floating point appears
+anywhere: ``Cyc3`` and ``CycField`` reject a float with TypeError.  The
+value types are plain classes on ``Record`` (immutable fields, compared,
 hashed and shown by value), not dataclasses: importing ``dataclasses``
 imports ``inspect``, a fixed cost of every run.  Only what a production
-path runs is here: the series reciprocal, the tangent series and the
-bivariate product, derivatives and swap that tests compare against live
-in ``oracles``, which no production module imports.
+path runs is here: the series classes ``USeries`` and ``BiSeries``, the
+composition with a linear form, the Q(w) inverse and the series
+arithmetic that tests compare against live in ``oracles``, which no
+production module imports.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -106,11 +103,14 @@ class Cyc3(Record):
     gcd(na, nb, den) == 1 with zero as 0/1, and every operation reduces
     its result once, so equal elements have equal fields.  ``a`` and
     ``b`` are the Fraction views na/den and nb/den.  A rational element
-    compares and hashes like its Fraction.
+    compares and hashes like its Fraction, and equals a rational
+    ``CycElement`` of the same value; an irrational element never equals
+    a ``CycElement``, not even zeta_3 in ``CycField(3)``.  Nothing divides
+    in Q(w), so there is no inverse and no negative power (ValueError).
 
     >>> OMEGA * OMEGA == OMEGA_BAR
     True
-    >>> I_SQRT3 * I_SQRT3
+    >>> Cyc3(1, 2) * Cyc3(1, 2)
     Cyc3('-3')
     """
     __slots__ = ("na", "nb", "den")
@@ -172,15 +172,9 @@ class Cyc3(Record):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> Cyc3:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def __pow__(self, n: int) -> Cyc3:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers are not supported in Q(w)")
         result = _cyc3(1, 0, 1)
         base = self
         while n:
@@ -193,6 +187,11 @@ class Cyc3(Record):
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyc3):
             return self.na == other.na and self.nb == other.nb and self.den == other.den
+        if isinstance(other, CycElement):
+            # Q(w) and Q(zeta_m) are compared only where both are rational.
+            if any(other.nums[1:]):
+                return False
+            other = Fraction(other.nums[0], other.den)
         if isinstance(other, (int, Fraction)):
             return (self.nb == 0 and self.na == other.numerator
                     and self.den == other.denominator)
@@ -210,14 +209,6 @@ class Cyc3(Record):
     def conjugate(self) -> Cyc3:
         """Complex conjugation: w -> w-bar, i.e. (a, b) -> (a - b, -b)."""
         return _cyc3(self.na - self.nb, -self.nb, self.den)
-
-    def inverse(self) -> Cyc3:
-        """conj(z) / (z * conj(z)); the norm x^2 - xy + y^2 of x + yw is positive."""
-        x, y = self.na, self.nb
-        norm = x * x - x * y + y * y
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(w)")
-        return _cyc3((x - y) * self.den, -y * self.den, norm)
 
     def as_rational(self) -> Fraction:
         if self.nb:
@@ -270,7 +261,6 @@ def _cyc3(x: int, y: int, d: int) -> Cyc3:
 
 OMEGA = Cyc3(0, 1)
 OMEGA_BAR = Cyc3(-1, -1)
-I_SQRT3 = Cyc3(1, 2)                              # i*sqrt(3) = 2w + 1
 I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
 
 
@@ -405,7 +395,10 @@ class CycElement(Record):
     all zeros over 1.  Build elements through ``CycField``; every
     operation reduces its result to canonical form once, so equal
     elements have equal ``nums`` and ``den``.  Rational elements compare
-    and hash like their Fraction value, whatever their field.
+    and hash like their Fraction value, whatever their field, and equal a
+    rational ``Cyc3`` of the same value.  Irrational elements of two
+    different fields are unequal, and an irrational element never equals
+    a ``Cyc3``.
     """
     __slots__ = _fields = ("field", "nums", "den")
 
@@ -483,6 +476,10 @@ class CycElement(Record):
             if any(other.nums[1:]):
                 return False
             other = Fraction(other.nums[0], other.den)
+        elif isinstance(other, Cyc3):
+            if other.nb:
+                return False
+            other = other.a
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator and self.nums[0] == other.numerator
                     and not any(self.nums[1:]))
@@ -577,10 +574,6 @@ class LinT(Record):
 
     __rmul__ = __mul__
 
-    def swap_t(self) -> LinT:
-        """Exchange the roles of t1 and t2."""
-        return LinT(self.c0, self.c2, self.c1)
-
     def to_json(self) -> dict:
         return {"c0": self.c0.to_json(), "c1": self.c1.to_json(), "c2": self.c2.to_json()}
 
@@ -598,196 +591,9 @@ class LinT(Record):
         return f"LinT('{self}')"
 
 
-T1 = LinT.of(0, 1, 0)
-T2 = LinT.of(0, 0, 1)
-
-
 # ---------------------------------------------------------------------------
-# Truncated univariate series
+# The multi-cover series
 # ---------------------------------------------------------------------------
-
-class USeries(Record):
-    """A power series truncated at a fixed order N: coefficients c_0..c_N.
-
-    All arithmetic truncates at N.  Operands of different orders are
-    rejected rather than silently truncated.
-    """
-    __slots__ = _fields = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: tuple):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        self._init(order, coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> USeries:
-        cs = list(coeffs)
-        if not cs:
-            raise ValueError("need at least one coefficient to fix the ring")
-        if order is None:
-            order = len(cs) - 1
-        zero = cs[0] * 0
-        cs = (cs + [zero] * (order + 1 - len(cs)))[:order + 1]
-        return cls(order, tuple(cs))
-
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
-    def _zero(self):
-        return self.coeffs[0] * 0
-
-    def _check(self, other: USeries) -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed-order series arithmetic: {self.order} vs {other.order}")
-
-    def __add__(self, other) -> USeries:
-        if isinstance(other, USeries):
-            self._check(other)
-            return USeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + other
-        return USeries(self.order, tuple(cs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> USeries:
-        return self + (-other if isinstance(other, USeries) else (other * -1))
-
-    def __rsub__(self, other) -> USeries:
-        return (-self) + other
-
-    def __neg__(self) -> USeries:
-        return USeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> USeries:
-        if not isinstance(other, USeries):
-            return USeries(self.order, tuple(c * other for c in self.coeffs))
-        self._check(other)
-        zero = self._zero()
-        out = [zero] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if c == zero:
-                continue
-            for j in range(self.order + 1 - i):
-                out[i + j] = out[i + j] + c * other.coeffs[j]
-        return USeries(self.order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def differentiate(self) -> USeries:
-        """d/du; the result is known one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return USeries(self.order - 1,
-                       tuple(self.coeffs[k + 1] * (k + 1) for k in range(self.order)))
-
-    def truncate(self, order: int) -> USeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return USeries(order, self.coeffs[:order + 1])
-
-    def map_coeffs(self, fn: Callable) -> USeries:
-        return USeries(self.order, tuple(fn(c) for c in self.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Truncated bivariate series (truncation by total degree)
-# ---------------------------------------------------------------------------
-
-class BiSeries(Record):
-    """A power series in (x1, x2) truncated at total degree N.
-
-    Coefficients are stored in triangular rows: rows[i][j] is the
-    coefficient of x1^i x2^j, for i + j <= N.
-    """
-    __slots__ = _fields = ("order", "rows")
-
-    def __init__(self, order: int, rows: tuple):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if len(rows) != order + 1:
-            raise ValueError("row count must be order + 1")
-        for i, row in enumerate(rows):
-            if len(row) != order - i + 1:
-                raise ValueError(f"row {i} must have {order - i + 1} entries")
-        self._init(order, rows)
-
-    @classmethod
-    def build(cls, order: int, fn: Callable[[int, int], object]) -> BiSeries:
-        return cls(order, tuple(tuple(fn(i, j) for j in range(order - i + 1))
-                                for i in range(order + 1)))
-
-    @classmethod
-    def zeros(cls, order: int, zero) -> BiSeries:
-        return cls.build(order, lambda i, j: zero)
-
-    def coefficient(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def _check(self, other: BiSeries) -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed-order series arithmetic: {self.order} vs {other.order}")
-
-    def __add__(self, other) -> BiSeries:
-        if isinstance(other, BiSeries):
-            self._check(other)
-            return BiSeries.build(self.order,
-                                  lambda i, j: self.rows[i][j] + other.rows[i][j])
-        out = [list(r) for r in self.rows]
-        out[0][0] = out[0][0] + other
-        return BiSeries(self.order, tuple(tuple(r) for r in out))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> BiSeries:
-        return self + (-other if isinstance(other, BiSeries) else (other * -1))
-
-    def __rsub__(self, other) -> BiSeries:
-        return (-self) + other
-
-    def __neg__(self) -> BiSeries:
-        return self.map_coeffs(lambda c: -c)
-
-    def __mul__(self, other) -> BiSeries:
-        """A scalar multiple; the series product is ``oracles.biseries_product``."""
-        if isinstance(other, BiSeries):
-            return NotImplemented
-        return self.map_coeffs(lambda c: c * other)
-
-    __rmul__ = __mul__
-
-    def map_coeffs(self, fn: Callable) -> BiSeries:
-        return BiSeries.build(self.order, lambda i, j: fn(self.rows[i][j]))
-
-    def items(self):
-        for i in range(self.order + 1):
-            for j in range(self.order - i + 1):
-                yield (i, j), self.rows[i][j]
-
-
-# ---------------------------------------------------------------------------
-# Series constructors
-# ---------------------------------------------------------------------------
-
-def compose_linear(f: USeries, a, b, N: int) -> BiSeries:
-    """The bivariate truncation of f(a*x1 + b*x2) to total degree N.
-
-    The coefficient of x1^i x2^j is f_{i+j} * C(i+j, i) * a^i * b^j;
-    requires f to be known at least to order N.
-    """
-    if f.order < N:
-        raise ValueError(f"series of order {f.order} cannot be composed to degree {N}")
-    one = f.coeffs[0] * 0 + 1
-    apow = [one]
-    bpow = [one]
-    for _ in range(N):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    return BiSeries.build(
-        N, lambda i, j: f.coeffs[i + j] * math.comb(i + j, i) * apow[i] * bpow[j])
-
 
 def _geometric_numerators(N: int) -> list[tuple[int, int]]:
     """h_n = w A_n(w) (2 + w)^(n+1) for 0 <= n <= N, each as the pair (a, b) of a + b*w.
@@ -835,8 +641,8 @@ def _check_geometric_numerators(h: Sequence[tuple[int, int]]) -> None:
         power *= 3
 
 
-def geometric_exp_series(q: Cyc3, N: int) -> USeries:
-    """G_q(u) = q e^u / (1 - q e^u) over Q(w), truncated at order N, for q in {w, w-bar}.
+def geometric_exp_series(q: Cyc3, N: int) -> tuple[Cyc3, ...]:
+    """The coefficients of u^0..u^N of G_q(u) = q e^u / (1 - q e^u) over Q(w), q in {w, w-bar}.
 
     The thrice-differentiated multi-cover sum sum_d (1/d^3) (q e^u)^d.  Its
     coefficients are n! [u^n] G_q = Li_(-n)(q) = q A_n(q) / (1 - q)^(n+1),
@@ -862,4 +668,4 @@ def geometric_exp_series(q: Cyc3, N: int) -> USeries:
         if n:
             den *= 3 * n
         coeffs.append(_cyc3(a, b, den))
-    return USeries(N, tuple(coeffs))
+    return tuple(coeffs)

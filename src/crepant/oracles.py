@@ -1,24 +1,233 @@
-"""Test oracles: the Fraction closed forms and series operations the tests compare against.
+"""Test oracles: the series arithmetic, closed forms and bivariate partials the tests compare against.
 
 The production modules compute the Hodge table on integers
 (``hurwitz``), the multi-cover series from Eulerian numbers
 (``algebra.geometric_exp_series``) and compare the potentials form by
-form (``potentials``).  The routes here are the slower, more literal
-ones they are checked against: the one series reciprocal, tan as
-sin/cos, the tau quotients of the Appendix's closed formulas, the
-multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta double
-sum, the substitution f(lam u), and the bivariate series product,
-derivatives and swap.  No
-production module imports this one, and no production module divides a
-series; ``tests/test_cli.py`` checks that no subcommand loads it.
+form, or coefficient by coefficient up to the first mismatch
+(``potentials``), on plain coefficient tuples.  The routes here are the
+slower, more literal ones they are checked against:
+
+- the truncated series classes ``USeries`` and ``BiSeries`` with their
+  arithmetic, the composition f(a x1 + b x2) (``compose_linear``), the
+  one series reciprocal and the Q(w) inverse it needs;
+- tan as sin/cos, the tau quotients of the Appendix's closed formulas,
+  the multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta
+  double sum and the substitution f(lam u);
+- the full bivariate third partials ``fy_third_partial`` and
+  ``fx_third_partial``, each summed from composed series, with the
+  bivariate product, derivatives and the t1 <-> t2 swap.
+
+No production module imports this one, and no production module
+multiplies or divides a series; ``tests/test_cli.py`` checks that no
+subcommand loads it and that no production module imports it.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Sequence
 
-from .algebra import BiSeries, Cyc3, USeries
-from .hurwitz import _binomial_rows, _scaled_series
+from .algebra import Cyc3, LinT, Record, _cyc3
+from .hurwitz import HodgeTable, _binomial_rows, _scaled_series
+from .potentials import (_FORMS, ChangeOfVars, FixedPointData, _chain, _cubic_partial,
+                         _multicover_pieces, _orbifold_series, _triple_products,
+                         orbifold_invariant)
+
+
+# ---------------------------------------------------------------------------
+# Truncated univariate series
+# ---------------------------------------------------------------------------
+
+class USeries(Record):
+    """A power series truncated at a fixed order N: coefficients c_0..c_N.
+
+    All arithmetic truncates at N.  Operands of different orders are
+    rejected rather than silently truncated.
+    """
+    __slots__ = _fields = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        self._init(order, coeffs)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> USeries:
+        cs = list(coeffs)
+        if not cs:
+            raise ValueError("need at least one coefficient to fix the ring")
+        if order is None:
+            order = len(cs) - 1
+        zero = cs[0] * 0
+        cs = (cs + [zero] * (order + 1 - len(cs)))[:order + 1]
+        return cls(order, tuple(cs))
+
+    def coefficient(self, k: int):
+        return self.coeffs[k]
+
+    def _zero(self):
+        return self.coeffs[0] * 0
+
+    def _check(self, other: USeries) -> None:
+        if self.order != other.order:
+            raise ValueError(f"mixed-order series arithmetic: {self.order} vs {other.order}")
+
+    def __add__(self, other) -> USeries:
+        if isinstance(other, USeries):
+            self._check(other)
+            return USeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        cs = list(self.coeffs)
+        cs[0] = cs[0] + other
+        return USeries(self.order, tuple(cs))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> USeries:
+        return self + (-other if isinstance(other, USeries) else (other * -1))
+
+    def __rsub__(self, other) -> USeries:
+        return (-self) + other
+
+    def __neg__(self) -> USeries:
+        return USeries(self.order, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other) -> USeries:
+        if not isinstance(other, USeries):
+            return USeries(self.order, tuple(c * other for c in self.coeffs))
+        self._check(other)
+        zero = self._zero()
+        out = [zero] * (self.order + 1)
+        for i, c in enumerate(self.coeffs):
+            if c == zero:
+                continue
+            for j in range(self.order + 1 - i):
+                out[i + j] = out[i + j] + c * other.coeffs[j]
+        return USeries(self.order, tuple(out))
+
+    __rmul__ = __mul__
+
+    def differentiate(self) -> USeries:
+        """d/du; the result is known one order lower."""
+        if self.order == 0:
+            raise ValueError("cannot differentiate an order-0 truncation")
+        return USeries(self.order - 1,
+                       tuple(self.coeffs[k + 1] * (k + 1) for k in range(self.order)))
+
+    def truncate(self, order: int) -> USeries:
+        if order > self.order:
+            raise ValueError(f"cannot extend order {self.order} to {order}")
+        return USeries(order, self.coeffs[:order + 1])
+
+    def map_coeffs(self, fn: Callable) -> USeries:
+        return USeries(self.order, tuple(fn(c) for c in self.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Truncated bivariate series (truncation by total degree)
+# ---------------------------------------------------------------------------
+
+class BiSeries(Record):
+    """A power series in (x1, x2) truncated at total degree N.
+
+    Coefficients are stored in triangular rows: rows[i][j] is the
+    coefficient of x1^i x2^j, for i + j <= N.
+    """
+    __slots__ = _fields = ("order", "rows")
+
+    def __init__(self, order: int, rows: tuple):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if len(rows) != order + 1:
+            raise ValueError("row count must be order + 1")
+        for i, row in enumerate(rows):
+            if len(row) != order - i + 1:
+                raise ValueError(f"row {i} must have {order - i + 1} entries")
+        self._init(order, rows)
+
+    @classmethod
+    def build(cls, order: int, fn: Callable[[int, int], object]) -> BiSeries:
+        return cls(order, tuple(tuple(fn(i, j) for j in range(order - i + 1))
+                                for i in range(order + 1)))
+
+    @classmethod
+    def zeros(cls, order: int, zero) -> BiSeries:
+        return cls.build(order, lambda i, j: zero)
+
+    def coefficient(self, i: int, j: int):
+        return self.rows[i][j]
+
+    def _check(self, other: BiSeries) -> None:
+        if self.order != other.order:
+            raise ValueError(f"mixed-order series arithmetic: {self.order} vs {other.order}")
+
+    def __add__(self, other) -> BiSeries:
+        if isinstance(other, BiSeries):
+            self._check(other)
+            return BiSeries.build(self.order,
+                                  lambda i, j: self.rows[i][j] + other.rows[i][j])
+        out = [list(r) for r in self.rows]
+        out[0][0] = out[0][0] + other
+        return BiSeries(self.order, tuple(tuple(r) for r in out))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> BiSeries:
+        return self + (-other if isinstance(other, BiSeries) else (other * -1))
+
+    def __rsub__(self, other) -> BiSeries:
+        return (-self) + other
+
+    def __neg__(self) -> BiSeries:
+        return self.map_coeffs(lambda c: -c)
+
+    def __mul__(self, other) -> BiSeries:
+        """A scalar multiple; the series product is ``biseries_product``."""
+        if isinstance(other, BiSeries):
+            return NotImplemented
+        return self.map_coeffs(lambda c: c * other)
+
+    __rmul__ = __mul__
+
+    def map_coeffs(self, fn: Callable) -> BiSeries:
+        return BiSeries.build(self.order, lambda i, j: fn(self.rows[i][j]))
+
+    def items(self):
+        for i in range(self.order + 1):
+            for j in range(self.order - i + 1):
+                yield (i, j), self.rows[i][j]
+
+
+def compose_linear(f: USeries, a, b, N: int) -> BiSeries:
+    """The bivariate truncation of f(a*x1 + b*x2) to total degree N.
+
+    The coefficient of x1^i x2^j is f_{i+j} * C(i+j, i) * a^i * b^j;
+    requires f to be known at least to order N.
+    """
+    if f.order < N:
+        raise ValueError(f"series of order {f.order} cannot be composed to degree {N}")
+    one = f.coeffs[0] * 0 + 1
+    apow = [one]
+    bpow = [one]
+    for _ in range(N):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return BiSeries.build(
+        N, lambda i, j: f.coeffs[i + j] * math.comb(i + j, i) * apow[i] * bpow[j])
+
+
+# ---------------------------------------------------------------------------
+# The Q(w) inverse, the closed forms and the series operations
+# ---------------------------------------------------------------------------
+
+def cyc3_inverse(z: Cyc3) -> Cyc3:
+    """1/z in Q(w), as conj(z) / (z * conj(z)); the norm x^2 - xy + y^2 of x + yw is positive."""
+    x, y = z.na, z.nb
+    norm = x * x - x * y + y * y
+    if norm == 0:
+        raise ZeroDivisionError("inverse of zero in Q(w)")
+    return _cyc3((x - y) * z.den, -y * z.den, norm)
 
 
 def series_reciprocal(f: USeries) -> USeries:
@@ -26,7 +235,7 @@ def series_reciprocal(f: USeries) -> USeries:
     c0 = f.coeffs[0]
     if not c0:
         raise ZeroDivisionError("series divisor has non-invertible constant term")
-    h0 = c0.inverse() if isinstance(c0, Cyc3) else 1 / Fraction(c0)
+    h0 = cyc3_inverse(c0) if isinstance(c0, Cyc3) else 1 / Fraction(c0)
     out = [h0]
     for n in range(1, f.order + 1):
         acc = h0 * 0
@@ -159,6 +368,74 @@ def d_dx2(f: BiSeries) -> BiSeries:
     return BiSeries.build(f.order - 1, lambda i, j: f.rows[i][j + 1] * (j + 1))
 
 
+def swap_t(value: LinT) -> LinT:
+    """Exchange the roles of t1 and t2."""
+    return LinT(value.c0, value.c2, value.c1)
+
+
 def swap_series(series: BiSeries) -> BiSeries:
     """Apply the simultaneous swap x1 <-> x2, t1 <-> t2 to a LinT series."""
-    return BiSeries.build(series.order, lambda i, j: series.rows[j][i].swap_t())
+    return BiSeries.build(series.order, lambda i, j: swap_t(series.rows[j][i]))
+
+
+# ---------------------------------------------------------------------------
+# The bivariate third partials
+# ---------------------------------------------------------------------------
+
+def _validate_index(idx) -> tuple[int, int, int]:
+    idx = tuple(idx)
+    if len(idx) != 3 or any(i not in (0, 1, 2) for i in idx):
+        raise ValueError(f"partial index must be three entries in {{0,1,2}}: {idx}")
+    return tuple(sorted(idx))
+
+
+def _series_partial(idx: tuple[int, int, int], cubic: LinT, terms, N: int) -> BiSeries:
+    """cubic + (t1 + t2) * sum of chain * series(u1 x1 + u2 x2), truncated at degree N.
+
+    The sum runs over (u1, u2, series) in terms, series the coefficients
+    of u^0..u^N, and chain is ``potentials._chain``; each term is composed
+    as a whole bivariate series.  Its ``items()`` are what
+    ``potentials._coefficient_walk`` yields.
+    """
+    acc = BiSeries.zeros(N, Cyc3(0))
+    for u1, u2, series in terms:
+        acc = acc + compose_linear(USeries(N, series) * _chain(idx, u1, u2), u1, u2, N)
+    return acc.map_coeffs(lambda z: LinT(Cyc3(0), z, z)) + cubic
+
+
+def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
+                     data: FixedPointData | None = None):
+    """d^3 F^Y / dx_idx after the change of variables, truncated at degree N.
+
+    The constant part contracts the ten triple products of ``data``
+    (``potentials._cubic_partial``); an index containing 0 is that
+    constant alone.  Indices wholly in {1, 2} give a BiSeries over LinT,
+    adding for each multi-cover piece chain-factor times G_q(linear form).
+    """
+    idx = _validate_index(idx)
+    if cov is None:
+        cov = ChangeOfVars.standard()
+    if data is None:
+        data = FixedPointData.standard()
+    cubic = _cubic_partial(idx, cov.jacobian, _triple_products(data))
+    if 0 in idx:
+        return cubic
+    return _series_partial(idx, cubic, _multicover_pieces(cov, N), N)
+
+
+def fx_third_partial(idx, table: HodgeTable, N: int = 12):
+    """d^3 F^X / dx_idx, truncated at total degree N.
+
+    The constant part is ``orbifold_invariant`` with n_i the count of i in
+    idx; an index containing 0 is that constant alone.  Indices wholly in
+    {1, 2} add the (t1+t2)/2-weighted symmetrization of A composed with
+    the three linear forms -(x1+x2), -(w x1 + wbar x2), -(wbar x1 + w x2),
+    each with its cube-root-of-unity chain factor.
+    """
+    idx = _validate_index(idx)
+    n1, n2 = idx.count(1), idx.count(2)
+    if 0 in idx:
+        return orbifold_invariant(n1, n2, table, n0=idx.count(0))
+    series = _orbifold_series(table, N)
+    return _series_partial(idx, orbifold_invariant(n1, n2, table),
+                           [(a, b, series) for a, b in _FORMS], N)

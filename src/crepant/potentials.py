@@ -14,7 +14,8 @@ The comparison works at the level of third partial derivatives: the raw
 substitution q = w into the undifferentiated multi-cover sum is not a
 formal power series, but after three derivatives the geometric form has
 an invertible denominator (1 - w is a unit in Q(w)) and everything lives
-in honest truncated series over t-linear coefficients.  Equality of all
+in honest truncated series over t-linear coefficients, each held as the
+plain tuple of its coefficients.  Equality of all
 third partials pins every coefficient of total degree >= 3, and terms
 with fewer than three insertions are zero by definition on both sides.
 
@@ -35,9 +36,12 @@ instead of O(N^2) bivariate ones per index.  Degrees 0 and 1, which hold
 the cubic constants (and L_0 + L_1 + L_2 = 0), are compared index by
 index from the same per-form coefficient lists.  A change of variables
 whose pieces are not multiples of the L_k, and any index that fails,
-are compared coefficient by coefficient on the bivariate series, which
-also serve as the low-order test oracle and give the first mismatching
-monomial of a failing partial.
+are compared coefficient by coefficient: ``_coefficient_walk`` yields
+the x1^i x2^j coefficients of each side one at a time, and the reading
+stops at the first mismatching monomial, which the report gives.  No
+bivariate series is built and no two series are multiplied here; the
+full bivariate partials ``fy_third_partial`` and ``fx_third_partial``
+are the test oracle, in ``oracles``.
 
 Degree bookkeeping: every stable coefficient is t-linear and lives in
 LinT; the two degree -2 exceptions (the triple product of identity
@@ -48,11 +52,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from fractions import Fraction
+from functools import cache, cached_property
 
-from .algebra import (BiSeries, Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3, Record,
-                      USeries, compose_linear, geometric_exp_series)
+from .algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3, Record, geometric_exp_series
 from .hurwitz import HodgeTable
 
 
@@ -81,6 +84,8 @@ class FixedPointData(Record):
     point p; ``bundle_weights[i][p]`` is the weight of the line bundle
     dual to the i-th exceptional curve at fixed point p.  No
     ``__slots__``: ``sample_values`` is cached in the instance dict.
+    ``standard()`` returns one shared instance, so its sample values are
+    computed once per process.
     """
     _fields = ("tangent_weights", "bundle_weights")
 
@@ -89,6 +94,7 @@ class FixedPointData(Record):
         self._init(tangent_weights, bundle_weights)
 
     @classmethod
+    @cache
     def standard(cls) -> FixedPointData:
         w = LinT.of
         return cls(
@@ -265,13 +271,6 @@ class ChangeOfVars(Record):
         )
 
 
-def _validate_index(idx) -> tuple[int, int, int]:
-    idx = tuple(idx)
-    if len(idx) != 3 or any(i not in (0, 1, 2) for i in idx):
-        raise ValueError(f"partial index must be three entries in {{0,1,2}}: {idx}")
-    return tuple(sorted(idx))
-
-
 # ---------------------------------------------------------------------------
 # Series-valued third partials
 # ---------------------------------------------------------------------------
@@ -297,17 +296,35 @@ def _chain(idx: tuple[int, int, int], u1: Cyc3, u2: Cyc3) -> Cyc3:
     return u1 ** idx.count(1) * u2 ** idx.count(2)
 
 
-def _series_partial(idx: tuple[int, int, int], cubic: LinT, terms, N: int) -> BiSeries:
-    """cubic + (t1 + t2) * sum of chain * series(u1 x1 + u2 x2), truncated at degree N.
+def _coefficient_walk(idx: tuple[int, int, int], cubic: LinT, terms, N: int):
+    """Yield ((i, j), c) for cubic + (t1 + t2) * sum of chain * series(u1 x1 + u2 x2).
 
-    The sum runs over (u1, u2, series) in terms, chain is ``_chain``.  Every
-    series-valued third partial of either potential has this shape; this
-    is the bivariate oracle and the failure reporter of ``verify_crc``.
+    c is the coefficient of x1^i x2^j, for i + j <= N, in the order
+    i = 0..N and then j = 0..N - i.  The sum runs over (u1, u2, series) in
+    terms, chain is ``_chain``, and the coefficient of one term is
+    chain * series[i+j] * C(i+j, i) * u1^i * u2^j.  Every series-valued
+    third partial of either potential has this shape.  Each coefficient is
+    formed when it is read, so a reader that stops early pays only for
+    what it read.
     """
-    acc = BiSeries.zeros(N, Cyc3(0))
+    zero = Cyc3(0)
+    factors = []
     for u1, u2, series in terms:
-        acc = acc + compose_linear(series * _chain(idx, u1, u2), u1, u2, N)
-    return acc.map_coeffs(lambda z: LinT(Cyc3(0), z, z)) + cubic
+        chain = _chain(idx, u1, u2)
+        p1, p2 = [Cyc3(1)], [Cyc3(1)]
+        for _ in range(N):
+            p1.append(p1[-1] * u1)
+            p2.append(p2[-1] * u2)
+        factors.append(([chain * c for c in series], p1, p2))
+    for i in range(N + 1):
+        for j in range(N - i + 1):
+            n = i + j
+            binom = math.comb(n, i)
+            z = zero
+            for scaled, p1, p2 in factors:
+                z = z + scaled[n] * binom * p1[i] * p2[j]
+            c = LinT(zero, z, z)
+            yield (i, j), c + cubic if n == 0 else c
 
 
 def _low_coefficients(idx: tuple[int, int, int], cubic: LinT, by_form, N: int) -> tuple:
@@ -327,7 +344,7 @@ def _low_coefficients(idx: tuple[int, int, int], cubic: LinT, by_form, N: int) -
 
 
 # ---------------------------------------------------------------------------
-# Third partials of the resolution potential
+# The resolution potential
 # ---------------------------------------------------------------------------
 
 def _triple_products(data: FixedPointData) -> dict[tuple[int, int, int], LinT | InverseT1T2]:
@@ -353,10 +370,11 @@ def _cubic_partial(idx: tuple[int, int, int], J, products) -> LinT | InverseT1T2
     return cubic
 
 
-def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple[Cyc3, Cyc3, USeries]]:
+def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple[Cyc3, Cyc3, tuple]]:
     """The pieces (q1, y1), (q2, y2), (q1 q2, y1 + y2) as (u1, u2, G_q).
 
-    (u1, u2) is the piece's linear form in x.  Each distinct q builds its
+    (u1, u2) is the piece's linear form in x and G_q the coefficients of
+    u^0..u^N of the geometric series.  Each distinct q builds its
     geometric series once, and G_(conj q) is the conjugate of G_q (e^u is
     rational), so G_w and G_(w-bar) share one build and check.
     """
@@ -369,7 +387,7 @@ def _multicover_pieces(cov: ChangeOfVars, N: int) -> list[tuple[Cyc3, Cyc3, USer
         if q not in geometric:
             conj = geometric.get(q.conjugate())
             geometric[q] = (geometric_exp_series(q, N) if conj is None
-                            else conj.map_coeffs(Cyc3.conjugate))
+                            else tuple(c.conjugate() for c in conj))
         pieces.append((u1, u2, geometric[q]))
     return pieces
 
@@ -388,38 +406,18 @@ def _coefficients_on_forms(pieces, N: int) -> list[list[Cyc3]] | None:
             return None
         k, lam = form
         row, scale = sums[k], lam ** 3
-        for d, c in enumerate(G.coeffs):
+        for d, c in enumerate(G):
             row[d] = row[d] + scale * c
             scale = scale * lam
     return sums
 
 
-def fy_third_partial(idx, cov: ChangeOfVars | None = None, N: int = 12,
-                     data: FixedPointData | None = None):
-    """d^3 F^Y / dx_idx after the change of variables, truncated at degree N.
-
-    The constant part contracts the ten triple products of ``data``
-    (``_cubic_partial``); an index containing 0 is that constant alone.
-    Indices wholly in {1, 2} give a BiSeries over LinT, adding for each
-    multi-cover piece chain-factor times G_q(linear form).
-    """
-    idx = _validate_index(idx)
-    if cov is None:
-        cov = ChangeOfVars.standard()
-    if data is None:
-        data = FixedPointData.standard()
-    cubic = _cubic_partial(idx, cov.jacobian, _triple_products(data))
-    if 0 in idx:
-        return cubic
-    return _series_partial(idx, cubic, _multicover_pieces(cov, N), N)
-
-
 # ---------------------------------------------------------------------------
-# Third partials of the orbifold potential
+# The orbifold potential
 # ---------------------------------------------------------------------------
 
-def _orbifold_series(table: HodgeTable, N: int) -> USeries:
-    """A(-u)/6 without its constant term, over Q(w), to order N.
+def _orbifold_series(table: HodgeTable, N: int) -> tuple[Cyc3, ...]:
+    """The coefficients of u^0..u^N of A(-u)/6 without its constant term, over Q(w).
 
     1/6 is the 1/3 of the average over the three forms times the 1/2 of
     the (t1 + t2)/2 weight.  The constant (genus-1) term is carried by the
@@ -429,27 +427,8 @@ def _orbifold_series(table: HodgeTable, N: int) -> USeries:
     if table.max_genus < N + 1:
         raise ValueError(
             f"table holds genus <= {table.max_genus}, need {N + 1} for order {N}")
-    return USeries.from_coeffs([Cyc3(0)] + [
-        Cyc3(table.A[m + 1] * Fraction((-1) ** m, 6 * math.factorial(m)))
-        for m in range(1, N + 1)])
-
-
-def fx_third_partial(idx, table: HodgeTable, N: int = 12):
-    """d^3 F^X / dx_idx, truncated at total degree N.
-
-    The constant part is ``orbifold_invariant`` with n_i the count of i in
-    idx; an index containing 0 is that constant alone.  Indices wholly in
-    {1, 2} add the (t1+t2)/2-weighted symmetrization of A composed with
-    the three linear forms -(x1+x2), -(w x1 + wbar x2), -(wbar x1 + w x2),
-    each with its cube-root-of-unity chain factor.
-    """
-    idx = _validate_index(idx)
-    n1, n2 = idx.count(1), idx.count(2)
-    if 0 in idx:
-        return orbifold_invariant(n1, n2, table, n0=idx.count(0))
-    series = _orbifold_series(table, N)
-    return _series_partial(idx, orbifold_invariant(n1, n2, table),
-                           [(a, b, series) for a, b in _FORMS], N)
+    return (Cyc3(0), *(Cyc3(table.A[m + 1] * Fraction((-1) ** m, 6 * math.factorial(m)))
+                       for m in range(1, N + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +440,20 @@ ALL_INDICES = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2),
 
 
 def _first_mismatch(fy, fx):
+    """The first difference of two scalars, or of two coefficient walks read in step.
+
+    A walk yields ((i, j), coefficient) (``_coefficient_walk``); reading
+    stops at the first coefficient that differs.  None when they agree.
+    """
     if type(fy) is not type(fx):
         return {"monomial": None, "fy": str(fy), "fx": str(fx)}
-    if isinstance(fy, BiSeries):
-        for (i, j), a in fy.items():
-            b = fx.coefficient(i, j)
-            if a != b:
-                return {"monomial": f"x1^{i} x2^{j}",
-                        "fy": a.to_json(), "fx": b.to_json()}
+    if isinstance(fy, (LinT, InverseT1T2)):
+        if fy != fx:
+            return {"monomial": "1", "fy": fy.to_json(), "fx": fx.to_json()}
         return None
-    if fy != fx:
-        return {"monomial": "1", "fy": fy.to_json(), "fx": fx.to_json()}
+    for ((i, j), a), (_, b) in zip(fy, fx):
+        if a != b:
+            return {"monomial": f"x1^{i} x2^{j}", "fy": a.to_json(), "fx": b.to_json()}
     return None
 
 
@@ -493,9 +475,9 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     docstring).  Degrees 0 and 1, which hold the cubic constants, are
     compared index by index from the same per-form lists.  When a piece
     of the change of variables lies off every L_k, or an index fails, the
-    index is compared on the bivariate series that ``fy_third_partial``
-    and ``fx_third_partial`` return, which gives the first mismatching
-    monomial.
+    index is compared coefficient by coefficient, x1^i x2^j in the order
+    of ``_coefficient_walk``, up to the first mismatching monomial; no
+    bivariate series is built.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -509,22 +491,22 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     orbifold = _orbifold_series(table, order)
     orbifold_terms = [(a, b, orbifold) for a, b in _FORMS]
     on_forms = _coefficients_on_forms(pieces, order)
-    high = list(orbifold.coeffs[2:])
+    high = list(orbifold[2:])
     forms_agree = on_forms is not None and all(c[2:] == high for c in on_forms)
     checks = []
     all_pass = True
     for idx in ALL_INDICES:
         fy_cubic = _cubic_partial(idx, cov.jacobian, products)
+        fx_cubic = orbifold_invariant(idx.count(1), idx.count(2), table, n0=idx.count(0))
         if 0 in idx:
-            mismatch = _first_mismatch(fy_cubic, fx_third_partial(idx, table, order))
+            mismatch = _first_mismatch(fy_cubic, fx_cubic)
         else:
-            fx_cubic = orbifold_invariant(idx.count(1), idx.count(2), table)
             agree = forms_agree and (
                 _low_coefficients(idx, fy_cubic, on_forms, order)
-                == _low_coefficients(idx, fx_cubic, [orbifold.coeffs] * len(_FORMS), order))
+                == _low_coefficients(idx, fx_cubic, [orbifold] * len(_FORMS), order))
             mismatch = None if agree else _first_mismatch(
-                _series_partial(idx, fy_cubic, pieces, order),
-                _series_partial(idx, fx_cubic, orbifold_terms, order))
+                _coefficient_walk(idx, fy_cubic, pieces, order),
+                _coefficient_walk(idx, fx_cubic, orbifold_terms, order))
         ok = mismatch is None
         all_pass = all_pass and ok
         checks.append({

@@ -15,10 +15,10 @@ from crepant.hurwitz import (build_hodge_table, delta, delta_direct,
                              gamma_bruteforce, gamma_formula,
                              solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
-from crepant.oracles import (a_closed, b_closed, scale_variable, series_reciprocal,
-                             swap_series, tangent_series)
-from crepant.potentials import (FixedPointData, InverseT1T2, fx_third_partial,
-                                fy_third_partial, triple_intersection, verify_crc)
+from crepant.oracles import (USeries, a_closed, b_closed, cyc3_inverse, fx_third_partial,
+                             fy_third_partial, scale_variable, series_reciprocal,
+                             swap_series, swap_t, tangent_series)
+from crepant.potentials import FixedPointData, InverseT1T2, triple_intersection, verify_crc
 
 
 def criterion(num, desc):
@@ -162,7 +162,7 @@ def test_criterion_11_property_suites(table30):
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         if bool(x):
-            assert x * x.inverse() == 1
+            assert x * cyc3_inverse(x) == 1
 
     # ODE B' + 3BB'' = 6(B')^2 termwise to order 28
     B = b_closed(30)
@@ -177,7 +177,7 @@ def test_criterion_11_property_suites(table30):
 
     # G_q' = G_q + G_q^2 termwise to order 12
     for q in (OMEGA, OMEGA_BAR):
-        G = geometric_exp_series(q, 13)
+        G = USeries(13, geometric_exp_series(q, 13))
         assert G.differentiate() == (G + G * G).truncate(12)
 
     # x1 <-> x2, t1 <-> t2 symmetry of all third partials
@@ -190,5 +190,5 @@ def test_criterion_11_property_suites(table30):
         fy = fy_third_partial(idx)
         fx = fx_third_partial(idx, table30)
         if isinstance(fy, LinT):
-            assert fy.swap_t() == fy and fx.swap_t() == fx
-    assert fy_third_partial((0, 0, 1)) == fy_third_partial((0, 0, 2)).swap_t()
+            assert swap_t(fy) == fy and swap_t(fx) == fx
+    assert fy_third_partial((0, 0, 1)) == swap_t(fy_third_partial((0, 0, 2)))

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, formats, exit codes, byte stability."""
+import ast
 import json
 import os
 import subprocess
@@ -291,6 +292,27 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     assert code == 0
     assert loaded == sorted(["crepant", "crepant.cli", *(f"crepant.{m}" for m in modules)])
     assert slow == []
+
+
+_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py"))
+def test_production_modules_neither_import_nor_define_the_oracles(module):
+    # the subprocess test above sees passing runs only; this one reads every
+    # production module, the failure path of verify_crc included
+    tree = ast.parse((Path(crepant.__file__).parent / module).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add(node.name)
+    assert found & _ORACLE_NAMES == set()
 
 
 def test_closed_stdout_is_a_usage_error_not_a_traceback():

@@ -16,10 +16,13 @@ while ``theta_pair`` still summed on A_g over an lcm denominator and
 and the theta identity were still summed term by term; and every
 ``tables`` and ``components`` output while the table still stored one
 value per component label.  Every ``tables``, ``components`` and
-``verify theta`` output predates the mirrored degree sums, and every
+``verify theta`` output predates the mirrored degree sums; every
 ``verify crc`` output and ``verify_crc_failures.json`` predates the
 per-form route, which compares degrees >= 2 once per linear form
-instead of once per index.
+instead of once per index; and the failure reports in
+``verify_crc_failures.json`` predate the coefficient walk, which reads
+a failing index coefficient by coefficient up to its first mismatch
+instead of building two bivariate series.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crepant import hurwitz
-from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR, compose_linear
+from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR
 from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              component_entries, component_labels, delta,
                              delta_direct, gamma_bruteforce, gamma_formula,
@@ -15,8 +15,8 @@ from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              table_rows, theta_check)
 from crepant.hurwitz import _degree_sums, _mod3_weights, _theta_totals
 from crepant.oracles import (a_closed, abullet_functional, b_closed,
-                             biseries_product, scale_variable, series_reciprocal,
-                             theta_pair)
+                             biseries_product, compose_linear, scale_variable,
+                             series_reciprocal, theta_pair)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from crepant import algebra, potentials
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
 from crepant.hurwitz import build_hodge_table
 from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
-                                InverseT1T2, _first_mismatch, fx_third_partial,
-                                fy_third_partial, orbifold_invariant,
+                                InverseT1T2, _first_mismatch, orbifold_invariant,
                                 triple_intersection, verify_crc)
-from crepant.oracles import d_dx1, d_dx2, swap_series
+from crepant.oracles import (BiSeries, d_dx1, d_dx2, fx_third_partial, fy_third_partial,
+                             swap_series)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,12 @@ def test_all_ten_triple_intersections():
     data = FixedPointData.standard()
     for classes, expected in EXPECTED_TRIPLES.items():
         assert triple_intersection(*classes, data=data) == expected, classes
+
+
+def test_standard_fixed_point_data_is_shared():
+    # one instance, so its sample values are evaluated once per process
+    assert FixedPointData.standard() is FixedPointData.standard()
+    assert FixedPointData.standard().sample_values is FixedPointData.standard().sample_values
 
 
 def test_triple_intersection_rejects_unknown_class():
@@ -279,12 +285,17 @@ def test_wrong_q_values_break_identity(table16):
 # Direction-wise route against the bivariate oracle
 # ---------------------------------------------------------------------------
 
+def _items(partial):
+    """A scalar partial as it is, a bivariate one as its walk of ((i, j), coefficient)."""
+    return partial.items() if isinstance(partial, BiSeries) else partial
+
+
 def _bivariate_report(N, table, cov=None):
     """verify_crc's report, built from the full bivariate partials."""
     checks = []
     for idx in ALL_INDICES:
-        mismatch = _first_mismatch(fy_third_partial(idx, cov, N - 3),
-                                   fx_third_partial(idx, table, N - 3))
+        mismatch = _first_mismatch(_items(fy_third_partial(idx, cov, N - 3)),
+                                   _items(fx_third_partial(idx, table, N - 3)))
         checks.append({"idx": "".join(str(i) for i in idx),
                        "status": "pass" if mismatch is None else "fail",
                        "first_mismatch": mismatch})
@@ -319,7 +330,7 @@ def test_direction_route_matches_oracle_on_corrupted_a(g, table16):
     assert report == _bivariate_report(g + 3, broken)
 
 
-@pytest.mark.parametrize("cov", [
+_OTHER_COVS = [
     _with_jacobian(_STD_J, (OMEGA_BAR, OMEGA_BAR)),
     # every piece still a multiple of some L_k, with other scales
     _with_jacobian(tuple(tuple(-u for u in row) for row in _STD_J)),
@@ -327,29 +338,64 @@ def test_direction_route_matches_oracle_on_corrupted_a(g, table16):
     # on-form pieces with lam != +-1, which weight G_q[d] by lam^(d+3)
     _with_jacobian(tuple(tuple(u * 2 for u in row) for row in _STD_J)),
     _with_jacobian(tuple(tuple(u * OMEGA for u in row) for row in _STD_J)),
-    # y1 off every L_k: the bivariate fallback
+    # y1 off every L_k: the coefficient walk
     _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1])),
-], ids=["q_wbar_wbar", "jacobian_negated", "jacobian_rows_swapped",
-        "jacobian_doubled", "jacobian_times_w", "jacobian_off_direction"])
+]
+_OTHER_COV_IDS = ["q_wbar_wbar", "jacobian_negated", "jacobian_rows_swapped",
+                  "jacobian_doubled", "jacobian_times_w", "jacobian_off_direction"]
+
+
+@pytest.mark.parametrize("cov", _OTHER_COVS, ids=_OTHER_COV_IDS)
 def test_direction_route_matches_oracle_on_other_changes_of_variables(cov, table16):
     assert verify_crc(8, table16, cov=cov) == _bivariate_report(8, table16, cov)
 
 
+@pytest.mark.parametrize("cov", [ChangeOfVars.standard(), *_OTHER_COVS],
+                         ids=["standard", *_OTHER_COV_IDS])
+def test_coefficient_walk_matches_bivariate_oracle(cov, table16):
+    """Both walks yield the oracle partials' items(), in order, for every series index."""
+    products = potentials._triple_products(FixedPointData.standard())
+    for N in range(11):
+        pieces = potentials._multicover_pieces(cov, N)
+        orbifold = potentials._orbifold_series(table16, N)
+        forms = [(a, b, orbifold) for a, b in potentials._FORMS]
+        for idx in SERIES_INDICES:
+            fy_cubic = potentials._cubic_partial(idx, cov.jacobian, products)
+            fx_cubic = orbifold_invariant(idx.count(1), idx.count(2), table16)
+            assert list(potentials._coefficient_walk(idx, fy_cubic, pieces, N)) \
+                == list(fy_third_partial(idx, cov, N).items()), (idx, N)
+            assert list(potentials._coefficient_walk(idx, fx_cubic, forms, N)) \
+                == list(fx_third_partial(idx, table16, N).items()), (idx, N)
+
+
+def test_first_mismatch_stops_at_the_first_difference():
+    def walk(*coefficients):
+        yield from (((i, 0), c) for i, c in enumerate(coefficients))
+        raise AssertionError("read past the first difference")
+
+    fy = walk(LinT.zero(), LinT.of(0, 1, 1))
+    fx = walk(LinT.zero(), LinT.of(0, 2, 2))
+    assert _first_mismatch(fy, fx) == {
+        "monomial": "x1^1 x2^0", "fy": LinT.of(0, 1, 1).to_json(),
+        "fx": LinT.of(0, 2, 2).to_json()}
+
+
 def test_route_follows_the_linear_forms(table16, monkeypatch):
-    """Standard variables are compared on the forms and compose nothing; off-form ones compose."""
-    degrees = []
-    compose = potentials.compose_linear
+    """Standard variables are compared on the forms and walk nothing; off-form ones walk every index."""
+    walked = []
+    walk = potentials._coefficient_walk
 
-    def spy(f, a, b, N):
-        degrees.append(N)
-        return compose(f, a, b, N)
+    def spy(idx, cubic, terms, N):
+        walked.append((idx, N))
+        return walk(idx, cubic, terms, N)
 
-    monkeypatch.setattr(potentials, "compose_linear", spy)
+    monkeypatch.setattr(potentials, "_coefficient_walk", spy)
     assert verify_crc(10, table16)["all_pass"] is True
-    assert degrees == []
+    assert walked == []
     off = _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1]))
     verify_crc(10, table16, cov=off)
-    assert max(degrees) == 7
+    # one walk per side for each series index, to degree 7
+    assert walked == [(idx, 7) for idx in SERIES_INDICES for _ in range(2)]
 
 
 @pytest.mark.parametrize("q", [OMEGA, OMEGA_BAR])
