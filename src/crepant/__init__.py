@@ -17,7 +17,7 @@ _EXPORTS = {
     "algebra": ("Cyc3", "CycElement", "CycField", "DegreeOverflowError", "LinT",
                 "OMEGA", "OMEGA_BAR", "I_OVER_SQRT3"),
     "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
-                "delta_direct", "gamma_bruteforce", "gamma_formula", "solve_components",
+                "delta_direct", "gamma_direct", "gamma_formula", "solve_components",
                 "theta_check"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
     "oracles": ("BiSeries", "USeries", "a_closed", "abullet_functional", "b_closed",

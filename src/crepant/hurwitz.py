@@ -19,7 +19,7 @@ and ``crepant verify recursions`` prints that dict as its report:
 
     B recursion vs closed form             B_g: WDVV recursion vs B(u)
     A-bullet recursion vs functional form  Ab_g: WDVV recursion vs (2B - 1/B)/3
-    gamma formula vs enumeration           gamma_g: closed form vs subset count
+    gamma formula vs enumeration           gamma_g: closed form vs subsets by size mod 3
     delta closed form vs direct sum        delta_g: closed form vs binomial sum
     A-bullet = gamma * A                   Ab_g vs gamma_g A_g
     functional equation for A and B        that (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
@@ -44,6 +44,8 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
 - Recursions and checks: both WDVV recursions run on b and beta with no
   division, and the functional equation, Ab = gamma A and the ODE are
   compared on the same integers.
+- Counts: ``gamma_direct`` counts marking subsets by size mod 3 with
+  Pascal's rule, O(g) per genus, so the gamma check runs at every genus.
 - Weights: in both double sums below, a term with x + y = k pairs the
   values of index 1 + k and 1 + r + s - k, so each sum groups by k with
   the integer weight w(k) = V_0(k) - V_1(k) of ``_mod3_weights``, where
@@ -68,9 +70,10 @@ solved A_g^l are formed.  ``build_hodge_table`` is the only producer of
 B_g, A_g and Ab_g, and ``theta_check`` the only place the theta identity
 is decided.  The module imports nothing from ``algebra``.  Its test
 oracles, the Fraction series ``b_closed``, ``a_closed`` and
-``abullet_functional`` over ``tau_series`` and the term-by-term double
-sum ``theta_pair``, live in ``oracles``, which no production module
-imports.
+``abullet_functional`` over ``tau_series``, the term-by-term double
+sum ``theta_pair`` and the enumeration of all 2^(g+2) marking subsets
+that ``gamma_direct`` is tested against, live in ``oracles``, which no
+production module imports.
 """
 from __future__ import annotations
 
@@ -246,30 +249,33 @@ def gamma_formula(g: int) -> int:
     return q
 
 
-GAMMA_ENUMERATION_CAP = 20  # 2^(g+2) subsets: about 4 million at the cap
-
-
-def gamma_bruteforce(g: int) -> int:
-    """Count unordered marking partitions S | S' with |S| = |S'| (mod 3).
-
-    Enumerates all subsets of a (g+2)-element set and halves the ordered
-    count; each unordered partition is hit exactly twice because S never
-    equals its own complement.
-    """
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    if g > GAMMA_ENUMERATION_CAP:
-        raise ValueError(f"enumeration capped at g = {GAMMA_ENUMERATION_CAP}")
-    n = g + 2
-    ordered = sum(1 for mask in range(1 << n) if (2 * mask.bit_count() - n) % 3 == 0)
-    if ordered % 2 != 0:
-        raise ArithmeticError("ordered partition count is odd; enumeration corrupted")
-    return ordered // 2
-
-
 def _nu(g: int) -> int:
     """The smallest nonnegative residue of 1 - g mod 3."""
     return (1 - g) % 3
+
+
+def gamma_direct(g: int) -> int:
+    """Count unordered marking partitions S | S' with |S| = |S'| (mod 3), by size class.
+
+    The subsets of n markings fall into three classes by size mod 3.
+    Their counts c_r(n) start at c(0) = (1, 0, 0), and Pascal's rule
+    C(n+1, k) = C(n, k) + C(n, k-1) gives c_r(n+1) = c_r(n) + c_(r-1)(n).
+    With n = g + 2, |S| = |S'| (mod 3) reads |S| = nu (mod 3), so the
+    ordered count is c_nu(g + 2), O(g) additions.  Each unordered
+    partition is counted twice, since S never equals its complement.
+
+    >>> [gamma_direct(g) for g in range(6)]
+    [1, 1, 3, 5, 11, 21]
+    """
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    c = (1, 0, 0)
+    for _ in range(g + 2):
+        c = (c[0] + c[2], c[1] + c[0], c[2] + c[1])
+    ordered = c[_nu(g)]
+    if ordered % 2 != 0:
+        raise ArithmeticError("ordered partition count is odd; count corrupted")
+    return ordered // 2
 
 
 def delta(g: int) -> int:
@@ -479,22 +485,17 @@ def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
 # Table construction
 # ---------------------------------------------------------------------------
 
-def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
-                      enumeration_cap: int = 12) -> HodgeTable:
+def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None) -> HodgeTable:
     """Compute every quantity to ``max_genus`` and run every dual-oracle check.
 
     The checks, listed in the module docstring, are recorded in order in
-    ``table.checks``.  Component systems are solved up to
-    ``component_max_genus`` (defaults to ``max_genus``); the gamma
-    enumeration checks g <= min(max_genus, enumeration_cap).
+    ``table.checks``; each runs at every genus up to ``max_genus``, the
+    gamma count by size class (``gamma_direct``) included.  Component
+    systems are solved up to ``component_max_genus`` (defaults to
+    ``max_genus``).
     """
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    if enumeration_cap < 0:
-        raise ValueError(f"enumeration_cap must be >= 0, got {enumeration_cap}")
-    if min(max_genus, enumeration_cap) > GAMMA_ENUMERATION_CAP:
-        raise ValueError(f"enumeration_cap must be <= {GAMMA_ENUMERATION_CAP} when max_genus "
-                         f"exceeds it, got {enumeration_cap}")
     if component_max_genus is None:
         component_max_genus = max_genus
     if component_max_genus > max_genus:
@@ -516,7 +517,7 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None,
     checks["B recursion vs closed form"] = b_rec == b
     checks["A-bullet recursion vs functional form"] = beta_rec == beta[:G]
     checks["gamma formula vs enumeration"] = all(
-        table.gamma[g] == gamma_bruteforce(g) for g in range(min(G, enumeration_cap) + 1))
+        table.gamma[g] == gamma_direct(g) for g in range(G + 1))
     checks["delta closed form vs direct sum"] = all(
         table.delta[g] == delta_direct(g) for g in genera)
     checks["A-bullet = gamma * A"] = all(

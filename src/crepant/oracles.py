@@ -13,6 +13,9 @@ slower, more literal ones they are checked against:
 - tan as sin/cos, the tau quotients of the Appendix's closed formulas,
   the multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta
   double sum and the substitution f(lam u);
+- gamma_g by enumerating all 2^(g+2) subsets of the markings
+  (``gamma_bruteforce``), against the count by size class of
+  ``hurwitz.gamma_direct``;
 - the full bivariate third partials ``fy_third_partial`` and
   ``fx_third_partial``, each summed from composed series, with the
   bivariate product, derivatives and the t1 <-> t2 swap.
@@ -376,6 +379,31 @@ def swap_t(value: LinT) -> LinT:
 def swap_series(series: BiSeries) -> BiSeries:
     """Apply the simultaneous swap x1 <-> x2, t1 <-> t2 to a LinT series."""
     return BiSeries.build(series.order, lambda i, j: swap_t(series.rows[j][i]))
+
+
+# ---------------------------------------------------------------------------
+# The component count by subset enumeration
+# ---------------------------------------------------------------------------
+
+GAMMA_ENUMERATION_CAP = 20  # 2^(g+2) subsets: about 4 million at the cap
+
+
+def gamma_bruteforce(g: int) -> int:
+    """Count unordered marking partitions S | S' with |S| = |S'| (mod 3).
+
+    Enumerates all subsets of a (g+2)-element set and halves the ordered
+    count; each unordered partition is hit exactly twice because S never
+    equals its own complement.
+    """
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    if g > GAMMA_ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at g = {GAMMA_ENUMERATION_CAP}")
+    n = g + 2
+    ordered = sum(1 for mask in range(1 << n) if (2 * mask.bit_count() - n) % 3 == 0)
+    if ordered % 2 != 0:
+        raise ArithmeticError("ordered partition count is odd; enumeration corrupted")
+    return ordered // 2
 
 
 # ---------------------------------------------------------------------------

@@ -347,10 +347,14 @@ def _low_coefficients(idx: tuple[int, int, int], cubic: LinT, by_form, N: int) -
 # The resolution potential
 # ---------------------------------------------------------------------------
 
+# The ten sorted third-partial indices, (0, 0, 0) through (2, 2, 2); 0 is the class 1.
+ALL_INDICES = list(itertools.combinations_with_replacement(range(3), 3))
+
+
 def _triple_products(data: FixedPointData) -> dict[tuple[int, int, int], LinT | InverseT1T2]:
-    """The ten triple products of 1, C1, C2, keyed by sorted class numbers (0 for 1)."""
+    """The ten triple products of 1, C1, C2, keyed by the indices of ``ALL_INDICES``."""
     return {key: triple_intersection(*(CLASS_IDS[i] for i in key), data=data)
-            for key in itertools.combinations_with_replacement(range(3), 3)}
+            for key in ALL_INDICES}
 
 
 def _cubic_partial(idx: tuple[int, int, int], J, products) -> LinT | InverseT1T2:
@@ -434,10 +438,6 @@ def _orbifold_series(table: HodgeTable, N: int) -> tuple[Cyc3, ...]:
 # ---------------------------------------------------------------------------
 # The comparison
 # ---------------------------------------------------------------------------
-
-ALL_INDICES = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1), (0, 1, 2),
-               (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
-
 
 def _first_mismatch(fy, fx):
     """The first difference of two scalars, or of two coefficient walks read in step.

@@ -18,15 +18,15 @@ def table16():
 
 @pytest.fixture
 def enumerated_genera(monkeypatch):
-    """The genera passed to ``hurwitz.gamma_bruteforce`` during a test, in call order."""
+    """The genera passed to ``hurwitz.gamma_direct`` during a test, in call order."""
     seen = []
-    real = hurwitz.gamma_bruteforce
+    real = hurwitz.gamma_direct
 
     def spy(g, *args, **kwargs):
         seen.append(g)
         return real(g, *args, **kwargs)
 
-    monkeypatch.setattr(hurwitz, "gamma_bruteforce", spy)
+    monkeypatch.setattr(hurwitz, "gamma_direct", spy)
     return seen
 
 

@@ -11,13 +11,12 @@ import time
 from fractions import Fraction as F
 
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
-from crepant.hurwitz import (build_hodge_table, delta, delta_direct,
-                             gamma_bruteforce, gamma_formula,
+from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_formula,
                              solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
 from crepant.oracles import (USeries, a_closed, b_closed, cyc3_inverse, fx_third_partial,
-                             fy_third_partial, scale_variable, series_reciprocal,
-                             swap_series, swap_t, tangent_series)
+                             fy_third_partial, gamma_bruteforce, scale_variable,
+                             series_reciprocal, swap_series, swap_t, tangent_series)
 from crepant.potentials import FixedPointData, InverseT1T2, triple_intersection, verify_crc
 
 

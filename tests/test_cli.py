@@ -63,15 +63,22 @@ def test_verify_recursions(capsys):
     assert "delta closed form vs direct sum" in names
 
 
-def test_verify_recursions_enumerates_gamma_to_18(capsys, enumerated_genera):
+def test_verify_recursions_counts_gamma_at_every_genus(capsys, enumerated_genera):
     code, _, _ = run(capsys, "verify", "recursions", "--max-genus", "20")
     assert code == 0
-    assert enumerated_genera == list(range(19))
+    assert enumerated_genera == list(range(21))
 
 
 @pytest.fixture
 def corrupt_delta_direct(monkeypatch):
     monkeypatch.setattr(hurwitz, "delta_direct", lambda g: hurwitz.delta(g) + 1)
+
+
+@pytest.fixture
+def corrupt_gamma_formula(monkeypatch):
+    """``hurwitz.gamma_formula`` with 1 added at genus 20."""
+    real = hurwitz.gamma_formula
+    monkeypatch.setattr(hurwitz, "gamma_formula", lambda g: real(g) + (g == 20))
 
 
 @pytest.fixture
@@ -144,6 +151,9 @@ _FAILED_CHECK_CASES = [
      ["tables", "--max-genus", "8"]),
     ("corrupt_abullet_recursion_step", ("A-bullet recursion vs functional form",),
      ["tables", "--max-genus", "8"]),
+    # genus 20: a count that stopped below it would miss the fault
+    ("corrupt_gamma_formula", ("gamma formula vs enumeration", "A-bullet = gamma * A"),
+     ["tables", "--max-genus", "25"]),
 ]
 
 
@@ -294,7 +304,7 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     assert slow == []
 
 
-_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear"}
+_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce"}
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -10,13 +10,13 @@ from crepant import hurwitz
 from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR
 from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              component_entries, component_labels, delta,
-                             delta_direct, gamma_bruteforce, gamma_formula,
+                             delta_direct, gamma_direct, gamma_formula,
                              solve_chain, solve_components, table_csv,
                              table_rows, theta_check)
 from crepant.hurwitz import _degree_sums, _mod3_weights, _theta_totals
 from crepant.oracles import (a_closed, abullet_functional, b_closed,
-                             biseries_product, compose_linear, scale_variable,
-                             series_reciprocal, theta_pair)
+                             biseries_product, compose_linear, gamma_bruteforce,
+                             scale_variable, series_reciprocal, theta_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,14 @@ def test_gamma_dual_oracle():
 def test_gamma_cap():
     with pytest.raises(ValueError, match="capped"):
         gamma_bruteforce(21)
+
+
+def test_gamma_direct_matches_enumeration():
+    assert all(gamma_direct(g) == gamma_bruteforce(g) for g in range(19))
+
+
+def test_gamma_direct_matches_formula_to_500():
+    assert all(gamma_direct(g) == gamma_formula(g) for g in range(501))
 
 
 def test_delta_values():
@@ -327,25 +335,12 @@ def test_table_checks_pass(table30):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"max_genus": -1}, "max_genus must be >= 0, got -1"),
-    ({"max_genus": 21, "enumeration_cap": 21},
-     "enumeration_cap must be <= 20 when max_genus exceeds it, got 21"),
-    ({"max_genus": 10, "enumeration_cap": -1}, "enumeration_cap must be >= 0, got -1"),
+    ({"max_genus": 5, "component_max_genus": 6}, "component_max_genus cannot exceed max_genus"),
 ])
 def test_build_hodge_table_rejects_bad_input(enumerated_genera, kwargs, message):
     with pytest.raises(ValueError, match=message):
         build_hodge_table(**kwargs)
     assert enumerated_genera == []      # rejected before any work
-
-
-def test_enumeration_cap_limits_gamma_enumeration(enumerated_genera):
-    # the enumeration stops at the cap instead of raising above it
-    capped = build_hodge_table(8, component_max_genus=3, enumeration_cap=5)
-    assert enumerated_genera == [0, 1, 2, 3, 4, 5]
-    assert capped.checks["gamma formula vs enumeration"] is True
-    full = build_hodge_table(8, component_max_genus=3)
-    assert enumerated_genera[6:] == list(range(9))
-    assert capped.checks == full.checks
-    assert table_rows(capped) == table_rows(full)
 
 
 # ---------------------------------------------------------------------------
