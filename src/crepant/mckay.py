@@ -17,10 +17,13 @@ branch
 which squares to the right thing identically and reproduces the n = 3
 jacobian exactly (``check_n3_specialization`` is the guard for that
 choice).  The branch is written in one place, ``duval_transform``: entry
-(j, k) = (zeta^k - zeta^(-k)) zeta^(2jk) / n is the integer exponent
-vector with +1 at k + 2jk and -1 at 2jk - k (mod 2n) over the
-denominator n, reduced in ints by one ``CycField.element`` call.  The
-oracle ``entry_square_identity`` is built from the characters instead.
+(j, k) = (zeta^k - zeta^(-k)) zeta^(2jk) / n = (zeta^a - zeta^b) / n with
+a = k(2j+1) and b = k(2j-1) mod 2n, the difference of rows a and b of the
+field's integer ``powers`` table over the denominator n.  Many (j, k)
+share one pair (a, b) (432 pairs for the 841 entries at n = 30), so each
+pair's element is built once and shared by its entries, and
+``transform_json`` forms each shared element's coefficient strings once.
+The oracle ``entry_square_identity`` is built from the characters instead.
 The quantum parameters are zeta_n^(n_R) with n_R = 1 for every
 nontrivial R, all marks of the A_{n-1} diagram being 1.
 """
@@ -61,12 +64,17 @@ def duval_transform(n: int) -> DuValTransform:
         raise ValueError("n must be >= 2")
     m = 2 * n
     field = CycField(m)
+    powers = field.powers
+    entries: dict[tuple[int, int], CycElement] = {}
 
     def entry(j: int, k: int) -> CycElement:
-        exponents = [0] * m
-        exponents[(k + 2 * j * k) % m] += 1
-        exponents[(2 * j * k - k) % m] -= 1
-        return field.element(exponents, n)
+        pair = (k * (2 * j + 1) % m, k * (2 * j - 1) % m)
+        elt = entries.get(pair)
+        if elt is None:
+            a, b = pair
+            elt = entries[pair] = field.element(
+                [x - y for x, y in zip(powers[a], powers[b])], n)
+        return elt
 
     matrix = tuple(tuple(entry(j, k) for k in range(1, n)) for j in range(1, n))
     q = field.zeta_pow(2)  # the primitive n-th root of unity
@@ -143,11 +151,22 @@ def galois_row_action(transform: DuValTransform, a: int) -> bool:
 
 
 def transform_json(transform: DuValTransform) -> dict:
-    """Matrix and q-values as coefficient vectors over the power basis of zeta_2n."""
+    """Matrix and q-values as coefficient vectors over the power basis of zeta_2n.
+
+    An element shared by several entries has its strings formed once, and
+    its entries share the one list.
+    """
+    strings: dict[int, list[str]] = {}
+
+    def coeffs(elt: CycElement) -> list[str]:
+        out = strings.get(id(elt))
+        if out is None:
+            out = strings[id(elt)] = elt.to_coeff_strings()
+        return out
+
     return {
         "n": transform.n,
         "cyclotomic_order": 2 * transform.n,
-        "matrix": [[entry.to_coeff_strings() for entry in row]
-                   for row in transform.matrix],
-        "q_values": [q.to_coeff_strings() for q in transform.q_values],
+        "matrix": [[coeffs(entry) for entry in row] for row in transform.matrix],
+        "q_values": [coeffs(q) for q in transform.q_values],
     }

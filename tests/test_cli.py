@@ -325,10 +325,22 @@ def test_production_modules_neither_import_nor_define_the_oracles(module):
     assert found & _ORACLE_NAMES == set()
 
 
-def test_closed_stdout_is_a_usage_error_not_a_traceback():
-    # the reader stops after 100 of the ~0.7 MiB, so a later write meets a broken pipe
-    proc = subprocess.Popen([sys.executable, "-m", "crepant.cli", "duval", "--n", "30",
-                             "--format", "json"], env=_child_env(),
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["duval", "--n", "30", "--format", "json"],             # 204 KB
+    ["duval", "--n", "60"],                                  # 169 KB
+    ["tables", "--max-genus", "200", "--format", "csv"],     # 898 KB
+], ids=["duval-json", "duval-text", "tables-csv"])
+def test_closed_stdout_is_a_usage_error_not_a_traceback(argv, unbuffered):
+    # The reader stops after 100 bytes, so a later write meets a broken pipe.
+    # Unbuffered, each write is one system call: a single large write would
+    # lose its tail to the closed pipe without an error and exit 0.
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "crepant.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert len(proc.stdout.read(100)) == 100
@@ -339,6 +351,47 @@ def test_closed_stdout_is_a_usage_error_not_a_traceback():
         proc.wait()
     assert proc.returncode == 2
     assert err == b"stdout was closed before the output was written\n"
+
+
+class _WriteSpy:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_output_goes_out_in_few_large_writes(monkeypatch):
+    # json.dump hands on 16,639 encoder pieces for this payload; each would be
+    # one system call with unbuffered stdout
+    from crepant import cli, mckay
+
+    payload = mckay.transform_json(mckay.duval_transform(30))
+    spy = _WriteSpy()
+    monkeypatch.setattr(sys, "stdout", spy)
+    cli._emit_json(payload, None)
+    text = "".join(spy.writes)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert len(spy.writes) <= -(-len(text) // cli._WRITE_CHARS) == 25
+    assert all(len(w) >= cli._WRITE_CHARS for w in spy.writes[:-1])
+
+
+def test_text_output_goes_out_in_pieces(monkeypatch):
+    from crepant import cli
+
+    text = "".join(f"line {i}\n" for i in range(5000))
+    spy = _WriteSpy()
+    monkeypatch.setattr(sys, "stdout", spy)
+    cli._emit(text, None)
+    assert "".join(spy.writes) == text
+    assert len(spy.writes) == -(-len(text) // cli._WRITE_CHARS) > 1
+    assert {len(w) for w in spy.writes[:-1]} == {cli._WRITE_CHARS}
 
 
 def test_every_public_name_resolves():

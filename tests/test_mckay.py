@@ -79,3 +79,29 @@ def test_transform_json_shape():
     # Q(zeta_8) has degree 4, so coefficient vectors have four entries
     assert all(len(entry) == 4 for row in payload["matrix"] for entry in row)
     assert len(payload["q_values"]) == 3
+
+
+def _entry_by_exponents(field, n, j, k):
+    """Entry (j, k) from its exponent vector: +1 at k(2j+1), -1 at k(2j-1) mod 2n, over n."""
+    m = 2 * n
+    exponents = [0] * m
+    exponents[k * (2 * j + 1) % m] += 1
+    exponents[k * (2 * j - 1) % m] -= 1
+    return field.element(exponents, n)
+
+
+def test_entries_match_the_exponent_vector_construction():
+    for n in range(2, 41):
+        t = duval_transform(n)
+        for j, row in enumerate(t.matrix, start=1):
+            for k, entry in enumerate(row, start=1):
+                expected = _entry_by_exponents(t.field, n, j, k)
+                assert (entry.nums, entry.den) == (expected.nums, expected.den), (n, j, k)
+
+
+def test_transform_json_matches_each_entry_strings():
+    for n in [2, 3, 5, 12, 30]:
+        t = duval_transform(n)
+        payload = transform_json(t)
+        assert payload["matrix"] == [[e.to_coeff_strings() for e in row] for row in t.matrix]
+        assert payload["q_values"] == [q.to_coeff_strings() for q in t.q_values]
