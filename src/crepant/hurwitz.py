@@ -50,35 +50,42 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   values of index 1 + k and 1 + r + s - k, so each sum groups by k with
   the integer weight w(k) = V_0(k) - V_1(k) of ``_mod3_weights``, where
   V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).
-  ``_degree_sums`` forms these sums, O(r + s) each, half of them mirrored.
+  ``_weight_rows`` walks these rows along the diagonals r - s = const in
+  upward degree, each from the one two degrees below by
+  w(k) - w(k-1) + w(k-2) with no division, and ``_degree_sums`` forms the
+  sums, O(r + s) each, half of them mirrored.
 - Component systems: ``table.components`` holds one value F_h per genus;
   each lower genus is read once and put over one common denominator D by
   ``_over_common_denominator`` (a power of 3 for every table value, but
   any D stays exact).  The known part of each degeneration equation is
-  3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation.  Every
-  equation reads 3 D f_1 (x_i + x_(i+1)) = rhs_i for neighbouring labels,
-  so ``solve_chain`` writes x_i = p_i + (-1)^i x_0 with integer partial
-  sums p_i and lets the closure equation fix x_0.
+  3 sum_k w(k) F_(1+k) F_(g-k) in integers, O(g) per equation, on the
+  walked weights.  Every equation reads 3 D f_1 (x_i + x_(i+1)) = rhs_i
+  for neighbouring labels, so ``solve_chain`` writes x_i = p_i + (-1)^i x_0
+  with integer partial sums p_i, lets the closure equation fix x_0, and
+  returns integer numerators over one denominator; ``solve_components``
+  runs its checks on those integers.
 - Theta: ``theta_check`` decides theta_0 - theta_1 on the integer totals
   sum_k w(k) alpha_k alpha_(r+s-k), O(N^3) through degree N, with no
-  Fraction and no BiSeries.
+  Fraction and no BiSeries; it builds alpha alone, not b or beta.
 
 Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))), and
-in the last step of ``solve_chain``, where the closure fixes x_0 and the
-solved A_g^l are formed.  ``build_hodge_table`` is the only producer of
-B_g, A_g and Ab_g, and ``theta_check`` the only place the theta identity
-is decided.  The module imports nothing from ``algebra``.  Its test
-oracles, the Fraction series ``b_closed``, ``a_closed`` and
-``abullet_functional`` over ``tau_series``, the term-by-term double
-sum ``theta_pair`` and the enumeration of all 2^(g+2) marking subsets
-that ``gamma_direct`` is tested against, live in ``oracles``, which no
-production module imports.
+in ``solve_components``, which forms one Fraction per solved genus, the
+common value A_g^l, once its checks have passed.  ``build_hodge_table``
+is the only producer of B_g, A_g and Ab_g, and ``theta_check`` the only
+place the theta identity is decided.  The module imports nothing from
+``algebra``.  Its test oracles, the Fraction series ``b_closed``,
+``a_closed`` and ``abullet_functional`` over ``tau_series``, the
+term-by-term double sum ``theta_pair`` and the enumeration of all
+2^(g+2) marking subsets that ``gamma_direct`` is tested against, live in
+``oracles``, which no production module imports.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 
 
@@ -154,14 +161,23 @@ def _scaled_series(N: int, binom: list[list[int]]) -> tuple[list[int], list[int]
         (1 + tau/3)/(1 - tau),    (1 + tau)/(1 - tau/3),    2b - 1/b.
     """
     one = [1] + [0] * N
-    third = [3 ** (n // 2) * t for n, t in enumerate(tangent_numbers(N))]  # tau(6u)/3
-    tau = [3 * c for c in third]
+    third = _tau_third(N)
     b = _egf_divide([x + y for x, y in zip(one, third)],
-                    [x - y for x, y in zip(one, tau)], binom)
-    alpha = _egf_divide([x + y for x, y in zip(one, tau)],
-                        [x - y for x, y in zip(one, third)], binom)
+                    [x - 3 * y for x, y in zip(one, third)], binom)
     beta = [2 * x - y for x, y in zip(b, _egf_divide(one, b, binom))]
-    return b, alpha, beta
+    return b, _scaled_alpha(third, binom), beta
+
+
+def _tau_third(N: int) -> list[int]:
+    """EGF coefficients 0..N of tau(6u)/3: 3^k T_(2k+1) at u^(2k+1), 0 at even degrees."""
+    return [3 ** (n // 2) * t for n, t in enumerate(tangent_numbers(N))]
+
+
+def _scaled_alpha(third: list[int], binom: list[list[int]]) -> list[int]:
+    """alpha, the EGF of 3A(6u) = (1 + tau)/(1 - tau/3), from ``third`` = ``_tau_third(N)``."""
+    one = [1] + [0] * (len(third) - 1)
+    return _egf_divide([x + 3 * y for x, y in zip(one, third)],
+                       [x - y for x, y in zip(one, third)], binom)
 
 
 def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
@@ -346,21 +362,59 @@ COMPONENT_CHECK = "components independent of label"
 # ---------------------------------------------------------------------------
 
 def solve_chain(rhs: list[int], scale: int, closure: list[int],
-                closure_rhs: Fraction | int) -> list[Fraction]:
+                closure_rhs: Fraction | int) -> tuple[list[int], int]:
     """Solve scale (x_i + x_(i+1)) = rhs[i] for i < n and sum_i closure[i] x_i = closure_rhs.
 
-    With c_i = rhs[i] / scale, the chain gives x_i = p_i + (-1)^i x_0 for
-    p_0 = 0 and p_(i+1) = c_i - p_i, and the closure row fixes x_0 through
-    its coefficient sum_i (-1)^i closure[i], which must be nonzero.  The
-    p_i are carried as the integers scale * p_i, so Fraction enters only
-    in that last step.
+    Returns integers (X, E) with x_i = X[i] / E; E may be negative and
+    the fractions are not reduced.  With c_i = rhs[i] / scale, the chain
+    gives x_i = p_i + (-1)^i x_0 for p_0 = 0 and p_(i+1) = c_i - p_i, and
+    the closure row fixes x_0 through its coefficient
+    lead = sum_i (-1)^i closure[i], which must be nonzero.  The p_i are
+    carried as the integers P_i = scale * p_i; for closure_rhs = a / d,
+
+        E = d * scale * lead,    X_i = d * lead * P_i + (-1)^i t,
+        t = scale * a - d * sum_i closure[i] P_i = E x_0,
+
+    so no Fraction is formed.
     """
     p = [0]
     for b in rhs:
         p.append(b - p[-1])
     lead = sum(closure[::2]) - sum(closure[1::2])
-    x0 = Fraction(scale * closure_rhs - sum(c * v for c, v in zip(closure, p)), scale * lead)
-    return [Fraction(v, scale) + (-1) ** i * x0 for i, v in enumerate(p)]
+    a, d = closure_rhs.numerator, closure_rhs.denominator
+    t = scale * a - d * sum(map(mul, closure, p))
+    dl = d * lead
+    return [dl * v + (-t if i % 2 else t) for i, v in enumerate(p)], scale * dl
+
+
+def _weight_rows(N: int):
+    """Yield, for n = 0..N, the rows ``_mod3_weights(r, n - r)`` for r <= n - r, r = 2n (mod 3).
+
+    The rows of degree n come in ascending r.  With c(u) =
+    (1 + omega u)^r (1 + omega^2 u)^s as in ``_mod3_weights``, the row of
+    (0, n) is w(k) = C(n, k) (1, 0, -1)[k mod 3], since (omega^2)^k is 1,
+    -1 - omega or omega for k = 0, 1, 2 (mod 3), with a - b = 1, 0 and -1
+    in the notation there.  Raising r and s by one multiplies c by
+    the real (1 + omega u)(1 + omega^2 u) = 1 - u + u^2, so the row of
+    (r, s) is w(k) - w(k-1) + w(k-2) on the row of (r-1, s-1), one of the
+    rows of degree n - 2, and no division is done.  Every row of degree
+    n - 2 steps to one of degree n, and (0, n) is added when 3 divides n;
+    only the rows of the last two degrees are kept.
+    """
+    pascal = [1]
+    older: list[list[int]] = []         # the rows of degree n - 2
+    old: list[list[int]] = []           # the rows of degree n - 1
+    for n in range(N + 1):
+        rows = [[x - y + z for x, y, z in zip(w + [0, 0], [0, *w, 0], [0, 0, *w])]
+                for w in older]
+        if n % 3 == 0:
+            row = pascal[:]
+            row[1::3] = [0] * len(row[1::3])
+            row[2::3] = [-c for c in row[2::3]]
+            rows.insert(0, row)
+        yield rows
+        older, old = old, rows
+        pascal = [x + y for x, y in zip([0, *pascal], [*pascal, 0])]
 
 
 def _mod3_weights(r: int, s: int) -> list[int]:
@@ -388,22 +442,29 @@ def _mod3_weights(r: int, s: int) -> list[int]:
     return weights
 
 
-def _degree_sums(values: list[int], n: int) -> list[int]:
+def _half_rows(n: int) -> list[list[int]]:
+    """The rows of degree n that ``_weight_rows`` yields, each from ``_mod3_weights``."""
+    return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
+
+
+def _degree_sums(values: list[int], n: int, rows: list[list[int]]) -> list[int]:
     """sum_k w(k) values[k] values[n-k], w = ``_mod3_weights(r, s)``, for r + s = n, r = s (mod 3).
 
     The entries run over r = 2n mod 3, ..., n in steps of 3 and form a
     palindrome: (x, y) -> (s - y, r - x) keeps x - y mod 3 as r = s (mod 3),
     so the weights of (s, r) are those of (r, s) reversed in k, and the
-    products are symmetric in k.  Only the first half is summed.
+    products are symmetric in k.  Only the first half is summed, one entry
+    for each of ``rows``, the weights of r <= s in ascending r (those of
+    ``_weight_rows`` at degree n, or ``_half_rows(n)``); when n is even
+    the middle entry, r = s, is not mirrored.
     """
     products = [values[k] * values[n - k] for k in range(n + 1)]
-    rs = range((2 * n) % 3, n + 1, 3)
-    half = [sum(wk * pk for wk, pk in zip(_mod3_weights(r, n - r), products))
-            for r in rs[:(len(rs) + 1) // 2]]
-    return half + half[:len(rs) // 2][::-1]
+    half = [sum(map(mul, w, products)) for w in rows]
+    return half + (half[:-1] if n % 2 == 0 else half)[::-1]
 
 
-def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
+def solve_components(g: int, table: HodgeTable,
+                     rows: list[list[int]] | None = None) -> list[Fraction]:
     """Solve for the per-component integrals x_i = A_g^(3i+nu), i = 0..n, of one genus g >= 4.
 
     Each WDVV comparison at genus g+1 with l = r + 2 leading markings and
@@ -434,11 +495,17 @@ def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
     which costs O(g) per equation.  It is summed in integers: the F_h are
     scaled to numerators f_h = D F_h over one common denominator D, so a
     known product is an integer over D^2 and so is 3 D f_1.  ``_degree_sums``
-    forms it, with 0 in the unknown genus-g slot to drop the principal terms.
+    forms it, with 0 in the unknown genus-g slot to drop the principal terms,
+    on ``rows``, the weight rows of degree g - 1 that ``_weight_rows``
+    yields; ``build_hodge_table`` passes them from its walk, and when they
+    are not given they are formed by ``_mod3_weights``, O(g^2) in all.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
     they must equal A_g.  Otherwise it raises ``ComponentMismatchError``.
+    The checks run on the integers (X, E) of ``solve_chain``, x_i = X_i / E,
+    against the rationals cross-multiplied; the one Fraction formed is the
+    common value X_0 / E, returned once for each label.
     """
     if g < 4:
         raise ValueError("solve_components applies for g >= 4")
@@ -453,32 +520,35 @@ def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
         raise ValueError(f"table.components lacks genus {missing.args[0]}; "
                          f"genus {g} needs genera 1..{g - 1}") from None
     nums, D = _over_common_denominator(lower)   # nums[h - 1] = D * F_h
-    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1)]
+    if rows is None:
+        rows = _half_rows(g - 1)
+    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1, rows)]
 
     # Closure: one more independent equation.
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
     vvv_rhs = 2 * table.Abullet[g]
     if g % 2 == 1:
-        sol = solve_chain(rhs, 3 * D * nums[0], [1] + [0] * (n - 1) + [-1], 0)
+        X, E = solve_chain(rhs, 3 * D * nums[0], [1] + [0] * (n - 1) + [-1], 0)
     else:
-        sol = solve_chain(rhs, 3 * D * nums[0], vvv_row, vvv_rhs)
+        X, E = solve_chain(rhs, 3 * D * nums[0], vvv_row, vvv_rhs)
 
     # Post-checks: the unused closure must hold redundantly, all values
     # must agree, and the common value must be A_g.
     if g % 2 == 1:
-        if sum(c * v for c, v in zip(vvv_row, sol)) != vvv_rhs:
+        if vvv_rhs.denominator * sum(map(mul, vvv_row, X)) != vvv_rhs.numerator * E:
             raise ComponentMismatchError(f"genus {g}: A-bullet closure fails redundancy")
     else:
-        if any(sol[i] != sol[n - i] for i in range(n + 1)):
+        if any(X[i] != X[n - i] for i in range(n + 1)):
             raise ComponentMismatchError(f"genus {g}: label symmetry fails redundancy")
-    if any(v != sol[0] for v in sol):
+    if any(v != X[0] for v in X):
         raise ComponentMismatchError(
-            f"genus {g}: component values are not constant: {sol}")
-    if sol[0] != table.A[g]:
+            f"genus {g}: component values are not constant: {[Fraction(v, E) for v in X]}")
+    A = table.A[g]
+    if X[0] * A.denominator != A.numerator * E:
         raise ComponentMismatchError(
-            f"genus {g}: components equal {sol[0]}, expected A_g = {table.A[g]}")
+            f"genus {g}: components equal {Fraction(X[0], E)}, expected A_g = {A}")
 
-    return sol
+    return [Fraction(X[0], E)] * (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +607,10 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None)
     table.components = {h: table.A[h] for h in range(1, min(G, 3) + 1)}
     if component_max_genus >= 4:
         checks[COMPONENT_CHECK] = True
+        walk = islice(_weight_rows(component_max_genus - 1), 3, None)   # degrees 3, 4, ...
         try:
-            for g in range(4, component_max_genus + 1):
-                table.components[g] = solve_components(g, table)[0]
+            for g, rows in zip(range(4, component_max_genus + 1), walk):
+                table.components[g] = solve_components(g, table, rows)[0]
         except ComponentMismatchError:
             checks[COMPONENT_CHECK] = False
 
@@ -556,12 +627,14 @@ def _theta_totals(N: int):
     A term of theta_i with x + y = k has the A indices 1 + k and
     1 + r + s - k, so the difference is sum_k w(k) alpha_k alpha_(r+s-k)
     with w = ``_mod3_weights(r, s)``: the ``_degree_sums`` of alpha at
-    degree r + s, O(r + s) per entry.  The entries with r != s (mod 3) are
-    0 by definition (see ``oracles.theta_pair``) and are not yielded.
+    degree r + s on the rows of ``_weight_rows``, walked once in upward
+    degree, O(r + s) per entry.  Only alpha is built, not b or beta.  The
+    entries with r != s (mod 3) are 0 by definition (see
+    ``oracles.theta_pair``) and are not yielded.
     """
-    _, alpha, _ = _scaled_series(N, _binomial_rows(N))
-    for n in range(N + 1):
-        for r, total in zip(range((2 * n) % 3, n + 1, 3), _degree_sums(alpha, n)):
+    alpha = _scaled_alpha(_tau_third(N), _binomial_rows(N))
+    for n, rows in enumerate(_weight_rows(N)):
+        for r, total in zip(range((2 * n) % 3, n + 1, 3), _degree_sums(alpha, n, rows)):
             yield (r, n - r), total
 
 

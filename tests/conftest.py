@@ -32,11 +32,15 @@ def enumerated_genera(monkeypatch):
 
 @pytest.fixture
 def corrupt_component_solver(monkeypatch):
-    """``hurwitz.solve_chain`` with 1 added to x_0 of its solution."""
+    """``hurwitz.solve_chain`` with 1 added to x_0 of its solution.
+
+    The solver returns numerators X over one denominator E, x_i = X[i] / E,
+    so adding E to X[0] adds exactly 1 to x_0.
+    """
     real = hurwitz.solve_chain
 
     def corrupted(*args):
-        sol = real(*args)
-        return [sol[0] + 1] + sol[1:]
+        X, E = real(*args)
+        return [X[0] + E] + X[1:], E
 
     monkeypatch.setattr(hurwitz, "solve_chain", corrupted)

@@ -16,7 +16,10 @@ while ``theta_pair`` still summed on A_g over an lcm denominator and
 and the theta identity were still summed term by term; and every
 ``tables`` and ``components`` output while the table still stored one
 value per component label.  Every ``tables``, ``components`` and
-``verify theta`` output predates the mirrored degree sums; every
+``verify theta`` output predates the mirrored degree sums, the diagonal
+walk of the weights and the integer chain solver; the ``tables
+--max-genus 100 --format csv`` and ``verify theta --order 120`` outputs
+were recorded before the walk, to reach it beyond degree 79; every
 ``verify crc`` output and ``verify_crc_failures.json`` predates the
 per-form route, which compares degrees >= 2 once per linear form
 instead of once per index; and the failure reports in

@@ -13,7 +13,8 @@ from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              delta_direct, gamma_direct, gamma_formula,
                              solve_chain, solve_components, table_csv,
                              table_rows, theta_check)
-from crepant.hurwitz import _degree_sums, _mod3_weights, _theta_totals
+from crepant.hurwitz import (_degree_sums, _half_rows, _mod3_weights, _theta_totals,
+                             _weight_rows)
 from crepant.oracles import (a_closed, abullet_functional, b_closed,
                              biseries_product, compose_linear, gamma_bruteforce,
                              scale_variable, series_reciprocal, theta_pair)
@@ -182,8 +183,9 @@ def test_chain_solver_matches_dense_solver(system):
     rhs, scale, closure, closure_rhs = system
     n = len(rhs)
     matrix = [[scale if j in (i, i + 1) else 0 for j in range(n + 1)] for i in range(n)]
-    assert solve_chain(rhs, scale, closure, closure_rhs) == _dense_solve(
-        matrix + [closure], rhs + [closure_rhs])
+    X, E = solve_chain(rhs, scale, closure, closure_rhs)
+    assert all(isinstance(v, int) for v in [*X, E])
+    assert [F(v, E) for v in X] == _dense_solve(matrix + [closure], rhs + [closure_rhs])
 
 
 def test_closure_fixes_x0(monkeypatch):
@@ -276,6 +278,35 @@ def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_
         solve_components(g, table30)
 
 
+def test_solve_components_rejects_symmetric_nonconstant_solution(table30, monkeypatch):
+    # 1 added to the middle of x_0, x_1, x_2 at genus 6 keeps the label
+    # symmetry, so only the constancy check sees it
+    real = hurwitz.solve_chain
+
+    def bump_middle(*args):
+        X, E = real(*args)
+        return [X[0], X[1] + E, *X[2:]], E
+
+    monkeypatch.setattr(hurwitz, "solve_chain", bump_middle)
+    with pytest.raises(ComponentMismatchError) as raised:
+        solve_components(6, table30)
+    assert str(raised.value) == ("genus 6: component values are not constant: "
+                                 "[Fraction(26, 243), Fraction(269, 243), Fraction(26, 243)]")
+
+
+@pytest.mark.parametrize("g, shift, message", [
+    (5, F(1, 7), "genus 5: components equal 2/27, expected A_g = 41/189"),
+    (8, F(1), "genus 8: components equal 82/243, expected A_g = 325/243"),
+])
+def test_solve_components_rejects_wrong_a(g, shift, message):
+    # the system never reads A_g, so a wrong A_g fails only the last check
+    table = build_hodge_table(8)
+    table.A[g] += shift
+    with pytest.raises(ComponentMismatchError) as raised:
+        solve_components(g, table)
+    assert str(raised.value) == message
+
+
 def test_solve_components_rejects_consistent_lower_corruption():
     # a non-3-adic corruption of the genus-4 value must reach genus 5:
     # the system is built from table.components, not from A_4
@@ -318,7 +349,28 @@ def test_degree_sums_match_double_loop(values):
     degree is the same, and no end-to-end test sees it.
     """
     n = len(values) - 1
-    assert _degree_sums(values, n) == _degree_sums_double_loop(values, n)
+    expected = _degree_sums_double_loop(values, n)
+    assert _degree_sums(values, n, _half_rows(n)) == expected
+    *_, walked = _weight_rows(n)
+    assert _degree_sums(values, n, walked) == expected
+
+
+def test_weight_walk_matches_mod3_weights():
+    # one row per r <= n - r with r = 2n (mod 3), ascending, at every degree
+    degrees = list(_weight_rows(60))
+    assert len(degrees) == 61
+    for n, rows in enumerate(degrees):
+        pairs = [(r, n - r) for r in range(n // 2 + 1) if (r - 2 * n) % 3 == 0]
+        assert rows == [_mod3_weights(r, s) for r, s in pairs], n
+
+
+def test_lone_solve_matches_walked_table():
+    # a lone solve_components forms its weights by _mod3_weights; the table
+    # reads them from the walk
+    table = build_hodge_table(40)
+    assert table.checks["components independent of label"]
+    for g in range(4, 41):
+        assert solve_components(g, table)[0] == table.components[g], g
 
 
 def test_failed_component_system_is_recorded(corrupt_component_solver):
