@@ -18,12 +18,11 @@ are defined; it records them, in this order, in ``HodgeTable.checks``,
 and ``crepant verify recursions`` prints that dict as its report:
 
     B recursion vs closed form             B_g: WDVV recursion vs B(u)
-    A-bullet recursion vs functional form  Ab_g: WDVV recursion vs (2B - 1/B)/3
     gamma formula vs enumeration           gamma_g: closed form vs subsets by size mod 3
     delta closed form vs direct sum        delta_g: closed form vs binomial sum
-    A-bullet = gamma * A                   Ab_g vs gamma_g A_g
-    functional equation for A and B        that (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
-    ODE B' + 3BB'' = 6(B')^2               on the B series (genus >= 2)
+    A-bullet = gamma * A (functional equation)
+                                           Ab_g = (2B - 1/B)/3 vs gamma_g A_g, that is
+                                           (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
 
 and, when component systems of genus >= 4 are solved,
 
@@ -34,6 +33,15 @@ closure equation it did not solve with, that the solved A_g^l are all
 equal, and that they equal A_g, and raises ``ComponentMismatchError``
 otherwise; ``build_hodge_table`` records that and keeps the one value.
 
+Each line is a statement that no other line decides.  The ODE
+2b' + b b'' = 2(b')^2 of B at 6u is not a line: its residual at order n
+is the B recursion's residual at genus n + 2.  Nor is the A-bullet WDVV
+recursion: it is the identity 1 + 3 Ab B = 2 B^2, which (2B - 1/B)/3
+already solves by division.  Both are test oracles (``_ode_residuals``
+and ``_abullet_scaled_recursive`` in ``oracles``).  Ab_g = gamma_g A_g and
+the functional equation are one line, since with
+gamma_g = (2^(g+1) + (-1)^g)/3 they are one equation at each genus.
+
 Integer kernel.  The table is computed in plain ints up to its boundary.
 
 - Series: scaled to 6u, tau(6u) = sqrt(3) tan(sqrt(3) u) has the integer
@@ -41,15 +49,14 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   b_n = 6^n B_n, alpha_n = 3 * 6^n A_(n+1) and beta_n = 3 * 6^n Ab_(n+1)
   are integer EGFs, and each quotient, with constant term 1 in its
   denominator, is an integer binomial convolution (``_scaled_series``).
-- Recursions and checks: both WDVV recursions run on b and beta with no
-  division, and the functional equation, Ab = gamma A and the ODE are
-  compared on the same integers.
+- Recursion and checks: the B recursion runs on b with no division, and
+  the functional equation is compared on alpha and beta.
 - Counts: ``gamma_direct`` counts marking subsets by size mod 3 with
   Pascal's rule, O(g) per genus, so the gamma check runs at every genus.
 - Weights: in both double sums below, a term with x + y = k pairs the
   values of index 1 + k and 1 + r + s - k, so each sum groups by k with
-  the integer weight w(k) = V_0(k) - V_1(k) of ``_mod3_weights``, where
-  V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).
+  the integer weight w(k) = V_0(k) - V_1(k), where V_d(k) sums
+  C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).
   ``_weight_rows`` walks these rows along the diagonals r - s = const in
   upward degree, each from the one two degrees below by
   w(k) - w(k-1) + w(k-2) with no division, and ``_degree_sums`` forms the
@@ -76,9 +83,11 @@ is the only producer of B_g, A_g and Ab_g, and ``theta_check`` the only
 place the theta identity is decided.  The module imports nothing from
 ``algebra``.  Its test oracles, the Fraction series ``b_closed``,
 ``a_closed`` and ``abullet_functional`` over ``tau_series``, the
-term-by-term double sum ``theta_pair`` and the enumeration of all
-2^(g+2) marking subsets that ``gamma_direct`` is tested against, live in
-``oracles``, which no production module imports.
+term-by-term double sum ``theta_pair``, the enumeration of all 2^(g+2)
+marking subsets that ``gamma_direct`` is tested against, the two
+restatements above and the weights of one pair by a recurrence
+(``_mod3_weights``, ``_half_rows``) that the walk is tested against,
+live in ``oracles``, which no production module imports.
 """
 from __future__ import annotations
 
@@ -200,40 +209,6 @@ def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
                  - sum(row[h] * b[h] * b[g - h] for h in range(1, g - 1))
                  - 2 * b[g - 1])
     return b[:G + 1]
-
-
-def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
-    """beta_0..beta_(G-1) (beta_n = 3 * 6^n Ab_(n+1)) from the second recursion.
-
-    For g >= 1 the recursion reads
-
-        delta_{g,1} + sum_{h1+h2=g} 3 C(g-1, h1-1) Ab_{h1} B_{h2}
-            = sum_{h1+h2=g-1} 2 C(g-1, h1) B_{h1} B_{h2},
-
-    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  Scaled
-    by 6^(g-1), it reads
-
-        beta_(g-1) = 2 sum_{h<g} C(g-1, h) b_h b_(g-1-h)
-                     - sum_{0<h<g} C(g-1, h-1) beta_(h-1) b_(g-h) - [g = 1],
-
-    with no division; it needs b_0..b_(G-1).
-    """
-    beta: list = []
-    for g in range(1, G + 1):
-        row = binom[g - 1]
-        beta.append(2 * sum(row[h] * b[h] * b[g - 1 - h] for h in range(g))
-                    - sum(row[h - 1] * beta[h - 1] * b[g - h] for h in range(1, g))
-                    - (g == 1))
-    return beta
-
-
-def _ode_holds(b: list[int], order: int, binom: list[list[int]]) -> bool:
-    """2b' + b b'' = 2(b')^2, the ODE of B at 6u, as EGF convolutions through u^order."""
-    for n, row in enumerate(binom[:order + 1]):
-        lhs = 2 * b[n + 1] + sum(row[k] * b[k] * b[n + 2 - k] for k in range(n + 1))
-        if lhs != 2 * sum(row[k] * b[k + 1] * b[n + 1 - k] for k in range(n + 1)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +363,22 @@ def solve_chain(rhs: list[int], scale: int, closure: list[int],
 
 
 def _weight_rows(N: int):
-    """Yield, for n = 0..N, the rows ``_mod3_weights(r, n - r)`` for r <= n - r, r = 2n (mod 3).
+    """Yield, for n = 0..N, the weight rows of the pairs (r, n - r), r <= n - r, r = 2n (mod 3).
 
-    The rows of degree n come in ascending r.  With c(u) =
-    (1 + omega u)^r (1 + omega^2 u)^s as in ``_mod3_weights``, the row of
-    (0, n) is w(k) = C(n, k) (1, 0, -1)[k mod 3], since (omega^2)^k is 1,
-    -1 - omega or omega for k = 0, 1, 2 (mod 3), with a - b = 1, 0 and -1
-    in the notation there.  Raising r and s by one multiplies c by
-    the real (1 + omega u)(1 + omega^2 u) = 1 - u + u^2, so the row of
-    (r, s) is w(k) - w(k-1) + w(k-2) on the row of (r-1, s-1), one of the
-    rows of degree n - 2, and no division is done.  Every row of degree
-    n - 2 steps to one of degree n, and (0, n) is added when 3 divides n;
-    only the rows of the last two degrees are kept.
+    The rows of degree n come in ascending r, each w(k) = V_0(k) - V_1(k)
+    for k = 0..n as in the module docstring.  With omega = exp(2 pi i/3),
+    c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s is
+    V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
+    w(k) = a_k - b_k for c_k = a_k + b_k omega.  The row of (0, n) is
+    w(k) = C(n, k) (1, 0, -1)[k mod 3], since (omega^2)^k is 1,
+    -1 - omega or omega for k = 0, 1, 2 (mod 3).  Raising r and s by one
+    multiplies c by the real (1 + omega u)(1 + omega^2 u) = 1 - u + u^2,
+    so the row of (r, s) is w(k) - w(k-1) + w(k-2) on the row of
+    (r-1, s-1), one of the rows of degree n - 2, and no division is done.
+    Every row of degree n - 2 steps to one of degree n, and (0, n) is
+    added when 3 divides n; only the rows of the last two degrees are
+    kept.  ``oracles._mod3_weights`` forms one row by a recurrence in k
+    and is the walk's test oracle.
     """
     pascal = [1]
     older: list[list[int]] = []         # the rows of degree n - 2
@@ -417,46 +396,16 @@ def _weight_rows(N: int):
         pascal = [x + y for x, y in zip([0, *pascal], [*pascal, 0])]
 
 
-def _mod3_weights(r: int, s: int) -> list[int]:
-    """w(k) = V_0(k) - V_1(k) for k = 0..r+s, in integers and O(r + s) steps.
-
-    V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3);
-    the theta identity and the component systems use it for r = s (mod 3).
-    With omega = exp(2 pi i/3), c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s
-    is V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
-    w(k) = a_k - b_k for c_k = a_k + b_k omega.  Since
-    (1 + omega u)(1 + omega^2 u) = 1 - u + u^2, the coefficients obey
-
-        (k + 1) c_(k+1) = ((k - s) + (r - s) omega) c_k + (r + s + 1 - k) c_(k-1),
-
-    and the division is exact because c_(k+1) lies in Z[omega].
-    """
-    n, q = r + s, r - s
-    a, b, a_prev, b_prev = 1, 0, 0, 0
-    weights = [1]
-    for k in range(n):
-        p, t = k - s, n + 1 - k
-        a, b, a_prev, b_prev = ((p * a - q * b + t * a_prev) // (k + 1),
-                                (p * b + q * a - q * b + t * b_prev) // (k + 1), a, b)
-        weights.append(a - b)
-    return weights
-
-
-def _half_rows(n: int) -> list[list[int]]:
-    """The rows of degree n that ``_weight_rows`` yields, each from ``_mod3_weights``."""
-    return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
-
-
 def _degree_sums(values: list[int], n: int, rows: list[list[int]]) -> list[int]:
-    """sum_k w(k) values[k] values[n-k], w = ``_mod3_weights(r, s)``, for r + s = n, r = s (mod 3).
+    """sum_k w(k) values[k] values[n-k], w the weights of (r, s), for r + s = n, r = s (mod 3).
 
     The entries run over r = 2n mod 3, ..., n in steps of 3 and form a
     palindrome: (x, y) -> (s - y, r - x) keeps x - y mod 3 as r = s (mod 3),
     so the weights of (s, r) are those of (r, s) reversed in k, and the
     products are symmetric in k.  Only the first half is summed, one entry
-    for each of ``rows``, the weights of r <= s in ascending r (those of
-    ``_weight_rows`` at degree n, or ``_half_rows(n)``); when n is even
-    the middle entry, r = s, is not mirrored.
+    for each of ``rows``, the weights of r <= s in ascending r that
+    ``_weight_rows`` yields at degree n; when n is even the middle entry,
+    r = s, is not mirrored.
     """
     products = [values[k] * values[n - k] for k in range(n + 1)]
     half = [sum(map(mul, w, products)) for w in rows]
@@ -490,15 +439,15 @@ def solve_components(g: int, table: HodgeTable,
     residues 1 and 2, so the residue-2 sums cancel and the known part of
     the equation is
 
-        3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w = ``_mod3_weights(r, s)``,
+        3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w the weights of (r, s),
 
     which costs O(g) per equation.  It is summed in integers: the F_h are
     scaled to numerators f_h = D F_h over one common denominator D, so a
     known product is an integer over D^2 and so is 3 D f_1.  ``_degree_sums``
     forms it, with 0 in the unknown genus-g slot to drop the principal terms,
     on ``rows``, the weight rows of degree g - 1 that ``_weight_rows``
-    yields; ``build_hodge_table`` passes them from its walk, and when they
-    are not given they are formed by ``_mod3_weights``, O(g^2) in all.
+    yields; ``build_hodge_table`` passes them from its one walk, and a lone
+    call, with ``rows`` not given, walks to degree g - 1 and takes the last.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
@@ -521,7 +470,7 @@ def solve_components(g: int, table: HodgeTable,
                          f"genus {g} needs genera 1..{g - 1}") from None
     nums, D = _over_common_denominator(lower)   # nums[h - 1] = D * F_h
     if rows is None:
-        rows = _half_rows(g - 1)
+        *_, rows = _weight_rows(g - 1)
     rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1, rows)]
 
     # Closure: one more independent equation.
@@ -559,8 +508,11 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None)
     """Compute every quantity to ``max_genus`` and run every dual-oracle check.
 
     The checks, listed in the module docstring, are recorded in order in
-    ``table.checks``; each runs at every genus up to ``max_genus``, the
-    gamma count by size class (``gamma_direct``) included.  Component
+    ``table.checks``: the B recursion, gamma, delta, A-bullet = gamma * A
+    and, with component systems, the component check.  Each runs at every
+    genus up to ``max_genus``, the gamma count by size class
+    (``gamma_direct``) included, and A-bullet = gamma * A also at
+    ``max_genus + 1``, the last coefficient of alpha and beta.  Component
     systems are solved up to ``component_max_genus`` (defaults to
     ``max_genus``).
     """
@@ -577,26 +529,19 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None)
     binom = _binomial_rows(G)
     b, alpha, beta = _scaled_series(G, binom)
     b_rec = _b_scaled_recursive(G, binom)
-    # The A-bullet recursion reads the closed-form b: when the B check
-    # passes, b_rec is b, and a fault in the B recursion fails only that check.
-    beta_rec = _abullet_scaled_recursive(G, b, binom)
     table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
     table.delta = {g: delta(g) for g in genera}
 
     checks = table.checks
     checks["B recursion vs closed form"] = b_rec == b
-    checks["A-bullet recursion vs functional form"] = beta_rec == beta[:G]
     checks["gamma formula vs enumeration"] = all(
         table.gamma[g] == gamma_direct(g) for g in range(G + 1))
     checks["delta closed form vs direct sum"] = all(
         table.delta[g] == delta_direct(g) for g in genera)
-    checks["A-bullet = gamma * A"] = all(
-        beta[g - 1] == table.gamma[g] * alpha[g - 1] for g in genera)
-    # 3Ab(6u) = 4A(12u) - A(-6u), coefficientwise on the EGFs
-    checks["functional equation for A and B"] = all(
+    # 3Ab(6u) = 4A(12u) - A(-6u) coefficientwise on the EGFs, that is
+    # Ab_(n+1) = gamma_(n+1) A_(n+1), as 3 gamma_(n+1) = 4 * 2^n - (-1)^n
+    checks["A-bullet = gamma * A (functional equation)"] = all(
         3 * beta[n] == (4 * 2 ** n - (-1) ** n) * alpha[n] for n in range(G + 1))
-    if G >= 2:
-        checks["ODE B' + 3BB'' = 6(B')^2"] = _ode_holds(b, G - 2, binom)
 
     # the table boundary: Fraction re-enters here
     table.B = _unscale_b(b, range(G + 1))
@@ -626,7 +571,7 @@ def _theta_totals(N: int):
 
     A term of theta_i with x + y = k has the A indices 1 + k and
     1 + r + s - k, so the difference is sum_k w(k) alpha_k alpha_(r+s-k)
-    with w = ``_mod3_weights(r, s)``: the ``_degree_sums`` of alpha at
+    with w the weights of (r, s): the ``_degree_sums`` of alpha at
     degree r + s on the rows of ``_weight_rows``, walked once in upward
     degree, O(r + s) per entry.  Only alpha is built, not b or beta.  The
     entries with r != s (mod 3) are 0 by definition (see

@@ -16,6 +16,14 @@ slower, more literal ones they are checked against:
 - gamma_g by enumerating all 2^(g+2) subsets of the markings
   (``gamma_bruteforce``), against the count by size class of
   ``hurwitz.gamma_direct``;
+- two integer statements that ``hurwitz.build_hodge_table`` no longer
+  checks, because a kept check decides each: the A-bullet WDVV recursion
+  (``_abullet_scaled_recursive``), which reproduces beta = 2b - 1/b for
+  every b with b_0 = 1, and the ODE of B (``_ode_residuals``), whose
+  residual at order n is the B recursion's at genus n + 2;
+- the weights of one pair (r, s) by a three-term recurrence in k
+  (``_mod3_weights``) and the rows of one degree from it
+  (``_half_rows``), against the diagonal walk ``hurwitz._weight_rows``;
 - the full bivariate third partials ``fy_third_partial`` and
   ``fx_third_partial``, each summed from composed series, with the
   bivariate product, derivatives and the t1 <-> t2 swap.
@@ -404,6 +412,73 @@ def gamma_bruteforce(g: int) -> int:
     if ordered % 2 != 0:
         raise ArithmeticError("ordered partition count is odd; enumeration corrupted")
     return ordered // 2
+
+
+# ---------------------------------------------------------------------------
+# The Hodge-table restatements and the weights of one pair
+# ---------------------------------------------------------------------------
+
+def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
+    """beta_0..beta_(G-1) (beta_n = 3 * 6^n Ab_(n+1)) from the second recursion.
+
+    For g >= 1 the recursion reads
+
+        delta_{g,1} + sum_{h1+h2=g} 3 C(g-1, h1-1) Ab_{h1} B_{h2}
+            = sum_{h1+h2=g-1} 2 C(g-1, h1) B_{h1} B_{h2},
+
+    where the unknown Ab_g has coefficient 3 C(g-1, g-1) B_0 = 3.  Scaled
+    by 6^(g-1), it reads
+
+        beta_(g-1) = 2 sum_{h<g} C(g-1, h) b_h b_(g-1-h)
+                     - sum_{0<h<g} C(g-1, h-1) beta_(h-1) b_(g-h) - [g = 1],
+
+    with no division; it needs b_0..b_(G-1).  This is 1 + 3 Ab B = 2 B^2
+    coefficientwise, so for b_0 = 1 it equals 2b - 1/b for any b.
+    """
+    beta: list = []
+    for g in range(1, G + 1):
+        row = binom[g - 1]
+        beta.append(2 * sum(row[h] * b[h] * b[g - 1 - h] for h in range(g))
+                    - sum(row[h - 1] * beta[h - 1] * b[g - h] for h in range(1, g))
+                    - (g == 1))
+    return beta
+
+
+def _ode_residuals(b: list[int], order: int, binom: list[list[int]]) -> list[int]:
+    """2b' + b b'' - 2(b')^2, the ODE of B at 6u, as EGF coefficients of u^0..u^order."""
+    return [2 * b[n + 1] + sum(row[k] * b[k] * b[n + 2 - k] for k in range(n + 1))
+            - 2 * sum(row[k] * b[k + 1] * b[n + 1 - k] for k in range(n + 1))
+            for n, row in enumerate(binom[:order + 1])]
+
+
+def _mod3_weights(r: int, s: int) -> list[int]:
+    """w(k) = V_0(k) - V_1(k) for k = 0..r+s, in integers and O(r + s) steps.
+
+    V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3);
+    ``hurwitz._weight_rows`` walks these rows for r = s (mod 3).
+    With omega = exp(2 pi i/3), c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s
+    is V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
+    w(k) = a_k - b_k for c_k = a_k + b_k omega.  Since
+    (1 + omega u)(1 + omega^2 u) = 1 - u + u^2, the coefficients obey
+
+        (k + 1) c_(k+1) = ((k - s) + (r - s) omega) c_k + (r + s + 1 - k) c_(k-1),
+
+    and the division is exact because c_(k+1) lies in Z[omega].
+    """
+    n, q = r + s, r - s
+    a, b, a_prev, b_prev = 1, 0, 0, 0
+    weights = [1]
+    for k in range(n):
+        p, t = k - s, n + 1 - k
+        a, b, a_prev, b_prev = ((p * a - q * b + t * a_prev) // (k + 1),
+                                (p * b + q * a - q * b + t * b_prev) // (k + 1), a, b)
+        weights.append(a - b)
+    return weights
+
+
+def _half_rows(n: int) -> list[list[int]]:
+    """The rows of degree n that ``hurwitz._weight_rows`` yields, each from ``_mod3_weights``."""
+    return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ import time
 from fractions import Fraction as F
 
 from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
-from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_formula,
-                             solve_components, theta_check)
+from crepant.hurwitz import (_binomial_rows, build_hodge_table, delta, delta_direct,
+                             gamma_formula, solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
-from crepant.oracles import (USeries, a_closed, b_closed, cyc3_inverse, fx_third_partial,
-                             fy_third_partial, gamma_bruteforce, scale_variable,
-                             series_reciprocal, swap_series, swap_t, tangent_series)
+from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_closed,
+                             cyc3_inverse, fx_third_partial, fy_third_partial,
+                             gamma_bruteforce, scale_variable, series_reciprocal,
+                             swap_series, swap_t, tangent_series)
 from crepant.potentials import FixedPointData, InverseT1T2, triple_intersection, verify_crc
 
 
@@ -49,7 +50,11 @@ def test_criterion_1_b_dual_oracle():
 @criterion(2, "A-bullet dual oracle to genus 30")
 def test_criterion_2_abullet_dual_oracle():
     table = build_hodge_table(30, component_max_genus=3)
-    assert table.checks["A-bullet recursion vs functional form"] is True
+    assert table.checks["A-bullet = gamma * A (functional equation)"] is True
+    # the WDVV recursion itself, run on the table's B
+    b = [B * 6 ** g for g, B in sorted(table.B.items())]
+    beta = _abullet_scaled_recursive(30, b, _binomial_rows(29))
+    assert {g: F(beta[g - 1], 3 * 6 ** (g - 1)) for g in range(1, 31)} == table.Abullet
     assert table.Abullet[1] == F(1, 3) and table.Abullet[2] == F(2, 3)
 
 

@@ -81,58 +81,45 @@ def corrupt_gamma_formula(monkeypatch):
     monkeypatch.setattr(hurwitz, "gamma_formula", lambda g: real(g) + (g == 20))
 
 
+def _add_one(monkeypatch, kernel, index, part=None, when=None):
+    """Make ``hurwitz.<kernel>`` add 1 at ``index`` of the list it returns, or of list ``part``.
+
+    ``when``, if given, picks the calls to corrupt by their arguments.
+    """
+    real = getattr(hurwitz, kernel)
+
+    def corrupted(*args):
+        result = real(*args)
+        target = result if part is None else result[part]
+        if index < len(target) and (when is None or when(*args)):
+            target[index] += 1
+        return result
+
+    monkeypatch.setattr(hurwitz, kernel, corrupted)
+
+
+def _divides_one(num, den, binom):
+    """Whether an ``_egf_divide`` call forms 1/b: b and alpha have non-unit numerators."""
+    return not any(num[1:])
+
+
 @pytest.fixture
 def corrupt_tangent_number(monkeypatch):
     """``hurwitz.tangent_numbers`` with 1 added to T_5."""
-    real = hurwitz.tangent_numbers
-
-    def corrupted(N):
-        T = real(N)
-        if N >= 5:
-            T[5] += 1
-        return T
-
-    monkeypatch.setattr(hurwitz, "tangent_numbers", corrupted)
+    _add_one(monkeypatch, "tangent_numbers", 5)
 
 
-@pytest.fixture
-def corrupt_b_recursion_step(monkeypatch):
-    """The integer B recursion with 1 added to its genus-5 value b_5."""
-    real = hurwitz._b_scaled_recursive
-
-    def corrupted(G, binom):
-        b = real(G, binom)
-        if G >= 5:
-            b[5] += 1
-        return b
-
-    monkeypatch.setattr(hurwitz, "_b_scaled_recursive", corrupted)
-
-
-@pytest.fixture
-def corrupt_abullet_recursion_step(monkeypatch):
-    """The integer A-bullet recursion with 1 added to beta_4 (genus 5)."""
-    real = hurwitz._abullet_scaled_recursive
-
-    def corrupted(G, b, binom):
-        beta = real(G, b, binom)
-        if G >= 5:
-            beta[4] += 1
-        return beta
-
-    monkeypatch.setattr(hurwitz, "_abullet_scaled_recursive", corrupted)
-
+_B = "B recursion vs closed form"
+_AB = "A-bullet = gamma * A (functional equation)"
+_COMP = "components independent of label"
 
 # A wrong tangent number moves the closed forms of B, A and A-bullet
 # together: it breaks every check that compares them with the tangent
-# identities (the recursion for B, the ODE, the functional equation,
-# Ab = gamma A and hence the components), but not the A-bullet recursion,
-# which holds for any B since it is 1 + 3 Ab B = 2 B^2 coefficientwise.
-_TANGENT_FAILURES = ("B recursion vs closed form", "A-bullet = gamma * A",
-                     "functional equation for A and B", "ODE B' + 3BB'' = 6(B')^2",
-                     "components independent of label")
+# identities, the recursion for B, Ab = gamma A and hence the components.
+_TANGENT_FAILURES = (_B, _AB, _COMP)
 
-# (corrupting fixture, the checks it fails in table order, argv)
+# (corrupting fixture, or the arguments of _add_one; the checks it fails
+# in table order; argv)
 _FAILED_CHECK_CASES = [
     ("corrupt_delta_direct", ("delta closed form vs direct sum",), argv) for argv in (
         ["tables", "--max-genus", "8"],
@@ -141,26 +128,57 @@ _FAILED_CHECK_CASES = [
         ["verify", "crc", "--order", "8", "--format", "json"],
     )
 ] + [
-    ("corrupt_component_solver", ("components independent of label",), argv) for argv in (
+    ("corrupt_component_solver", (_COMP,), argv) for argv in (
         ["components", "--genus", "6", "--format", "json"],
         ["tables", "--max-genus", "8"],
     )
 ] + [
     ("corrupt_tangent_number", _TANGENT_FAILURES, ["tables", "--max-genus", "8"]),
-    ("corrupt_b_recursion_step", ("B recursion vs closed form",),
-     ["tables", "--max-genus", "8"]),
-    ("corrupt_abullet_recursion_step", ("A-bullet recursion vs functional form",),
-     ["tables", "--max-genus", "8"]),
+    (("_b_scaled_recursive", 5), (_B,), ["tables", "--max-genus", "8"]),
     # genus 20: a count that stopped below it would miss the fault
-    ("corrupt_gamma_formula", ("gamma formula vs enumeration", "A-bullet = gamma * A"),
+    ("corrupt_gamma_formula", ("gamma formula vs enumeration",),
      ["tables", "--max-genus", "25"]),
+] + [
+    (corruption, failed, ["tables", "--max-genus", "30"]) for corruption, failed in (
+        (("tangent_numbers", 11), _TANGENT_FAILURES),
+        # 1 added at index 1, 2, 7 or 30 to the integers the genus-30 table
+        # is built from.  b_n = 6^n B_n and the B recursion meet only in the
+        # B check.  alpha_n and beta_n give A_(n+1) and Ab_(n+1): the
+        # components read A_g for g <= 30 and Ab_g for g >= 4, and
+        # A-bullet = gamma * A reads index 30 too.  1 added to 1/b is 1
+        # taken from beta.
+        (("_scaled_series", 1, 0), (_B,)),
+        (("_scaled_series", 2, 0), (_B,)),
+        (("_scaled_series", 7, 0), (_B,)),
+        (("_scaled_series", 30, 0), (_B,)),
+        (("_b_scaled_recursive", 1), (_B,)),
+        (("_b_scaled_recursive", 2), (_B,)),
+        (("_b_scaled_recursive", 7), (_B,)),
+        (("_b_scaled_recursive", 30), (_B,)),
+        (("_scaled_series", 1, 1), (_AB, _COMP)),
+        (("_scaled_series", 2, 1), (_AB, _COMP)),
+        (("_scaled_series", 7, 1), (_AB, _COMP)),
+        (("_scaled_series", 30, 1), (_AB,)),
+        (("_scaled_series", 1, 2), (_AB,)),
+        (("_scaled_series", 2, 2), (_AB,)),
+        (("_scaled_series", 7, 2), (_AB, _COMP)),
+        (("_scaled_series", 30, 2), (_AB,)),
+        (("_egf_divide", 1, None, _divides_one), (_AB,)),
+        (("_egf_divide", 2, None, _divides_one), (_AB,)),
+        (("_egf_divide", 7, None, _divides_one), (_AB, _COMP)),
+        (("_egf_divide", 30, None, _divides_one), (_AB,)),
+    )
 ]
 
 
 @pytest.mark.parametrize("corruption, failed, argv", _FAILED_CHECK_CASES,
                          ids=[f"argv{i}" for i in range(len(_FAILED_CHECK_CASES))])
-def test_failed_table_check_exits_1_without_output(capsys, request, corruption, failed, argv):
-    request.getfixturevalue(corruption)
+def test_failed_table_check_exits_1_without_output(capsys, monkeypatch, request,
+                                                   corruption, failed, argv):
+    if isinstance(corruption, str):
+        request.getfixturevalue(corruption)
+    else:
+        _add_one(monkeypatch, *corruption)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -304,7 +322,9 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     assert slow == []
 
 
-_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce"}
+_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
+                 "_ode_holds", "_ode_residuals", "_abullet_scaled_recursive",
+                 "_mod3_weights", "_half_rows"}
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -25,7 +25,10 @@ per-form route, which compares degrees >= 2 once per linear form
 instead of once per index; and the failure reports in
 ``verify_crc_failures.json`` predate the coefficient walk, which reads
 a failing index coefficient by coefficient up to its first mismatch
-instead of building two bivariate series.
+instead of building two bivariate series.  The ``verify recursions``
+outputs were recorded again, and changed only by their check lines, when
+the table stopped reporting the A-bullet recursion and the ODE and
+merged "A-bullet = gamma * A" with "functional equation for A and B".
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

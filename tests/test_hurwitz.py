@@ -13,11 +13,13 @@ from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              delta_direct, gamma_direct, gamma_formula,
                              solve_chain, solve_components, table_csv,
                              table_rows, theta_check)
-from crepant.hurwitz import (_degree_sums, _half_rows, _mod3_weights, _theta_totals,
-                             _weight_rows)
-from crepant.oracles import (a_closed, abullet_functional, b_closed,
-                             biseries_product, compose_linear, gamma_bruteforce,
-                             scale_variable, series_reciprocal, theta_pair)
+from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _degree_sums,
+                             _egf_divide, _scaled_series, _theta_totals, _weight_rows)
+from crepant.oracles import (_abullet_scaled_recursive, _half_rows, _mod3_weights,
+                             _ode_residuals, a_closed, abullet_functional,
+                             b_closed, biseries_product, compose_linear,
+                             gamma_bruteforce, scale_variable, series_reciprocal,
+                             theta_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,82 @@ def test_integer_route_matches_fraction_oracles(G):
 
 
 # ---------------------------------------------------------------------------
+# The statements the table no longer checks, and the merged line
+# ---------------------------------------------------------------------------
+
+def _b_recursion_residual(b, g, rows):
+    """b_g minus what the recursion of ``_b_scaled_recursive`` forms from b_0..b_(g-1)."""
+    row = rows[g - 2]
+    return b[g] - (2 * sum(row[h - 1] * b[h] * b[g - h] for h in range(1, g))
+                   - sum(row[h] * b[h] * b[g - h] for h in range(1, g - 1))
+                   - 2 * b[g - 1])
+
+
+_TAILS = st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=40)
+
+
+@given(_TAILS.filter(bool))
+def test_ode_residual_is_the_b_recursion_residual(tail):
+    # so the ODE holds through u^n whenever the B check passes through genus
+    # n + 2; the B check also pins b_0 = 1 and b_1 = 4
+    b = [1, 4, *tail]
+    order = len(b) - 3
+    rows = _binomial_rows(len(b))
+    assert _ode_residuals(b, order, rows) == [
+        _b_recursion_residual(b, n + 2, rows) for n in range(order + 1)]
+
+
+def test_the_b_recursion_and_the_ode_hold_on_the_closed_form():
+    rows = _binomial_rows(40)
+    b, _, _ = _scaled_series(40, rows)
+    assert _b_scaled_recursive(40, rows) == b
+    assert [_b_recursion_residual(b, g, rows) for g in range(2, 41)] == [0] * 39
+    assert _ode_residuals(b, 38, rows) == [0] * 39
+
+
+@given(_TAILS)
+def test_abullet_recursion_is_two_b_minus_one_over_b(tail):
+    # the WDVV recursion solves 1 + 3 Ab B = 2 B^2 for any B with B_0 = 1,
+    # so it agrees with beta = 2b - 1/b of _scaled_series by construction
+    b = [1, *tail]
+    rows = _binomial_rows(len(tail))
+    one = [1] + [0] * len(tail)
+    assert _abullet_scaled_recursive(len(b), b, rows) == [
+        2 * x - y for x, y in zip(b, _egf_divide(one, b, rows))]
+
+
+_MERGED = "A-bullet = gamma * A (functional equation)"
+
+
+@given(st.integers(0, 60).flatmap(lambda G: st.tuples(
+    st.just(G), st.integers(0, G), st.integers(-2, 2), st.integers(-2, 2), st.booleans())))
+def test_merged_line_holds_exactly_when_both_old_lines_hold(case):
+    """The merged line against "A-bullet = gamma * A" and "functional equation for A and B".
+
+    alpha_n and beta_n are moved by (d, e), or, when ``along`` is set, by
+    (d, gamma_(n+1) d), which keeps both old lines; the checks read the
+    moved series through ``_scaled_series``.
+    """
+    G, n, d, e, along = case
+    b, alpha, beta = _scaled_series(G, _binomial_rows(G))
+    alpha[n] += d
+    beta[n] += gamma_formula(n + 1) * d if along else e
+    gamma_line = all(beta[g - 1] == gamma_formula(g) * alpha[g - 1] for g in range(1, G + 1))
+    functional = all(3 * beta[k] == (4 * 2 ** k - (-1) ** k) * alpha[k] for k in range(G + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hurwitz, "_scaled_series", lambda N, rows: (b, alpha, beta))
+        table = build_hodge_table(G, component_max_genus=min(G, 3))
+    assert table.checks[_MERGED] == (gamma_line and functional)
+
+
+def test_table_checks_are_the_four_lines_and_the_components():
+    for G, extra in ((0, []), (1, []), (3, []), (4, ["components independent of label"])):
+        assert list(build_hodge_table(G).checks) == [
+            "B recursion vs closed form", "gamma formula vs enumeration",
+            "delta closed form vs direct sum", _MERGED, *extra]
+
+
+# ---------------------------------------------------------------------------
 # Component labels and systems
 # ---------------------------------------------------------------------------
 
@@ -365,8 +443,8 @@ def test_weight_walk_matches_mod3_weights():
 
 
 def test_lone_solve_matches_walked_table():
-    # a lone solve_components forms its weights by _mod3_weights; the table
-    # reads them from the walk
+    # a lone solve_components walks the weights to degree g - 1 itself; the
+    # table hands each genus its rows from one walk
     table = build_hodge_table(40)
     assert table.checks["components independent of label"]
     for g in range(4, 41):
