@@ -14,8 +14,7 @@ subcommand, loads only the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "algebra": ("Cyc3", "CycElement", "CycField", "DegreeOverflowError", "LinT",
-                "OMEGA", "OMEGA_BAR", "I_OVER_SQRT3"),
+    "algebra": ("CycElement", "CycField"),
     "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
                 "delta_direct", "gamma_direct", "gamma_formula", "solve_components",
                 "theta_check"),
@@ -23,7 +22,8 @@ _EXPORTS = {
     "oracles": ("BiSeries", "USeries", "a_closed", "abullet_functional", "b_closed",
                 "compose_linear", "fx_third_partial", "fy_third_partial",
                 "tangent_series", "tau_series", "theta_pair"),
-    "potentials": ("ChangeOfVars", "FixedPointData", "InverseT1T2",
+    "potentials": ("ChangeOfVars", "Cyc3", "DegreeOverflowError", "FixedPointData",
+                   "I_OVER_SQRT3", "InverseT1T2", "LinT", "OMEGA", "OMEGA_BAR",
                    "orbifold_invariant", "triple_intersection", "verify_crc"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

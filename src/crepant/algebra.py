@@ -1,46 +1,23 @@
-"""Exact scalar arithmetic and the multi-cover series.
+"""Exact scalar arithmetic: rationals and the cyclotomic fields Q(zeta_m).
 
-Every quantity in this package is computed exactly, over one of the
-following rings of arbitrary-precision rationals:
-
-- ``Cyc3``: the field Q(w) for a primitive cube root of unity w, an
-  element a + b*w stored as integer numerators over one positive
-  denominator, in lowest terms, and multiplied in ints with the
-  reduction rule w^2 = -1 - w.  The square root of -3 lives here as
-  2w + 1, so i/sqrt(3) is encoded as (2w + 1)/3.
-- ``CycField(m)``: the general cyclotomic field Q[x]/Phi_m(x), used for
-  the cyclic DuVal transforms.  An element is an integer numerator
-  vector over one positive denominator, in lowest terms.  Phi_m is
-  monic with integer coefficients, so elements are reduced in ints
-  through one table of the powers zeta^e, 0 <= e < m, and no
-  polynomial division is done.
-- ``LinT``: polynomials c0 + c1*t1 + c2*t2 of t-degree at most one over
-  Cyc3.  Products that would create t-degree two are rejected: every
-  stable potential coefficient is t-linear, so such a product is a bug.
-
-A series in production is the plain tuple of its coefficients.  The one
-quotient of series that production needs, the multi-cover series
-G_q = q e^u / (1 - q e^u), is built in integers from Eulerian numbers
-and checked against its defining equation (``geometric_exp_series``);
-no series is multiplied or divided.  No floating point appears
-anywhere: ``Cyc3`` and ``CycField`` reject a float with TypeError.  The
-value types are plain classes on ``Record`` (immutable fields, compared,
-hashed and shown by value), not dataclasses: importing ``dataclasses``
-imports ``inspect``, a fixed cost of every run.  Only what a production
-path runs is here: the series classes ``USeries`` and ``BiSeries``, the
-composition with a linear form, the Q(w) inverse and the series
-arithmetic that tests compare against live in ``oracles``, which no
-production module imports.
+``_rational`` is the one conversion to Fraction, and rejects a float
+with TypeError.  ``Record`` is the base of the value types (immutable
+fields, compared, hashed and shown by value); they are not dataclasses,
+since importing ``dataclasses`` imports ``inspect``, a fixed cost of
+every run.  ``CycField(m)`` is Q[x]/Phi_m(x), used for the cyclic DuVal
+transforms: an element is an integer numerator vector over one positive
+denominator, in lowest terms, reduced in ints through one table of the
+powers zeta^e, 0 <= e < m (Phi_m is monic with integer coefficients, so
+no polynomial is divided).  Q(w) (``Cyc3``), the t-linear polynomials
+over it and the multi-cover series live in ``potentials``, their only
+production consumer, so ``duval`` never compiles them; the series
+arithmetic that tests compare against lives in ``oracles``.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Sequence
-
-
-class DegreeOverflowError(ArithmeticError):
-    """Raised when a product would exceed t-degree one in LinT."""
 
 
 def _rational(x) -> Fraction:
@@ -89,179 +66,6 @@ class Record:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not by setting fields
         return type(self), self._values()
-
-
-# ---------------------------------------------------------------------------
-# Cyc3: the field Q(w), w^2 + w + 1 = 0
-# ---------------------------------------------------------------------------
-
-class Cyc3(Record):
-    """An element (na + nb*w)/den of Q(w), w a primitive cube root of unity.
-
-    ``Cyc3(a, b)`` is a + b*w for ints or Fractions a and b.  It is stored
-    as integer numerators over one positive denominator in lowest terms,
-    gcd(na, nb, den) == 1 with zero as 0/1, and every operation reduces
-    its result once, so equal elements have equal fields.  ``a`` and
-    ``b`` are the Fraction views na/den and nb/den.  A rational element
-    compares and hashes like its Fraction, and equals a rational
-    ``CycElement`` of the same value; an irrational element never equals
-    a ``CycElement``, not even zeta_3 in ``CycField(3)``.  Nothing divides
-    in Q(w), so there is no inverse and no negative power (ValueError).
-
-    >>> OMEGA * OMEGA == OMEGA_BAR
-    True
-    >>> Cyc3(1, 2) * Cyc3(1, 2)
-    Cyc3('-3')
-    """
-    __slots__ = ("na", "nb", "den")
-
-    def __new__(cls, a, b=0) -> Cyc3:
-        if type(a) is int and type(b) is int:
-            return _cyc3(a, b, 1)
-        a, b = _rational(a), _rational(b)
-        den = math.lcm(a.denominator, b.denominator)
-        return _cyc3(a.numerator * (den // a.denominator),
-                     b.numerator * (den // b.denominator), den)
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.na, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.nb, self.den)
-
-    @staticmethod
-    def _coerce(x) -> "Cyc3 | None":
-        if isinstance(x, Cyc3):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _cyc3(x.numerator, 0, x.denominator)
-        return None
-
-    def __add__(self, other) -> Cyc3:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d, e = self.den, o.den
-        if d == e:
-            return _cyc3(self.na + o.na, self.nb + o.nb, d)
-        return _cyc3(self.na * e + o.na * d, self.nb * e + o.nb * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Cyc3:
-        return self + (-other)
-
-    def __rsub__(self, other) -> Cyc3:
-        return -self + other
-
-    def __neg__(self) -> Cyc3:
-        return _cyc3(-self.na, -self.nb, self.den)
-
-    def __mul__(self, other) -> Cyc3:
-        if type(other) is int:
-            return _cyc3(self.na * other, self.nb * other, self.den)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + bw)(c + dw) with w^2 = -1 - w
-        a, b, c, d = self.na, self.nb, o.na, o.nb
-        bd = b * d
-        return _cyc3(a * c - bd, a * d + b * c - bd, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Cyc3:
-        if n < 0:
-            raise ValueError("negative powers are not supported in Q(w)")
-        result = _cyc3(1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Cyc3):
-            return self.na == other.na and self.nb == other.nb and self.den == other.den
-        if isinstance(other, CycElement):
-            # Q(w) and Q(zeta_m) are compared only where both are rational.
-            if any(other.nums[1:]):
-                return False
-            other = Fraction(other.nums[0], other.den)
-        if isinstance(other, (int, Fraction)):
-            return (self.nb == 0 and self.na == other.numerator
-                    and self.den == other.denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Rational elements must hash like their Fraction value.
-        if self.nb == 0:
-            return hash(Fraction(self.na, self.den))
-        return hash((self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.na or self.nb)
-
-    def conjugate(self) -> Cyc3:
-        """Complex conjugation: w -> w-bar, i.e. (a, b) -> (a - b, -b)."""
-        return _cyc3(self.na - self.nb, -self.nb, self.den)
-
-    def as_rational(self) -> Fraction:
-        if self.nb:
-            raise ValueError(f"{self!r} has a nonzero w-part")
-        return self.a
-
-    def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
-
-    def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if b == 1:
-            wpart = "w"
-        elif b == -1:
-            wpart = "-w"
-        else:
-            wpart = f"{b}w"
-        if a == 0:
-            return wpart
-        sign = "+" if b > 0 else "-"
-        mag = wpart.lstrip("-")
-        return f"{a} {sign} {mag}"
-
-    def __repr__(self) -> str:
-        return f"Cyc3('{self}')"
-
-    def __reduce__(self):
-        return _cyc3, (self.na, self.nb, self.den)
-
-
-# Record refuses attribute assignment, so _cyc3 sets the slots through
-# their descriptors, the cheapest route for the hot constructor.
-_new_cyc3 = object.__new__
-_set_na, _set_nb, _set_den = Cyc3.na.__set__, Cyc3.nb.__set__, Cyc3.den.__set__
-
-
-def _cyc3(x: int, y: int, d: int) -> Cyc3:
-    """The element (x + y*w)/d for ints x, y and d > 0, in lowest terms."""
-    g = math.gcd(x, y, d)
-    if g != 1:
-        x, y, d = x // g, y // g, d // g
-    z = _new_cyc3(Cyc3)
-    _set_na(z, x)
-    _set_nb(z, y)
-    _set_den(z, d)
-    return z
-
-
-OMEGA = Cyc3(0, 1)
-OMEGA_BAR = Cyc3(-1, -1)
-I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +199,10 @@ class CycElement(Record):
     all zeros over 1.  Build elements through ``CycField``; every
     operation reduces its result to canonical form once, so equal
     elements have equal ``nums`` and ``den``.  Rational elements compare
-    and hash like their Fraction value, whatever their field, and equal a
-    rational ``Cyc3`` of the same value.  Irrational elements of two
-    different fields are unequal, and an irrational element never equals
-    a ``Cyc3``.
+    and hash like their Fraction value, whatever their field, and
+    irrational elements of two different fields are unequal.  Against
+    any other type ``==`` returns NotImplemented, so Python asks the
+    other operand: ``potentials.Cyc3.__eq__`` defines equality with Q(w).
     """
     __slots__ = _fields = ("field", "nums", "den")
 
@@ -476,10 +280,6 @@ class CycElement(Record):
             if any(other.nums[1:]):
                 return False
             other = Fraction(other.nums[0], other.den)
-        elif isinstance(other, Cyc3):
-            if other.nb:
-                return False
-            other = other.a
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator and self.nums[0] == other.numerator
                     and not any(self.nums[1:]))
@@ -509,163 +309,10 @@ class CycElement(Record):
         return " + ".join(parts) if parts else "0"
 
 
-# ---------------------------------------------------------------------------
-# LinT: c0 + c1*t1 + c2*t2 over Cyc3, t-degree <= 1
-# ---------------------------------------------------------------------------
-
-class LinT(Record):
-    """A polynomial c0 + c1*t1 + c2*t2 of degree at most one in (t1, t2).
-
-    The equivariant parameters only ever appear linearly in stable
-    coefficients, so a product of two elements with nonzero t-parts
-    raises DegreeOverflowError instead of widening the type.
-    """
-    __slots__ = _fields = ("c0", "c1", "c2")
-
-    def __init__(self, c0: Cyc3, c1: Cyc3, c2: Cyc3):
-        self._init(c0, c1, c2)
-
-    @classmethod
-    def of(cls, c0=0, c1=0, c2=0) -> LinT:
-        conv = lambda x: x if isinstance(x, Cyc3) else Cyc3(x)
-        return cls(conv(c0), conv(c1), conv(c2))
-
-    @classmethod
-    def zero(cls) -> LinT:
-        return cls.of()
-
-    def has_t_part(self) -> bool:
-        return bool(self.c1) or bool(self.c2)
-
-    @staticmethod
-    def _coerce(x) -> "LinT | None":
-        if isinstance(x, LinT):
-            return x
-        if isinstance(x, (int, Fraction, Cyc3)):
-            return LinT.of(x)
-        return None
-
-    def __add__(self, other) -> LinT:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LinT(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> LinT:
-        return self + (-other)
-
-    def __rsub__(self, other) -> LinT:
-        return (-self) + other
-
-    def __neg__(self) -> LinT:
-        return LinT(-self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other) -> LinT:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.has_t_part() and o.has_t_part():
-            raise DegreeOverflowError(f"t-degree 2 product: ({self}) * ({o})")
-        if o.has_t_part():
-            return LinT(self.c0 * o.c0, self.c0 * o.c1, self.c0 * o.c2)
-        return LinT(self.c0 * o.c0, self.c1 * o.c0, self.c2 * o.c0)
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> dict:
-        return {"c0": self.c0.to_json(), "c1": self.c1.to_json(), "c2": self.c2.to_json()}
-
-    def __str__(self) -> str:
-        parts = []
-        if bool(self.c0):
-            parts.append(f"({self.c0})")
-        if bool(self.c1):
-            parts.append(f"({self.c1})*t1")
-        if bool(self.c2):
-            parts.append(f"({self.c2})*t2")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"LinT('{self}')"
-
-
-# ---------------------------------------------------------------------------
-# The multi-cover series
-# ---------------------------------------------------------------------------
-
-def _geometric_numerators(N: int) -> list[tuple[int, int]]:
-    """h_n = w A_n(w) (2 + w)^(n+1) for 0 <= n <= N, each as the pair (a, b) of a + b*w.
-
-    A_n(x) = sum_k A(n, k) x^k is the Eulerian polynomial (A_0 = 1), run
-    by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); since w^3 = 1,
-    A_n(w) folds its coefficients by k mod 3.  Everything is an integer.
-    """
-    numerators = []
-    row = [1]          # A(n, k), 0 <= k < max(n, 1)
-    power = (2, 1)     # (2 + w)^(n+1)
-    for n in range(N + 1):
-        if n:
-            padded = [0] + row + [0]
-            row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
-        s0, s1, s2 = (sum(row[r::3]) for r in range(3))
-        a, b = s2 - s1, s0 - s1          # w (s0 + s1 w + s2 w^2)
-        c, d = power
-        numerators.append((a * c - b * d, a * d + b * c - b * d))
-        power = (2 * c - d, c + d)
-    return numerators
-
-
-def _check_geometric_numerators(h: Sequence[tuple[int, int]]) -> None:
-    """Raise ArithmeticError at the first n where h breaks (1 - w e^u) G_w = w e^u.
-
-    With G_w = sum_n h_n u^n / (3^(n+1) n!), the u^n coefficient of that
-    equation times 3^(n+1) n! reads
-
-        h_n - w * sum_(k <= n) C(n, k) 3^(n-k) h_k = 3^(n+1) w.
-
-    The coefficient 1 - w of h_n is a unit, so the equation has one
-    solution, and the pairs that pass it through n are G_w through u^n.
-    """
-    weights = [1]      # C(n, k) 3^(n-k), 0 <= k <= n
-    power = 3          # 3^(n+1)
-    for n, (a, b) in enumerate(h):
-        sa = sum(wk * hk[0] for wk, hk in zip(weights, h))
-        sb = sum(wk * hk[1] for wk, hk in zip(weights, h))
-        # h_n - w (sa + sb w) = (a + sb) + (b - sa + sb) w
-        if a + sb != 0 or b - sa + sb != power:
-            raise ArithmeticError(
-                f"geometric series numerator h_{n} = {(a, b)} breaks (1 - w e^u) G = w e^u")
-        weights = [3 * x + y for x, y in zip(weights + [0], [0] + weights)]
-        power *= 3
-
-
-def geometric_exp_series(q: Cyc3, N: int) -> tuple[Cyc3, ...]:
-    """The coefficients of u^0..u^N of G_q(u) = q e^u / (1 - q e^u) over Q(w), q in {w, w-bar}.
-
-    The thrice-differentiated multi-cover sum sum_d (1/d^3) (q e^u)^d.  Its
-    coefficients are n! [u^n] G_q = Li_(-n)(q) = q A_n(q) / (1 - q)^(n+1),
-    A_n the Eulerian polynomial; since 1/(1 - w) = (2 + w)/3, at q = w that
-    is h_n / 3^(n+1) for the integer pairs h_n of ``_geometric_numerators``.
-    The pairs are checked against the defining equation (1 - w e^u) G_w =
-    w e^u (``_check_geometric_numerators``, ArithmeticError) before any
-    rational is formed, so no series is divided.  G_(w-bar) is the
-    conjugate.  q = 1 raises ZeroDivisionError (1 - q e^u has constant
-    term 0); any other q raises ValueError.
-    """
-    if q == 1:
-        raise ZeroDivisionError("geometric series denominator has constant term 0")
-    if q not in (OMEGA, OMEGA_BAR):
-        raise ValueError(f"geometric series is built for q in {{w, w-bar}}, not {q}")
-    h = _geometric_numerators(N)
-    _check_geometric_numerators(h)
-    if q == OMEGA_BAR:
-        h = [(a - b, -b) for a, b in h]
-    coeffs = []
-    den = 3            # 3^(n+1) n!
-    for n, (a, b) in enumerate(h):
-        if n:
-            den *= 3 * n
-        coeffs.append(_cyc3(a, b, den))
-    return tuple(coeffs)
+def __getattr__(name: str):
+    # perfbench/tracer.py still traces these two under algebra; importing
+    # potentials on that lookup keeps Q(w) out of every run that never asks.
+    if name in ("Cyc3", "geometric_exp_series"):
+        from . import potentials
+        return getattr(potentials, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,15 +6,20 @@ Exit codes: 0 when all requested checks pass (or output was written),
 output is written (a broken pipe, reported in one stderr line).  All
 rationals are emitted as exact strings; nothing is ever rounded.
 
+JSON output is the text of ``json.dump(payload, indent=2)``, made by
+``_json_pieces``, which writes each list of strings in one ``join``
+(936 pieces for ``duval --n 30 --format json``): json's own indented
+encoder runs in pure Python, makes 16,639 pieces and takes longer than
+the transform.  Floats, Fractions and tuples raise TypeError.
+
 Output is written in pieces of at least ``_WRITE_CHARS`` = 8192
 characters (the last may be shorter).  With unbuffered stdout (``python
--u`` or ``PYTHONUNBUFFERED``) each ``write`` is one system call, and
-json's encoder makes many small pieces (16,639 for ``duval --n 30
---format json``).  One ``write`` of a whole large text is no better:
-when the reader closes, the pipe takes part of it, the rest is dropped
-without an error, and the run exits 0; in pieces, a later piece fails
-with a broken pipe.  Joining the encoder's pieces as they come also
-keeps memory bounded, where ``json.dumps`` would hold the whole text.
+-u`` or ``PYTHONUNBUFFERED``) each ``write`` is one system call.  One
+``write`` of a whole large text is no better: when the reader closes,
+the pipe takes part of it, the rest is dropped without an error, and
+the run exits 0; in pieces, a later piece fails with a broken pipe.
+Joining the pieces as they come also keeps memory bounded, where
+``json.dumps`` would hold the whole text.
 
 ``tables``, ``components`` and ``verify crc`` build a Hodge table first;
 if any of its dual-oracle checks fails they write no output, print one
@@ -22,19 +27,19 @@ stderr line per failed check and exit 1.  ``verify recursions`` reports
 the same checks, pass or fail, as its output.
 
 Each subcommand handler imports the modules it runs: ``--help`` and
-``duval`` never load ``hurwitz`` or ``potentials``, the Hodge-table
-subcommands load ``hurwitz`` alone, and none loads ``oracles`` or
-``dataclasses`` (which imports ``inspect``).
+``duval`` never load ``hurwitz`` or ``potentials`` (so ``duval``
+compiles no Q(w) code), the Hodge-table subcommands load ``hurwitz``
+alone, and none loads ``oracles`` or ``dataclasses`` (which imports
+``inspect``).
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .hurwitz import HodgeTable
@@ -79,9 +84,70 @@ def _emit(text: str, output: str | None) -> None:
            output)
 
 
+def _json_scalar(value, encode: Callable[[str], str]) -> str:
+    """The JSON text of a string, int, bool or None; TypeError for anything else."""
+    if isinstance(value, str):
+        return encode(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} {value!r} is not written as JSON")
+
+
+def _json_strings(value, indent: str, encode: Callable[[str], str]) -> str | None:
+    """The JSON text of a nonempty list of strings, made in one join; else None."""
+    if not (isinstance(value, list) and value and isinstance(value[0], str)):
+        return None
+    inner = indent + "  "
+    try:
+        body = (",\n" + inner).join(map(encode, value))
+    except TypeError:           # a later item is not a string
+        return None
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _json_pieces(value, indent: str, encode: Callable[[str], str]) -> Iterator[str]:
+    """The text of ``json.dump(value, indent=2)`` in pieces, each list of strings one piece.
+
+    Dicts with str keys, lists, strings, ints, True, False and None are
+    written; anything else (a float, Fraction or tuple) raises TypeError.
+    """
+    if isinstance(value, dict):
+        opener, closer = "{", "}"
+        items = ((encode(key) + ": ", item) for key, item in value.items())
+    elif isinstance(value, list):
+        text = _json_strings(value, indent, encode)
+        if text is not None:
+            yield text
+            return
+        opener, closer = "[", "]"
+        items = (("", item) for item in value)
+    else:
+        yield _json_scalar(value, encode)
+        return
+    if not value:
+        yield opener + closer
+        return
+    inner = indent + "  "
+    sep = opener + "\n" + inner
+    for prefix, item in items:
+        if not isinstance(item, (dict, list)):
+            yield sep + prefix + _json_scalar(item, encode)
+        elif (text := _json_strings(item, inner, encode)) is not None:
+            yield sep + prefix + text
+        else:
+            yield sep + prefix
+            yield from _json_pieces(item, inner, encode)
+        sep = ",\n" + inner
+    yield "\n" + indent + closer
+
+
 def _emit_json(payload, output: str | None) -> None:
-    # the pieces json.dump(indent=2) would write, as the encoder makes them
-    _write(chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",)), output)
+    # imported here, so --help and text output never load json
+    from json.encoder import encode_basestring_ascii
+
+    _write(chain(_json_pieces(payload, "", encode_basestring_ascii), ("\n",)), output)
 
 
 def _checked_table(max_genus: int, **kwargs) -> HodgeTable | None:

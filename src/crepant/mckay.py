@@ -24,6 +24,9 @@ share one pair (a, b) (432 pairs for the 841 entries at n = 30), so each
 pair's element is built once and shared by its entries, and
 ``transform_json`` forms each shared element's coefficient strings once.
 The oracle ``entry_square_identity`` is built from the characters instead.
+Q(zeta_2n) is ``algebra.CycField``.  The Q(w) values that
+``check_n3_specialization`` embeds (``Cyc3``) live in ``potentials``,
+which that check imports when it runs, so ``duval`` never compiles Q(w).
 The quantum parameters are zeta_n^(n_R) with n_R = 1 for every
 nontrivial R, all marks of the A_{n-1} diagram being 1.
 """
@@ -31,8 +34,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import Cyc3, CycElement, CycField, Record
+from .algebra import CycElement, CycField, Record
+
+if TYPE_CHECKING:
+    from .potentials import Cyc3
 
 
 class DuValTransform(Record):

@@ -2,7 +2,7 @@
 
 The production modules compute the Hodge table on integers
 (``hurwitz``), the multi-cover series from Eulerian numbers
-(``algebra.geometric_exp_series``) and compare the potentials form by
+(``potentials.geometric_exp_series``) and compare the potentials form by
 form, or coefficient by coefficient up to the first mismatch
 (``potentials``), on plain coefficient tuples.  The routes here are the
 slower, more literal ones they are checked against:
@@ -38,11 +38,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Cyc3, LinT, Record, _cyc3
+from .algebra import Record
 from .hurwitz import HodgeTable, _binomial_rows, _scaled_series
-from .potentials import (_FORMS, ChangeOfVars, FixedPointData, _chain, _cubic_partial,
-                         _multicover_pieces, _orbifold_series, _triple_products,
-                         orbifold_invariant)
+from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
+                         _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
+                         _triple_products, orbifold_invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def series_reciprocal(f: USeries) -> USeries:
 def geometric_series_by_reciprocal(q: Cyc3, N: int) -> USeries:
     """G_q(u) = q e^u / (1 - q e^u) to order N as 1/(1 - q e^u) - 1.
 
-    The series-division route of ``algebra.geometric_exp_series``, for any
+    The series-division route of ``potentials.geometric_exp_series``, for any
     q != 1 in Q(w).
     """
     exp = USeries.from_coeffs([Cyc3(Fraction(1, math.factorial(k))) for k in range(N + 1)])

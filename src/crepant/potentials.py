@@ -5,8 +5,8 @@ polynomial in y0..y2 whose coefficients are the ten triple products of
 1, C1, C2 (computed here by localization over the three fixed points),
 and a multi-cover sum whose third derivative collapses to the geometric
 series G_q(L) = q e^L / (1 - q e^L).  Its exponential coefficients are
-the polylogarithms Li_(-n)(q), which ``algebra.geometric_exp_series``
-builds in integers from Eulerian numbers.  The orbifold-side potential
+the polylogarithms Li_(-n)(q), which ``geometric_exp_series`` builds
+in integers from Eulerian numbers.  The orbifold-side potential
 consists of cubic terms, the three-point values of
 ``orbifold_invariant``, plus the symmetrized Hurwitz-Hodge series.
 
@@ -47,6 +47,11 @@ Degree bookkeeping: every stable coefficient is t-linear and lives in
 LinT; the two degree -2 exceptions (the triple product of identity
 classes on either side) travel on the dedicated InverseT1T2 channel and
 are compared as literal multiples of 1/(t1*t2).
+
+The comparison's own rings live here, beside their only production
+consumer, so ``duval`` (which needs only ``algebra``'s Q(zeta_m)) never
+compiles them: the field Q(w) (``Cyc3``, with i/sqrt(3) = (2w + 1)/3),
+the t-linear polynomials over it (``LinT``) and ``geometric_exp_series``.
 """
 from __future__ import annotations
 
@@ -54,9 +59,351 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import Sequence
 
-from .algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, I_OVER_SQRT3, Record, geometric_exp_series
+from .algebra import CycElement, Record, _rational
 from .hurwitz import HodgeTable
+
+
+class DegreeOverflowError(ArithmeticError):
+    """Raised when a product would exceed t-degree one in LinT."""
+
+
+# ---------------------------------------------------------------------------
+# Cyc3: the field Q(w), w^2 + w + 1 = 0
+# ---------------------------------------------------------------------------
+
+class Cyc3(Record):
+    """An element (na + nb*w)/den of Q(w), w a primitive cube root of unity.
+
+    ``Cyc3(a, b)`` is a + b*w for ints or Fractions a and b.  It is stored
+    as integer numerators over one positive denominator in lowest terms,
+    gcd(na, nb, den) == 1 with zero as 0/1, and every operation reduces
+    its result once, so equal elements have equal fields.  ``a`` and
+    ``b`` are the Fraction views na/den and nb/den.  A rational element
+    compares and hashes like its Fraction, and equals a rational
+    ``CycElement`` of the same value; an irrational element never equals
+    a ``CycElement``, not even zeta_3 in ``CycField(3)``.  Nothing divides
+    in Q(w), so there is no inverse and no negative power (ValueError).
+
+    >>> OMEGA * OMEGA == OMEGA_BAR
+    True
+    >>> Cyc3(1, 2) * Cyc3(1, 2)
+    Cyc3('-3')
+    """
+    __slots__ = ("na", "nb", "den")
+
+    def __new__(cls, a, b=0) -> Cyc3:
+        if type(a) is int and type(b) is int:
+            return _cyc3(a, b, 1)
+        a, b = _rational(a), _rational(b)
+        den = math.lcm(a.denominator, b.denominator)
+        return _cyc3(a.numerator * (den // a.denominator),
+                     b.numerator * (den // b.denominator), den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
+
+    @staticmethod
+    def _coerce(x) -> "Cyc3 | None":
+        if isinstance(x, Cyc3):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _cyc3(x.numerator, 0, x.denominator)
+        return None
+
+    def __add__(self, other) -> Cyc3:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d, e = self.den, o.den
+        if d == e:
+            return _cyc3(self.na + o.na, self.nb + o.nb, d)
+        return _cyc3(self.na * e + o.na * d, self.nb * e + o.nb * d, d * e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Cyc3:
+        return self + (-other)
+
+    def __rsub__(self, other) -> Cyc3:
+        return -self + other
+
+    def __neg__(self) -> Cyc3:
+        return _cyc3(-self.na, -self.nb, self.den)
+
+    def __mul__(self, other) -> Cyc3:
+        if type(other) is int:
+            return _cyc3(self.na * other, self.nb * other, self.den)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # (a + bw)(c + dw) with w^2 = -1 - w
+        a, b, c, d = self.na, self.nb, o.na, o.nb
+        bd = b * d
+        return _cyc3(a * c - bd, a * d + b * c - bd, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> Cyc3:
+        if n < 0:
+            raise ValueError("negative powers are not supported in Q(w)")
+        result = _cyc3(1, 0, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Cyc3):
+            return self.na == other.na and self.nb == other.nb and self.den == other.den
+        if isinstance(other, CycElement):
+            # Q(w) and Q(zeta_m) are compared only where both are rational;
+            # CycElement.__eq__ defers to this method for a Cyc3 operand.
+            if any(other.nums[1:]):
+                return False
+            other = Fraction(other.nums[0], other.den)
+        if isinstance(other, (int, Fraction)):
+            return (self.nb == 0 and self.na == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Rational elements must hash like their Fraction value.
+        if self.nb == 0:
+            return hash(Fraction(self.na, self.den))
+        return hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.na or self.nb)
+
+    def conjugate(self) -> Cyc3:
+        """Complex conjugation: w -> w-bar, i.e. (a, b) -> (a - b, -b)."""
+        return _cyc3(self.na - self.nb, -self.nb, self.den)
+
+    def as_rational(self) -> Fraction:
+        if self.nb:
+            raise ValueError(f"{self!r} has a nonzero w-part")
+        return self.a
+
+    def to_json(self) -> dict:
+        return {"a": str(self.a), "b": str(self.b)}
+
+    def __str__(self) -> str:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if b == 1:
+            wpart = "w"
+        elif b == -1:
+            wpart = "-w"
+        else:
+            wpart = f"{b}w"
+        if a == 0:
+            return wpart
+        sign = "+" if b > 0 else "-"
+        mag = wpart.lstrip("-")
+        return f"{a} {sign} {mag}"
+
+    def __repr__(self) -> str:
+        return f"Cyc3('{self}')"
+
+    def __reduce__(self):
+        return _cyc3, (self.na, self.nb, self.den)
+
+
+# Record refuses attribute assignment, so _cyc3 sets the slots through
+# their descriptors, the cheapest route for the hot constructor.
+_new_cyc3 = object.__new__
+_set_na, _set_nb, _set_den = Cyc3.na.__set__, Cyc3.nb.__set__, Cyc3.den.__set__
+
+
+def _cyc3(x: int, y: int, d: int) -> Cyc3:
+    """The element (x + y*w)/d for ints x, y and d > 0, in lowest terms."""
+    g = math.gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    z = _new_cyc3(Cyc3)
+    _set_na(z, x)
+    _set_nb(z, y)
+    _set_den(z, d)
+    return z
+
+
+OMEGA = Cyc3(0, 1)
+OMEGA_BAR = Cyc3(-1, -1)
+I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
+
+
+# ---------------------------------------------------------------------------
+# LinT: c0 + c1*t1 + c2*t2 over Cyc3, t-degree <= 1
+# ---------------------------------------------------------------------------
+
+class LinT(Record):
+    """A polynomial c0 + c1*t1 + c2*t2 of degree at most one in (t1, t2).
+
+    The equivariant parameters only ever appear linearly in stable
+    coefficients, so a product of two elements with nonzero t-parts
+    raises DegreeOverflowError instead of widening the type.
+    """
+    __slots__ = _fields = ("c0", "c1", "c2")
+
+    def __init__(self, c0: Cyc3, c1: Cyc3, c2: Cyc3):
+        self._init(c0, c1, c2)
+
+    @classmethod
+    def of(cls, c0=0, c1=0, c2=0) -> LinT:
+        conv = lambda x: x if isinstance(x, Cyc3) else Cyc3(x)
+        return cls(conv(c0), conv(c1), conv(c2))
+
+    @classmethod
+    def zero(cls) -> LinT:
+        return cls.of()
+
+    def has_t_part(self) -> bool:
+        return bool(self.c1) or bool(self.c2)
+
+    @staticmethod
+    def _coerce(x) -> "LinT | None":
+        if isinstance(x, LinT):
+            return x
+        if isinstance(x, (int, Fraction, Cyc3)):
+            return LinT.of(x)
+        return None
+
+    def __add__(self, other) -> LinT:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return LinT(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> LinT:
+        return self + (-other)
+
+    def __rsub__(self, other) -> LinT:
+        return (-self) + other
+
+    def __neg__(self) -> LinT:
+        return LinT(-self.c0, -self.c1, -self.c2)
+
+    def __mul__(self, other) -> LinT:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.has_t_part() and o.has_t_part():
+            raise DegreeOverflowError(f"t-degree 2 product: ({self}) * ({o})")
+        if o.has_t_part():
+            return LinT(self.c0 * o.c0, self.c0 * o.c1, self.c0 * o.c2)
+        return LinT(self.c0 * o.c0, self.c1 * o.c0, self.c2 * o.c0)
+
+    __rmul__ = __mul__
+
+    def to_json(self) -> dict:
+        return {"c0": self.c0.to_json(), "c1": self.c1.to_json(), "c2": self.c2.to_json()}
+
+    def __str__(self) -> str:
+        parts = []
+        if bool(self.c0):
+            parts.append(f"({self.c0})")
+        if bool(self.c1):
+            parts.append(f"({self.c1})*t1")
+        if bool(self.c2):
+            parts.append(f"({self.c2})*t2")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"LinT('{self}')"
+
+
+# ---------------------------------------------------------------------------
+# The multi-cover series
+# ---------------------------------------------------------------------------
+
+def _geometric_numerators(N: int) -> list[tuple[int, int]]:
+    """h_n = w A_n(w) (2 + w)^(n+1) for 0 <= n <= N, each as the pair (a, b) of a + b*w.
+
+    A_n(x) = sum_k A(n, k) x^k is the Eulerian polynomial (A_0 = 1), run
+    by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1); since w^3 = 1,
+    A_n(w) folds its coefficients by k mod 3.  Everything is an integer.
+    """
+    numerators = []
+    row = [1]          # A(n, k), 0 <= k < max(n, 1)
+    power = (2, 1)     # (2 + w)^(n+1)
+    for n in range(N + 1):
+        if n:
+            padded = [0] + row + [0]
+            row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+        s0, s1, s2 = (sum(row[r::3]) for r in range(3))
+        a, b = s2 - s1, s0 - s1          # w (s0 + s1 w + s2 w^2)
+        c, d = power
+        numerators.append((a * c - b * d, a * d + b * c - b * d))
+        power = (2 * c - d, c + d)
+    return numerators
+
+
+def _check_geometric_numerators(h: Sequence[tuple[int, int]]) -> None:
+    """Raise ArithmeticError at the first n where h breaks (1 - w e^u) G_w = w e^u.
+
+    With G_w = sum_n h_n u^n / (3^(n+1) n!), the u^n coefficient of that
+    equation times 3^(n+1) n! reads
+
+        h_n - w * sum_(k <= n) C(n, k) 3^(n-k) h_k = 3^(n+1) w.
+
+    The coefficient 1 - w of h_n is a unit, so the equation has one
+    solution, and the pairs that pass it through n are G_w through u^n.
+    """
+    weights = [1]      # C(n, k) 3^(n-k), 0 <= k <= n
+    power = 3          # 3^(n+1)
+    for n, (a, b) in enumerate(h):
+        sa = sum(wk * hk[0] for wk, hk in zip(weights, h))
+        sb = sum(wk * hk[1] for wk, hk in zip(weights, h))
+        # h_n - w (sa + sb w) = (a + sb) + (b - sa + sb) w
+        if a + sb != 0 or b - sa + sb != power:
+            raise ArithmeticError(
+                f"geometric series numerator h_{n} = {(a, b)} breaks (1 - w e^u) G = w e^u")
+        weights = [3 * x + y for x, y in zip(weights + [0], [0] + weights)]
+        power *= 3
+
+
+def geometric_exp_series(q: Cyc3, N: int) -> tuple[Cyc3, ...]:
+    """The coefficients of u^0..u^N of G_q(u) = q e^u / (1 - q e^u) over Q(w), q in {w, w-bar}.
+
+    The thrice-differentiated multi-cover sum sum_d (1/d^3) (q e^u)^d.  Its
+    coefficients are n! [u^n] G_q = Li_(-n)(q) = q A_n(q) / (1 - q)^(n+1),
+    A_n the Eulerian polynomial; since 1/(1 - w) = (2 + w)/3, at q = w that
+    is h_n / 3^(n+1) for the integer pairs h_n of ``_geometric_numerators``.
+    The pairs are checked against the defining equation (1 - w e^u) G_w =
+    w e^u (``_check_geometric_numerators``, ArithmeticError) before any
+    rational is formed, so no series is divided.  G_(w-bar) is the
+    conjugate.  q = 1 raises ZeroDivisionError (1 - q e^u has constant
+    term 0); any other q raises ValueError.
+    """
+    if q == 1:
+        raise ZeroDivisionError("geometric series denominator has constant term 0")
+    if q not in (OMEGA, OMEGA_BAR):
+        raise ValueError(f"geometric series is built for q in {{w, w-bar}}, not {q}")
+    h = _geometric_numerators(N)
+    _check_geometric_numerators(h)
+    if q == OMEGA_BAR:
+        h = [(a - b, -b) for a, b in h]
+    coeffs = []
+    den = 3            # 3^(n+1) n!
+    for n, (a, b) in enumerate(h):
+        if n:
+            den *= 3 * n
+        coeffs.append(_cyc3(a, b, den))
+    return tuple(coeffs)
+
 
 
 class InverseT1T2(Record):

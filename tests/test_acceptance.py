@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction as F
 
-from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
 from crepant.hurwitz import (_binomial_rows, build_hodge_table, delta, delta_direct,
                              gamma_formula, solve_components, theta_check)
 from crepant.mckay import check_n3_specialization
@@ -18,7 +17,8 @@ from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_clo
                              cyc3_inverse, fx_third_partial, fy_third_partial,
                              gamma_bruteforce, scale_variable, series_reciprocal,
                              swap_series, swap_t, tangent_series)
-from crepant.potentials import FixedPointData, InverseT1T2, triple_intersection, verify_crc
+from crepant.potentials import (OMEGA, OMEGA_BAR, Cyc3, FixedPointData, InverseT1T2, LinT,
+                                geometric_exp_series, triple_intersection, verify_crc)
 
 
 def criterion(num, desc):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crepant import algebra
-from crepant.algebra import (Cyc3, CycField, DegreeOverflowError, I_OVER_SQRT3, LinT,
-                             OMEGA, OMEGA_BAR, _check_geometric_numerators,
-                             _geometric_numerators, cyclotomic_polynomial,
-                             geometric_exp_series)
+from crepant import potentials
+from crepant.algebra import CycField, cyclotomic_polynomial
+from crepant.potentials import (Cyc3, DegreeOverflowError, I_OVER_SQRT3, LinT, OMEGA,
+                                OMEGA_BAR, _check_geometric_numerators,
+                                _geometric_numerators, geometric_exp_series)
 from crepant.hurwitz import tangent_numbers
 from crepant.oracles import (USeries, compose_linear, cyc3_inverse, d_dx1, d_dx2,
                              geometric_series_by_reciprocal, scale_variable,
@@ -266,6 +266,14 @@ def test_rational_cyc3_and_cycelement_compare_equal():
     assert OMEGA != CycField(3).zeta() and CycField(3).zeta() != OMEGA
     assert Cyc3(1) != CycField(6).zeta() and CycField(6).zeta() != Cyc3(1)
     assert OMEGA != CycField(6).one() and CycField(6).one() != OMEGA
+    # one definition, in Cyc3.__eq__: CycElement defers, and Python's reflected == finds it
+    assert CycField(6).one().__eq__(Cyc3(1)) is NotImplemented
+    assert Cyc3(1) == CycField(6).one() and CycField(6).one() == Cyc3(1)
+    assert not Cyc3(1) != CycField(6).one() and not CycField(6).one() != Cyc3(1)
+    assert Cyc3(1, 1) != CycField(4).from_rational(1) and CycField(4).from_rational(1) != Cyc3(1, 1)
+    assert I_OVER_SQRT3 != CycField(12).zeta() and CycField(12).zeta() != I_OVER_SQRT3
+    for q in (F(0), F(1), F(-3, 4), F(10 ** 20, 7)):
+        assert hash(Cyc3(q)) == hash(CycField(12).from_rational(q)) == hash(q)
 
 
 def test_floats_are_rejected():
@@ -567,6 +575,6 @@ def test_geometric_numerator_check_rejects_off_by_one(monkeypatch):
     with pytest.raises(ArithmeticError, match="h_7 "):
         _check_geometric_numerators(bad)
     # geometric_exp_series runs the check on the numerators it builds
-    monkeypatch.setattr(algebra, "_geometric_numerators", lambda N: bad[:N + 1])
+    monkeypatch.setattr(potentials, "_geometric_numerators", lambda N: bad[:N + 1])
     with pytest.raises(ArithmeticError, match="h_7 "):
         geometric_exp_series(OMEGA_BAR, 12)

@@ -1,15 +1,20 @@
 """CLI surface: subcommands, formats, exit codes, byte stability."""
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import crepant
-from crepant import hurwitz
+from crepant import cli, hurwitz
 from crepant.cli import main
 
 
@@ -274,15 +279,20 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
 
 
 # Besides the crepant modules, the child reports whether it loaded
-# dataclasses or inspect: no subcommand needs them, and importing
-# dataclasses imports inspect, about 12 ms of every run.
+# dataclasses or inspect (no subcommand needs them, and importing
+# dataclasses imports inspect, about 12 ms of every run), whether it
+# loaded json (text output and --help never need it), and which crepant
+# modules define a Q(w) name.  The report is a repr, so the child never
+# imports json itself.
 _REPORT_MODULES = (
-    "import json, sys\n"
+    "import sys\n"
     "from crepant.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('crepant'))\n"
-    "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-    "sys.stderr.write(json.dumps([code, loaded, slow]))\n"
+    "slow = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+    "qw = [m for m in loaded\n"
+    "      if {'Cyc3', 'LinT', 'geometric_exp_series'} & vars(sys.modules[m]).keys()]\n"
+    "sys.stderr.write(repr([code, loaded, slow, qw]))\n"
 )
 
 
@@ -296,8 +306,8 @@ def _child_env():
 _HODGE = ["hurwitz"]
 _SERIES = ["algebra", "hurwitz", "potentials"]
 # (argv, the crepant modules besides crepant and crepant.cli it loads):
-# none loads crepant.oracles, and the Hodge-side ones load neither
-# algebra nor potentials.
+# none loads crepant.oracles, the Hodge-side ones load neither algebra
+# nor potentials, and duval compiles no Q(w) code.  All write text.
 _IMPORT_CASES = [
     (["duval", "--n", "3"], ["algebra", "mckay"]),
     (["--help"], []),
@@ -316,10 +326,11 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     # a fresh interpreter, so the modules the other tests imported do not count
     proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
                           capture_output=True, text=True, env=_child_env(), check=True)
-    code, loaded, slow = json.loads(proc.stderr)
+    code, loaded, slow, qw = ast.literal_eval(proc.stderr)
     assert code == 0
     assert loaded == sorted(["crepant", "crepant.cli", *(f"crepant.{m}" for m in modules)])
     assert slow == []
+    assert qw == (["crepant.potentials"] if "potentials" in modules else [])
 
 
 _ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
@@ -388,9 +399,9 @@ class _WriteSpy:
 
 
 def test_json_output_goes_out_in_few_large_writes(monkeypatch):
-    # json.dump hands on 16,639 encoder pieces for this payload; each would be
-    # one system call with unbuffered stdout
-    from crepant import cli, mckay
+    # the writer makes 936 pieces for this payload (json's own encoder makes
+    # 16,639); each would be one system call with unbuffered stdout
+    from crepant import mckay
 
     payload = mckay.transform_json(mckay.duval_transform(30))
     spy = _WriteSpy()
@@ -402,9 +413,38 @@ def test_json_output_goes_out_in_few_large_writes(monkeypatch):
     assert all(len(w) >= cli._WRITE_CHARS for w in spy.writes[:-1])
 
 
-def test_text_output_goes_out_in_pieces(monkeypatch):
-    from crepant import cli
+def _json_text(value) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_json(value, None)
+    return buf.getvalue()
 
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "e": {}, "s": ["", "q\"b\\", "\x00\x1f\n\t\x7f", "\u00e9\u2028\U0001f600"],
+          "n": [0, -1, 10 ** 40, -(2 ** 70), True, False, None],
+          "deep": [[[]], [{}], [["x"], 1]], "mixed": ["a", 2, ["b", {}], "c"]})
+@example([])
+@example("")
+def test_json_writer_matches_json_dump_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, F(1, 2), (1, 2), {"a": [0.5]}, ["x", ("y",)], {"a": F(1, 3)}],
+                         ids=["float", "fraction", "tuple", "nested-float", "tuple-in-list",
+                              "nested-fraction"])
+def test_json_writer_rejects_what_json_would_round_or_recast(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_text_output_goes_out_in_pieces(monkeypatch):
     text = "".join(f"line {i}\n" for i in range(5000))
     spy = _WriteSpy()
     monkeypatch.setattr(sys, "stdout", spy)

@@ -42,9 +42,8 @@ from pathlib import Path
 
 import pytest
 
-from crepant.algebra import Cyc3, OMEGA_BAR
 from crepant.cli import main
-from crepant.potentials import ChangeOfVars, verify_crc
+from crepant.potentials import OMEGA_BAR, ChangeOfVars, Cyc3, verify_crc
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_CASES = json.loads((GOLDEN / "cli_cases.json").read_text())

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crepant import hurwitz
-from crepant.algebra import Cyc3, OMEGA, OMEGA_BAR
 from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
                              component_entries, component_labels, delta,
                              delta_direct, gamma_direct, gamma_formula,
@@ -20,6 +19,7 @@ from crepant.oracles import (_abullet_scaled_recursive, _half_rows, _mod3_weight
                              b_closed, biseries_product, compose_linear,
                              gamma_bruteforce, scale_variable, series_reciprocal,
                              theta_pair)
+from crepant.potentials import OMEGA, OMEGA_BAR, Cyc3
 
 
 # ---------------------------------------------------------------------------

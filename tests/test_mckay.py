@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from crepant.algebra import Cyc3, CycField, I_OVER_SQRT3, OMEGA, OMEGA_BAR
+from crepant.algebra import CycField
 from crepant.mckay import (check_n3_specialization, duval_transform,
                            embed_cyc3, entry_square_identity,
                            galois_row_action, transform_json)
+from crepant.potentials import I_OVER_SQRT3, OMEGA, OMEGA_BAR, Cyc3
 
 
 def test_n3_specializes_to_the_explicit_jacobian():

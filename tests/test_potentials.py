@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from crepant import algebra, potentials
-from crepant.algebra import Cyc3, LinT, OMEGA, OMEGA_BAR, geometric_exp_series
+from crepant import potentials
 from crepant.hurwitz import build_hodge_table
-from crepant.potentials import (ALL_INDICES, ChangeOfVars, FixedPointData,
-                                InverseT1T2, _first_mismatch, orbifold_invariant,
+from crepant.potentials import (ALL_INDICES, OMEGA, OMEGA_BAR, ChangeOfVars, Cyc3,
+                                FixedPointData, InverseT1T2, LinT, _first_mismatch,
+                                geometric_exp_series, orbifold_invariant,
                                 triple_intersection, verify_crc)
 from crepant.oracles import (BiSeries, d_dx1, d_dx2, fx_third_partial, fy_third_partial,
                              swap_series)
@@ -402,13 +402,13 @@ def test_route_follows_the_linear_forms(table16, monkeypatch):
 def test_geometric_series_is_built_and_checked_once(q, table16, monkeypatch):
     """G_w and G_(w-bar) share one build and one check of the integer pairs per call."""
     checked = []
-    check = algebra._check_geometric_numerators
+    check = potentials._check_geometric_numerators
 
     def spy(h):
         checked.append(len(h))
         return check(h)
 
-    monkeypatch.setattr(algebra, "_check_geometric_numerators", spy)
+    monkeypatch.setattr(potentials, "_check_geometric_numerators", spy)
     report = verify_crc(10, table16, cov=_with_jacobian(_STD_J, (q, q)))
     assert report["all_pass"] is (q == OMEGA)
     assert checked == [8]
