@@ -15,9 +15,9 @@ import importlib
 
 _EXPORTS = {
     "algebra": ("CycElement", "CycField"),
+    "components": ("solve_components", "theta_check"),
     "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
-                "delta_direct", "gamma_direct", "gamma_formula", "solve_components",
-                "theta_check"),
+                "delta_direct", "gamma_direct", "gamma_formula"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
     "oracles": ("BiSeries", "USeries", "a_closed", "abullet_functional", "b_closed",
                 "compose_linear", "fx_third_partial", "fy_third_partial",

@@ -1,17 +1,17 @@
-"""Exact scalar arithmetic: rationals and the cyclotomic fields Q(zeta_m).
+"""Exact scalar arithmetic in the cyclotomic fields Q(zeta_m).
 
-``_rational`` is the one conversion to Fraction, and rejects a float
-with TypeError.  ``Record`` is the base of the value types (immutable
-fields, compared, hashed and shown by value); they are not dataclasses,
-since importing ``dataclasses`` imports ``inspect``, a fixed cost of
-every run.  ``CycField(m)`` is Q[x]/Phi_m(x), used for the cyclic DuVal
+``CycField(m)`` is Q[x]/Phi_m(x), used for the cyclic DuVal
 transforms: an element is an integer numerator vector over one positive
 denominator, in lowest terms, reduced in ints through one table of the
 powers zeta^e, 0 <= e < m (Phi_m is monic with integer coefficients, so
-no polynomial is divided).  Q(w) (``Cyc3``), the t-linear polynomials
-over it and the multi-cover series live in ``potentials``, their only
-production consumer, so ``duval`` never compiles them; the series
-arithmetic that tests compare against lives in ``oracles``.
+no polynomial is divided).  Its elements are ``Record`` values and
+rationals enter through ``_rational``, both from ``record``, so the
+subcommands that never touch Q(zeta_m) (``verify crc`` and
+``localization`` among them) never compile this module.  Q(w)
+(``Cyc3``), the t-linear polynomials over it and the multi-cover series
+live in ``potentials``, their only production consumer, so ``duval``
+never compiles them; the series arithmetic that tests compare against
+lives in ``oracles``.
 """
 from __future__ import annotations
 
@@ -19,53 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-
-def _rational(x) -> Fraction:
-    """x as a Fraction.  Floats are rejected: no quantity here is inexact."""
-    if isinstance(x, float):
-        raise TypeError(f"a float is not an exact rational: {x!r}")
-    return Fraction(x)
-
-
-class Record:
-    """An immutable record of the fields named in ``_fields``.
-
-    A subclass's ``__init__`` stores them once through ``_init``; no
-    attribute can be set or deleted after that.  Records of one class
-    compare and hash by their field values, and the repr shows them in
-    order.
-    """
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not by setting fields
-        return type(self), self._values()
+from .record import Record, _rational
 
 
 # ---------------------------------------------------------------------------

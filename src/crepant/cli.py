@@ -10,7 +10,10 @@ JSON output is the text of ``json.dump(payload, indent=2)``, made by
 ``_json_pieces``, which writes each list of strings in one ``join``
 (936 pieces for ``duval --n 30 --format json``): json's own indented
 encoder runs in pure Python, makes 16,639 pieces and takes longer than
-the transform.  Floats, Fractions and tuples raise TypeError.
+the transform.  Strings are encoded by ``_json``'s
+``encode_basestring_ascii``, the C function json's encoder uses, so the
+json package itself is not imported.  Floats, Fractions and tuples
+raise TypeError.
 
 Output is written in pieces of at least ``_WRITE_CHARS`` = 8192
 characters (the last may be shorter).  With unbuffered stdout (``python
@@ -26,11 +29,23 @@ if any of its dual-oracle checks fails they write no output, print one
 stderr line per failed check and exit 1.  ``verify recursions`` reports
 the same checks, pass or fail, as its output.
 
-Each subcommand handler imports the modules it runs: ``--help`` and
-``duval`` never load ``hurwitz`` or ``potentials`` (so ``duval``
-compiles no Q(w) code), the Hodge-table subcommands load ``hurwitz``
-alone, and none loads ``oracles`` or ``dataclasses`` (which imports
-``inspect``).
+Each subcommand handler imports the modules it runs, and the package
+``__init__`` loads nothing, so a run compiles no module it never calls
+into.  Besides the package and ``cli``, each subcommand loads:
+
+    --help                  none
+    duval                   algebra, mckay, record
+    localization            potentials, record
+    verify crc              hurwitz, potentials, record
+    verify recursions       hurwitz
+    tables, components,     hurwitz, components
+    verify theta
+
+``verify crc`` builds a table without component systems, so it never
+compiles ``components``, and its Q(w) values compare with rationals
+without loading Q(zeta_m) (``algebra``).  No subcommand loads
+``oracles``, ``dataclasses`` (which imports ``inspect``) or, JSON output
+included, ``json``.
 """
 from __future__ import annotations
 
@@ -144,8 +159,12 @@ def _json_pieces(value, indent: str, encode: Callable[[str], str]) -> Iterator[s
 
 
 def _emit_json(payload, output: str | None) -> None:
-    # imported here, so --help and text output never load json
-    from json.encoder import encode_basestring_ascii
+    # the C function json.encoder binds; importing json.encoder would also
+    # load json's decoder and scanner, which writing never runs
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:
+        from json.encoder import encode_basestring_ascii
 
     _write(chain(_json_pieces(payload, "", encode_basestring_ascii), ("\n",)), output)
 
@@ -166,7 +185,7 @@ def _checked_table(max_genus: int, **kwargs) -> HodgeTable | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_tables(args) -> int:
-    from . import hurwitz
+    from . import components
 
     if args.max_genus < 0:
         print(f"--max-genus must be >= 0, got {args.max_genus}", file=sys.stderr)
@@ -174,11 +193,11 @@ def _cmd_tables(args) -> int:
     table = _checked_table(args.max_genus)
     if table is None:
         return 1
-    rows = hurwitz.table_rows(table)
+    rows = components.table_rows(table)
     if args.format == "json":
         _emit_json(rows, args.output)
     elif args.format == "csv":
-        _emit(hurwitz.table_csv(table), args.output)
+        _emit(components.table_csv(table), args.output)
     else:
         lines = [f"{'g':>3} {'B':>16} {'Abullet':>16} {'A':>16} {'gamma':>10}  components"]
         for row in rows:
@@ -190,7 +209,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    from . import hurwitz
+    from . import components
 
     g = args.genus
     if g < 1:
@@ -204,7 +223,7 @@ def _cmd_components(args) -> int:
         "g": g,
         "A": str(table.A[g]),
         "independent": True,
-        "components": hurwitz.component_entries(table, g),
+        "components": components.component_entries(table, g),
     }
     if args.format == "json":
         _emit_json(payload, args.output)
@@ -241,13 +260,13 @@ def _cmd_verify_recursions(args) -> int:
 
 
 def _cmd_verify_theta(args) -> int:
-    from . import hurwitz
+    from . import components
 
     N = args.order
     if N < 0:
         print(f"--order must be >= 0, got {N}", file=sys.stderr)
         return 2
-    ok = hurwitz.theta_check(N)
+    ok = components.theta_check(N)
     checks = [{"name": f"theta_0 - theta_1 constant 1/9 to degree {N}",
                "status": "pass" if ok else "fail"}]
     return _verify_report("theta", checks, args, {"order": N})

@@ -36,9 +36,11 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import CycElement, CycField, Record
+from .algebra import CycField
+from .record import Record
 
 if TYPE_CHECKING:
+    from .algebra import CycElement
     from .potentials import Cyc3
 
 

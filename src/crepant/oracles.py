@@ -23,7 +23,7 @@ slower, more literal ones they are checked against:
   residual at order n is the B recursion's at genus n + 2;
 - the weights of one pair (r, s) by a three-term recurrence in k
   (``_mod3_weights``) and the rows of one degree from it
-  (``_half_rows``), against the diagonal walk ``hurwitz._weight_rows``;
+  (``_half_rows``), against the diagonal walk ``components._weight_rows``;
 - the full bivariate third partials ``fy_third_partial`` and
   ``fx_third_partial``, each summed from composed series, with the
   bivariate product, derivatives and the t1 <-> t2 swap.
@@ -38,11 +38,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Record
 from .hurwitz import HodgeTable, _binomial_rows, _scaled_series
 from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
                          _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
                          _triple_products, orbifold_invariant)
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
     ``hurwitz._scaled_series``: the two A indices of every term sum to
     r + s + 2, so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).
-    It is the term-by-term double sum that ``hurwitz.theta_check`` groups
+    It is the term-by-term double sum that ``components.theta_check`` groups
     by degree.
     """
     binom = _binomial_rows(N)
@@ -455,7 +455,7 @@ def _mod3_weights(r: int, s: int) -> list[int]:
     """w(k) = V_0(k) - V_1(k) for k = 0..r+s, in integers and O(r + s) steps.
 
     V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3);
-    ``hurwitz._weight_rows`` walks these rows for r = s (mod 3).
+    ``components._weight_rows`` walks these rows for r = s (mod 3).
     With omega = exp(2 pi i/3), c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s
     is V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
     w(k) = a_k - b_k for c_k = a_k + b_k omega.  Since
@@ -477,7 +477,7 @@ def _mod3_weights(r: int, s: int) -> list[int]:
 
 
 def _half_rows(n: int) -> list[list[int]]:
-    """The rows of degree n that ``hurwitz._weight_rows`` yields, each from ``_mod3_weights``."""
+    """The rows of degree n that ``components._weight_rows`` yields, each by ``_mod3_weights``."""
     return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
 
 

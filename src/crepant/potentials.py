@@ -52,6 +52,10 @@ The comparison's own rings live here, beside their only production
 consumer, so ``duval`` (which needs only ``algebra``'s Q(zeta_m)) never
 compiles them: the field Q(w) (``Cyc3``, with i/sqrt(3) = (2w + 1)/3),
 the t-linear polynomials over it (``LinT``) and ``geometric_exp_series``.
+The module loads only ``record`` itself: ``HodgeTable`` is named in
+annotations alone, so ``localization`` never compiles ``hurwitz``, and
+Q(zeta_m) is imported only when a ``Cyc3`` meets a value that is
+neither a ``Cyc3`` nor a rational.
 """
 from __future__ import annotations
 
@@ -59,10 +63,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .algebra import CycElement, Record, _rational
-from .hurwitz import HodgeTable
+from .record import Record, _rational
+
+if TYPE_CHECKING:
+    from .hurwitz import HodgeTable
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -165,15 +171,15 @@ class Cyc3(Record):
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyc3):
             return self.na == other.na and self.nb == other.nb and self.den == other.den
-        if isinstance(other, CycElement):
-            # Q(w) and Q(zeta_m) are compared only where both are rational;
-            # CycElement.__eq__ defers to this method for a Cyc3 operand.
-            if any(other.nums[1:]):
-                return False
-            other = Fraction(other.nums[0], other.den)
         if isinstance(other, (int, Fraction)):
             return (self.nb == 0 and self.na == other.numerator
                     and self.den == other.denominator)
+        # imported here, so comparing with rationals never loads Q(zeta_m)
+        from .algebra import CycElement
+        if isinstance(other, CycElement):
+            # Q(w) and Q(zeta_m) are compared only where both are rational;
+            # CycElement.__eq__ defers to this method for a Cyc3 operand.
+            return not any(other.nums[1:]) and self == Fraction(other.nums[0], other.den)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from crepant import hurwitz
+from crepant import components, hurwitz
 from crepant.hurwitz import build_hodge_table
 
 
@@ -32,15 +32,15 @@ def enumerated_genera(monkeypatch):
 
 @pytest.fixture
 def corrupt_component_solver(monkeypatch):
-    """``hurwitz.solve_chain`` with 1 added to x_0 of its solution.
+    """``components.solve_chain`` with 1 added to x_0 of its solution.
 
     The solver returns numerators X over one denominator E, x_i = X[i] / E,
     so adding E to X[0] adds exactly 1 to x_0.
     """
-    real = hurwitz.solve_chain
+    real = components.solve_chain
 
     def corrupted(*args):
         X, E = real(*args)
         return [X[0] + E] + X[1:], E
 
-    monkeypatch.setattr(hurwitz, "solve_chain", corrupted)
+    monkeypatch.setattr(components, "solve_chain", corrupted)

@@ -10,8 +10,9 @@ import random
 import time
 from fractions import Fraction as F
 
+from crepant.components import solve_components, theta_check
 from crepant.hurwitz import (_binomial_rows, build_hodge_table, delta, delta_direct,
-                             gamma_formula, solve_components, theta_check)
+                             gamma_formula)
 from crepant.mckay import check_n3_specialization
 from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_closed,
                              cyc3_inverse, fx_third_partial, fy_third_partial,

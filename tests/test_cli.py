@@ -281,8 +281,8 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
 # Besides the crepant modules, the child reports whether it loaded
 # dataclasses or inspect (no subcommand needs them, and importing
 # dataclasses imports inspect, about 12 ms of every run), whether it
-# loaded json (text output and --help never need it), and which crepant
-# modules define a Q(w) name.  The report is a repr, so the child never
+# loaded json (no run needs it: JSON strings come from _json), and which
+# crepant modules define a Q(w) name.  The report is a repr, so the child never
 # imports json itself.
 _REPORT_MODULES = (
     "import sys\n"
@@ -303,20 +303,24 @@ def _child_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-_HODGE = ["hurwitz"]
-_SERIES = ["algebra", "hurwitz", "potentials"]
+_TABLE = ["hurwitz", "components"]
+_CRC = ["hurwitz", "potentials", "record"]
 # (argv, the crepant modules besides crepant and crepant.cli it loads):
 # none loads crepant.oracles, the Hodge-side ones load neither algebra
-# nor potentials, and duval compiles no Q(w) code.  All write text.
+# nor potentials, duval compiles no Q(w) code, verify crc loads neither
+# algebra (its Cyc3 == int comparisons included) nor the component
+# solver, and no JSON run loads json.
 _IMPORT_CASES = [
-    (["duval", "--n", "3"], ["algebra", "mckay"]),
+    (["duval", "--n", "3"], ["algebra", "mckay", "record"]),
     (["--help"], []),
-    (["tables", "--max-genus", "4"], _HODGE),
-    (["components", "--genus", "4"], _HODGE),
-    (["verify", "recursions", "--max-genus", "4"], _HODGE),
-    (["verify", "theta", "--order", "4"], _HODGE),
-    (["verify", "crc", "--order", "4"], _SERIES),
-    (["localization"], _SERIES),
+    (["tables", "--max-genus", "4"], _TABLE),
+    (["components", "--genus", "4"], _TABLE),
+    (["verify", "recursions", "--max-genus", "4"], ["hurwitz"]),
+    (["verify", "theta", "--order", "4"], _TABLE),
+    (["verify", "crc", "--order", "4"], _CRC),
+    (["localization"], ["potentials", "record"]),
+    (["verify", "crc", "--order", "4", "--format", "json"], _CRC),
+    (["tables", "--max-genus", "4", "--format", "json"], _TABLE),
 ]
 
 
@@ -333,13 +337,14 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     assert qw == (["crepant.potentials"] if "potentials" in modules else [])
 
 
+_PRODUCTION_MODULES = sorted(
+    p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py")
 _ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
                  "_ode_holds", "_ode_residuals", "_abullet_scaled_recursive",
                  "_mod3_weights", "_half_rows"}
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py"))
+@pytest.mark.parametrize("module", _PRODUCTION_MODULES)
 def test_production_modules_neither_import_nor_define_the_oracles(module):
     # the subprocess test above sees passing runs only; this one reads every
     # production module, the failure path of verify_crc included
@@ -354,6 +359,32 @@ def test_production_modules_neither_import_nor_define_the_oracles(module):
         elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             found.add(node.name)
     assert found & _ORACLE_NAMES == set()
+
+
+def _annotations(tree):
+    """The annotation nodes of ``tree``: argument, return and variable annotations."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("module", _PRODUCTION_MODULES)
+def test_module_level_crepant_imports_are_used_outside_annotations(module):
+    # With postponed annotations a name used only there needs no import at
+    # run time; importing it anyway loads, and compiles, its whole module.
+    tree = ast.parse((Path(crepant.__file__).parent / module).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").startswith("crepant"))
+                for alias in node.names}
+    in_annotations = {id(n) for a in _annotations(tree) for n in ast.walk(a)}
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and id(n) not in in_annotations}
+    assert imported - used == set()
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -442,6 +473,29 @@ def test_json_writer_matches_json_dump_indent_2(value):
 def test_json_writer_rejects_what_json_would_round_or_recast(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def test_json_strings_come_from_the_function_json_encodes_with():
+    import _json
+
+    assert _json.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["duval", "--n", "5", "--format", "json"], "duval_n5.json.out"),
+    (["tables", "--max-genus", "8", "--format", "json"], "tables_g8.json.out"),
+], ids=["duval", "tables"])
+def test_json_output_without_the_c_encoder(capsys, monkeypatch, argv, golden):
+    # Without _json, _emit_json falls back to json.encoder, which is imported
+    # afresh here so that it binds its pure-Python encode_basestring_ascii.
+    monkeypatch.setitem(sys.modules, "_json", None)
+    monkeypatch.delitem(sys.modules, "json.encoder")
+    monkeypatch.setattr(json, "encoder", json.encoder)
+    code, out, _ = run(capsys, *argv)
+    fallback = sys.modules["json.encoder"]
+    assert fallback.encode_basestring_ascii is fallback.py_encode_basestring_ascii
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_text_output_goes_out_in_pieces(monkeypatch):

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crepant import hurwitz
-from crepant.hurwitz import (ComponentMismatchError, build_hodge_table,
-                             component_entries, component_labels, delta,
-                             delta_direct, gamma_direct, gamma_formula,
-                             solve_chain, solve_components, table_csv,
-                             table_rows, theta_check)
-from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _degree_sums,
-                             _egf_divide, _scaled_series, _theta_totals, _weight_rows)
+from crepant import components, hurwitz
+from crepant.components import (_degree_sums, _theta_totals, _weight_rows,
+                                component_entries, component_labels, solve_chain,
+                                solve_components, table_csv, table_rows, theta_check)
+from crepant.hurwitz import (ComponentMismatchError, build_hodge_table, delta,
+                             delta_direct, gamma_direct, gamma_formula)
+from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _egf_divide,
+                             _scaled_series)
 from crepant.oracles import (_abullet_scaled_recursive, _half_rows, _mod3_weights,
                              _ode_residuals, a_closed, abullet_functional,
                              b_closed, biseries_product, compose_linear,
@@ -194,13 +194,13 @@ def test_closure_fixes_x0(monkeypatch):
     # the chain leaves x_i = p_i + (-1)^i x_0, so the closure fixes x_0 with
     # coefficient sum_i (-1)^i closure_i: 2 for odd g, (-1)^nu delta(g) for even g
     leads = []
-    real = hurwitz.solve_chain
+    real = components.solve_chain
 
     def spy(rhs, scale, closure, closure_rhs):
         leads.append(sum((-1) ** i * c for i, c in enumerate(closure)))
         return real(rhs, scale, closure, closure_rhs)
 
-    monkeypatch.setattr(hurwitz, "solve_chain", spy)
+    monkeypatch.setattr(components, "solve_chain", spy)
     assert build_hodge_table(60).checks["components independent of label"]
     assert leads == [2 if g % 2 else (-1) ** ((1 - g) % 3) * delta(g) for g in range(4, 61)]
 
@@ -359,13 +359,13 @@ def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_
 def test_solve_components_rejects_symmetric_nonconstant_solution(table30, monkeypatch):
     # 1 added to the middle of x_0, x_1, x_2 at genus 6 keeps the label
     # symmetry, so only the constancy check sees it
-    real = hurwitz.solve_chain
+    real = components.solve_chain
 
     def bump_middle(*args):
         X, E = real(*args)
         return [X[0], X[1] + E, *X[2:]], E
 
-    monkeypatch.setattr(hurwitz, "solve_chain", bump_middle)
+    monkeypatch.setattr(components, "solve_chain", bump_middle)
     with pytest.raises(ComponentMismatchError) as raised:
         solve_components(6, table30)
     assert str(raised.value) == ("genus 6: component values are not constant: "
