@@ -6,6 +6,13 @@ Exit codes: 0 when all requested checks pass (or output was written),
 output is written (a broken pipe, reported in one stderr line).  All
 rationals are emitted as exact strings; nothing is ever rounded.
 
+Arguments are parsed from one table, ``_COMMANDS``, without argparse:
+``--opt value``, ``--opt=value``, a unique prefix of a long option,
+``-o PATH`` and ``-oPATH``; the last of a repeated option wins.  A usage
+error is one line, ``crepant[ <words>]: error: ...`` or ``<option> must
+be >= <min>, got <v>``.  No run loads argparse, gettext, locale or
+textwrap, which with argparse's parsers cost about 5 ms of each process.
+
 JSON output is the text of ``json.dump(payload, indent=2)``, made by
 ``_json_pieces``, which writes each list of strings in one ``join``
 (936 pieces for ``duval --n 30 --format json``): json's own indented
@@ -49,11 +56,11 @@ included, ``json``.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -62,8 +69,8 @@ if TYPE_CHECKING:
 _WRITE_CHARS = 8192
 
 
-class OutputPathError(Exception):
-    """The -o/--output path cannot be written; reported as a usage error."""
+class UsageError(Exception):
+    """A bad command line or an unwritable -o/--output path: one stderr line, exit 2."""
 
 
 @contextlib.contextmanager
@@ -76,8 +83,7 @@ def _output(path: str | None):
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
-        raise OutputPathError(
-            f"cannot write output file {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write output file {path}: {exc.strerror}") from None
 
 
 def _write(pieces: Iterable[str], output: str | None) -> None:
@@ -187,9 +193,6 @@ def _checked_table(max_genus: int, **kwargs) -> HodgeTable | None:
 def _cmd_tables(args) -> int:
     from . import components
 
-    if args.max_genus < 0:
-        print(f"--max-genus must be >= 0, got {args.max_genus}", file=sys.stderr)
-        return 2
     table = _checked_table(args.max_genus)
     if table is None:
         return 1
@@ -212,9 +215,6 @@ def _cmd_components(args) -> int:
     from . import components
 
     g = args.genus
-    if g < 1:
-        print(f"components require genus >= 1, got {g}", file=sys.stderr)
-        return 2
     table = _checked_table(g)
     if table is None:
         return 1
@@ -250,9 +250,6 @@ def _cmd_verify_recursions(args) -> int:
     from . import hurwitz
 
     G = args.max_genus
-    if G < 1:
-        print(f"--max-genus must be >= 1, got {G}", file=sys.stderr)
-        return 2
     table = hurwitz.build_hodge_table(G, component_max_genus=min(G, 3))
     checks = [{"name": name, "status": "pass" if ok else "fail"}
               for name, ok in table.checks.items()]
@@ -263,9 +260,6 @@ def _cmd_verify_theta(args) -> int:
     from . import components
 
     N = args.order
-    if N < 0:
-        print(f"--order must be >= 0, got {N}", file=sys.stderr)
-        return 2
     ok = components.theta_check(N)
     checks = [{"name": f"theta_0 - theta_1 constant 1/9 to degree {N}",
                "status": "pass" if ok else "fail"}]
@@ -276,9 +270,6 @@ def _cmd_verify_crc(args) -> int:
     from . import potentials
 
     N = args.order
-    if N < 3:
-        print(f"--order must be >= 3, got {N}", file=sys.stderr)
-        return 2
     table = _checked_table(max(N - 2, 4), component_max_genus=3)
     if table is None:
         return 1
@@ -316,9 +307,6 @@ def _cmd_localization(args) -> int:
 def _cmd_duval(args) -> int:
     from . import mckay
 
-    if args.n < 2:
-        print(f"--n must be >= 2, got {args.n}", file=sys.stderr)
-        return 2
     transform = mckay.duval_transform(args.n)
     payload = mckay.transform_json(transform)
     if args.format == "text":
@@ -334,69 +322,117 @@ def _cmd_duval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, formats=("text", "json")) -> None:
-    sub.add_argument("--format", choices=formats, default="text")
-    sub.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
+# command words -> (help, handler, {integer option: (default or None if required,
+# minimum)}, --format choices); an entry without a handler is a group of commands
+_ROOT = ("Exact tables and verification suites for trigonal Hurwitz-Hodge\n"
+         "integrals and the crepant resolution identity.", None, {}, ())
+_TEXT_JSON = ("text", "json")
+_COMMANDS = {
+    ("tables",): ("per-genus table of B, A-bullet, A, gamma, components", _cmd_tables,
+                  {"--max-genus": (20, 0)}, ("text", "json", "csv")),
+    ("components",): ("per-component integrals of one genus", _cmd_components,
+                      {"--genus": (None, 1)}, _TEXT_JSON),
+    ("verify",): ("run a verification suite", None, {}, ()),
+    ("verify", "recursions"): ("dual-oracle checks of all recursions", _cmd_verify_recursions,
+                               {"--max-genus": (20, 1)}, _TEXT_JSON),
+    ("verify", "theta"): ("the constant-1/9 double-sum identity", _cmd_verify_theta,
+                          {"--order": (15, 0)}, _TEXT_JSON),
+    ("verify", "crc"): ("third-partial comparison of the two potentials", _cmd_verify_crc,
+                        {"--order": (15, 3)}, _TEXT_JSON),
+    ("localization",): ("the ten fixed-point triple intersections", _cmd_localization,
+                        {}, _TEXT_JSON),
+    ("duval",): ("cyclic change-of-variables matrix over Q(zeta_2n)", _cmd_duval,
+                 {"--n": (None, 2)}, _TEXT_JSON),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crepant",
-        description="Exact tables and verification suites for trigonal "
-                    "Hurwitz-Hodge integrals and the crepant resolution identity.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(args) -> int:
+    """Write the ``--help`` text of ``args.words``: its usage, then its commands or options."""
+    about, func, ints, formats = _COMMANDS.get(args.words, _ROOT)
+    if func is None:
+        rows = [(key[-1], _COMMANDS[key][0]) for key in _COMMANDS if key[:-1] == args.words]
+        usage, title = "{" + ",".join(word for word, _ in rows) + "} ...", "commands:"
+    else:
+        rows = [*((f"{name} N", ("required" if default is None else f"default {default}")
+                   + f", at least {minimum}") for name, (default, minimum) in ints.items()),
+                (f"--format {{{','.join(formats)}}}", "default text"),
+                ("-o, --output PATH", "write to a file instead of stdout")]
+        usage, title = "[options]", "options:"
+    lines = [f"usage: {' '.join(('crepant', *args.words))} [-h] {usage}", "", about, "", title]
+    _emit("\n".join(lines + [f"  {name:<24}  {text}" for name, text in rows]) + "\n", None)
+    return 0
 
-    p = sub.add_parser("tables", help="per-genus table of B, A-bullet, A, gamma, components")
-    p.add_argument("--max-genus", type=int, default=20)
-    _add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("components", help="per-component integrals of one genus")
-    p.add_argument("--genus", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_components)
+def _option(token: str, names: tuple[str, ...], error: str) -> tuple[str, str | None]:
+    """The option in ``names`` that ``token`` gives (in full or a unique prefix), and its value."""
+    short = {"-h": "--help", "-o": "--output"}.get(token[:2])
+    if short in names:
+        return short, token[2:].removeprefix("=") or None
+    name, eq, value = token.partition("=")
+    found = [name] if name in names else [
+        known for known in names if name[:2] == "--" and name[2:] and known.startswith(name)]
+    if len(found) != 1:
+        raise UsageError(error + (f"ambiguous option {name} (could be {', '.join(found)})"
+                                  if found else f"unknown option {name}"))
+    return found[0], value if eq else None
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    vsub = v.add_subparsers(dest="suite", required=True)
 
-    p = vsub.add_parser("recursions", help="dual-oracle checks of all recursions")
-    p.add_argument("--max-genus", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_recursions)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler of ``argv`` (``func``) and the values it reads, one attribute per option.
 
-    p = vsub.add_parser("theta", help="the constant-1/9 double-sum identity")
-    p.add_argument("--order", type=int, default=15)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_theta)
-
-    p = vsub.add_parser("crc", help="third-partial comparison of the two potentials")
-    p.add_argument("--order", type=int, default=15)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_crc)
-
-    p = sub.add_parser("localization", help="the ten fixed-point triple intersections")
-    _add_common(p)
-    p.set_defaults(func=_cmd_localization)
-
-    p = sub.add_parser("duval", help="cyclic change-of-variables matrix over Q(zeta_2n)")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_duval)
-
-    return parser
+    ``-h``/``--help`` gives the help handler; a bad command line raises UsageError.
+    """
+    words, rest = (), list(argv)
+    while (entry := _COMMANDS.get(words, _ROOT))[1] is None:
+        error = " ".join(("crepant", *words)) + ": error: "
+        choices = [key[-1] for key in _COMMANDS if key[:-1] == words]
+        token = rest.pop(0) if rest else None
+        if token is not None and token.startswith("-"):
+            _option(token, ("--help",), error)
+            return SimpleNamespace(func=_help, words=words)
+        if token not in choices:
+            what = "missing command" if token is None else f"unknown command {token!r}"
+            raise UsageError(error + f"{what} (choose from {', '.join(choices)})")
+        words += (token,)
+    _, func, ints, formats = entry
+    error = " ".join(("crepant", *words)) + ": error: "
+    values = {"--format": "text", "--output": None,
+              **{name: default for name, (default, _) in ints.items()}}
+    while rest:
+        name, value = _option(rest.pop(0), ("--help", *ints, "--format", "--output"), error)
+        if name == "--help":
+            return SimpleNamespace(func=_help, words=words)
+        if value is None:
+            if not rest or (rest[0].startswith("-") and not rest[0][1:].isdigit()):
+                raise UsageError(error + f"{name} needs a value")
+            value = rest.pop(0)
+        if name in ints:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(error + f"{name} needs an integer, got {value!r}") from None
+        elif name == "--format" and value not in formats:
+            raise UsageError(error + f"--format {value!r} is not one of {', '.join(formats)}")
+        values[name] = value
+    for name, (_, minimum) in ints.items():
+        if values[name] is None:
+            raise UsageError(error + f"missing {name}")
+        if values[name] < minimum:
+            raise UsageError(f"{name} must be >= {minimum}, got {values[name]}")
+    return SimpleNamespace(func=func, **{name[2:].replace("-", "_"): value
+                                         for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()              # a broken pipe raises here, not at exit
         return code
-    except OutputPathError as exc:
+    except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -404,14 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         # flush stays silent (the Python docs' note on SIGPIPE).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("stdout was closed before the output was written", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help
-        if exc.code is None:
-            return 0
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
         return 2
 
 

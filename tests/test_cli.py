@@ -270,6 +270,10 @@ def test_byte_stable_output(capsys):
     (["verify", "crc", "--order", "-5"], "--order must be >= 3, got -5"),
     (["verify", "theta", "--order", "-1"], "--order must be >= 0, got -1"),
     (["duval", "--n", "1"], "--n must be >= 2, got 1"),
+    (["tables", "--max-genus", "-1"], "--max-genus must be >= 0, got -1"),
+    (["components", "--genus", "0"], "--genus must be >= 1, got 0"),
+    (["verify", "recursions", "--max-genus", "0"], "--max-genus must be >= 1, got 0"),
+    (["verify", "theta", "--order=-5"], "--order must be >= 0, got -5"),
 ])
 def test_out_of_range_argument_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -278,18 +282,120 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
     assert err == message + "\n"
 
 
+# (argv, the command words the error line names, the token it names)
+_USAGE_ERRORS = [
+    ([], (), "command"),
+    (["bogus"], (), "'bogus'"),
+    (["-x"], (), "-x"),
+    (["verify"], ("verify",), "command"),
+    (["verify", "bogus"], ("verify",), "'bogus'"),
+    (["tables", "--no-such-flag"], ("tables",), "--no-such-flag"),
+    (["tables", "extra"], ("tables",), "extra"),
+    (["verify", "theta", "--o", "5"], ("verify", "theta"), "--o"),
+    (["tables", "--max-genus"], ("tables",), "--max-genus"),
+    (["tables", "--max-genus", "--format", "json"], ("tables",), "--max-genus"),
+    (["localization", "-o"], ("localization",), "--output"),
+    (["-o"], (), "-o"),
+    (["tables", "--max-genus", "x"], ("tables",), "'x'"),
+    (["verify", "crc", "--order=4.5"], ("verify", "crc"), "'4.5'"),
+    (["tables", "--format", "xml"], ("tables",), "'xml'"),
+    (["duval", "--n", "3", "--format", "csv"], ("duval",), "'csv'"),
+    (["components"], ("components",), "--genus"),
+    (["duval", "--format", "json"], ("duval",), "--n"),
+]
+
+
+@pytest.mark.parametrize("argv, words, token", _USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-args" for argv, _, _ in _USAGE_ERRORS])
+def test_usage_error_is_one_stderr_line(capsys, argv, words, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(" ".join(("crepant", *words)) + ": error: ")
+    assert token in err.split(": error: ", 1)[1]
+
+
+def test_options_in_equals_prefix_and_attached_forms():
+    args = cli.parse_args(["tables", "--max=5", "--form=csv", "-oout.csv"])
+    assert (args.func, args.max_genus, args.format, args.output) == (
+        cli._cmd_tables, 5, "csv", "out.csv")
+    args = cli.parse_args(["verify", "crc", "--ord", "4", "-o=out.json"])
+    assert (args.func, args.order, args.format, args.output) == (
+        cli._cmd_verify_crc, 4, "text", "out.json")
+
+
+def test_defaults_and_last_value_wins():
+    args = cli.parse_args(["verify", "recursions"])
+    assert (args.max_genus, args.format, args.output) == (20, "text", None)
+    args = cli.parse_args(["duval", "--n", "3", "--n=7", "--format", "json",
+                           "--format=text", "-o", "a", "-ob"])
+    assert (args.n, args.format, args.output) == (7, "text", "b")
+
+
+_OPTIONS = ["--format", "--output"]
+# (the words before -h, the commands or options that level's help names)
+_HELP_LEVELS = [
+    ([], ["tables", "components", "verify", "localization", "duval"]),
+    (["verify"], ["recursions", "theta", "crc"]),
+    (["tables"], ["--max-genus", *_OPTIONS]),
+    (["components"], ["--genus", *_OPTIONS]),
+    (["verify", "recursions"], ["--max-genus", *_OPTIONS]),
+    (["verify", "theta"], ["--order", *_OPTIONS]),
+    (["verify", "crc"], ["--order", *_OPTIONS]),
+    (["localization"], _OPTIONS),
+    (["duval"], ["--n", *_OPTIONS]),
+]
+
+
+@pytest.mark.parametrize("words, names", _HELP_LEVELS,
+                         ids=[" ".join(words) or "root" for words, _ in _HELP_LEVELS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_each_level(capsys, words, names, flag):
+    code, out, err = run(capsys, *words, flag)
+    assert code == 0
+    assert err == ""
+    assert out.startswith(" ".join(["usage: crepant", *words]) + " ")
+    # the last block: a title, then one row per command or option
+    heads = [line[2:].split("  ")[0] for line in out.split("\n\n")[-1].splitlines()[1:]]
+    listed = [word for word in " ".join(heads).split()
+              if word.startswith("--") or (word.isalpha() and word.islower())]
+    assert listed == names
+
+
+def test_console_script_is_main_and_reads_sys_argv(capsys, monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["crepant"]
+    assert target == "crepant.cli:main"
+    monkeypatch.setattr(sys, "argv", ["crepant", "verify", "theta", "--order", "3"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+def test_module_help_is_the_benchmark_set_up_probe():
+    proc = subprocess.run([sys.executable, "-m", "crepant.cli", "--help"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: crepant")
+    assert proc.stderr == ""
+
+
 # Besides the crepant modules, the child reports whether it loaded
 # dataclasses or inspect (no subcommand needs them, and importing
 # dataclasses imports inspect, about 12 ms of every run), whether it
-# loaded json (no run needs it: JSON strings come from _json), and which
-# crepant modules define a Q(w) name.  The report is a repr, so the child never
-# imports json itself.
+# loaded json (no run needs it: JSON strings come from _json), whether it
+# loaded argparse, gettext, locale or textwrap (the command line is parsed
+# from cli's own table; they and argparse's parsers cost about 5 ms), and
+# which crepant modules define a Q(w) name.  The report is a repr, so the
+# child never imports json itself.
 _REPORT_MODULES = (
     "import sys\n"
     "from crepant.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('crepant'))\n"
-    "slow = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+    "slow = [m for m in ('dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale',\n"
+    "                   'textwrap') if m in sys.modules]\n"
     "qw = [m for m in loaded\n"
     "      if {'Cyc3', 'LinT', 'geometric_exp_series'} & vars(sys.modules[m]).keys()]\n"
     "sys.stderr.write(repr([code, loaded, slow, qw]))\n"
