@@ -15,13 +15,14 @@ import importlib
 
 _EXPORTS = {
     "algebra": ("CycElement", "CycField"),
-    "components": ("solve_components", "theta_check"),
-    "hurwitz": ("ComponentMismatchError", "HodgeTable", "build_hodge_table", "delta",
-                "delta_direct", "gamma_direct", "gamma_formula"),
+    "components": ("theta_check",),
+    "hurwitz": ("HodgeTable", "build_hodge_table", "delta", "delta_direct", "gamma_direct",
+                "gamma_formula"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
-    "oracles": ("BiSeries", "USeries", "a_closed", "abullet_functional", "b_closed",
-                "compose_linear", "fx_third_partial", "fy_third_partial",
-                "tangent_series", "tau_series", "theta_pair"),
+    "oracles": ("BiSeries", "ComponentMismatchError", "USeries", "a_closed",
+                "abullet_functional", "b_closed", "compose_linear", "fx_third_partial",
+                "fy_third_partial", "solve_components", "tangent_series", "tau_series",
+                "theta_pair"),
     "potentials": ("ChangeOfVars", "Cyc3", "DegreeOverflowError", "FixedPointData",
                    "I_OVER_SQRT3", "InverseT1T2", "LinT", "OMEGA", "OMEGA_BAR",
                    "orbifold_invariant", "triple_intersection", "verify_crc"),

@@ -48,7 +48,7 @@ into.  Besides the package and ``cli``, each subcommand loads:
     tables, components,     hurwitz, components
     verify theta
 
-``verify crc`` builds a table without component systems, so it never
+``verify crc`` builds a table without the component line, so it never
 compiles ``components``, and its Q(w) values compare with rationals
 without loading Q(zeta_m) (``algebra``).  No subcommand loads
 ``oracles``, ``dataclasses`` (which imports ``inspect``) or, JSON output
@@ -250,7 +250,7 @@ def _cmd_verify_recursions(args) -> int:
     from . import hurwitz
 
     G = args.max_genus
-    table = hurwitz.build_hodge_table(G, component_max_genus=min(G, 3))
+    table = hurwitz.build_hodge_table(G, components=False)
     checks = [{"name": name, "status": "pass" if ok else "fail"}
               for name, ok in table.checks.items()]
     return _verify_report("recursions", checks, args, {"max_genus": G})
@@ -270,7 +270,7 @@ def _cmd_verify_crc(args) -> int:
     from . import potentials
 
     N = args.order
-    table = _checked_table(max(N - 2, 4), component_max_genus=3)
+    table = _checked_table(max(N - 2, 4), components=False)
     if table is None:
         return 1
     report = potentials.verify_crc(N, table)

@@ -24,15 +24,36 @@ and ``crepant verify recursions`` prints that dict as its report:
                                            Ab_g = (2B - 1/B)/3 vs gamma_g A_g, that is
                                            (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
 
-and, when component systems of genus >= 4 are solved,
+and, for a table of genus G >= 4 with its component line,
 
-    components independent of label        A_g^l vs A_g for every label l
+    components independent of label        A_g^l = A_g for every label l, g <= G
 
-The last one is decided by ``components.solve_components`` alone: it
-checks the closure equation it did not solve with, that the solved
-A_g^l are all equal, and that they equal A_g, and raises
-``ComponentMismatchError`` otherwise; ``build_hodge_table`` records that
-and keeps the one value.
+The last line is decided on the theta totals, not by solving the
+per-component linear systems; that solver is the test oracle
+``oracles.solve_components``.  The two are one statement.  At genus
+g >= 4, with n = g - 1, suppose every lower genus has A_h^l = A_h:
+
+- Totals: with the lower values over one denominator D, f_1 = D A_1,
+  the equation 3 D f_1 (x_i + x_(i+1)) = rhs_i of a pair r + s = n has
+  rhs_i = -3 D^2/(9 * 6^n) (T(r, s) - 2 alpha_0 alpha_n), with T(r, s)
+  the theta total of ``components._theta_totals``.  As
+  3 D f_1 = D^2 alpha_0, x_i = x_(i+1) = A_g solves it exactly when
+  T(r, s) = 0.
+- Closure: the closure row C(g + 2, 3i + nu) sums to 2 gamma_g, so with
+  every x_i = A_g it reads Ab_g = gamma_g A_g, the A-bullet comparison
+  at genus g.
+- Lead: the chain leaves x_i = p_i + (-1)^i x_0, and the closure fixes
+  x_0 with the lead 2 (g odd) or (-1)^nu delta_g (g even), which the
+  delta line shows is -+2 * 3^(g/2).  It is never 0, so the system has
+  one solution.
+
+By induction on g, A_g^l = A_g at every label of genus 4..G exactly
+when the totals vanish at degrees 3..G - 1 and Ab_g = gamma_g A_g at
+g = 4..G.  The line is ``components._theta_holds`` on alpha_0..alpha_(G-1),
+whose degrees 0..2 are the same statement at genus 1..3, and the
+A-bullet comparisons at g = 4..G, read from the list that the A-bullet
+line takes ``all`` of.  When it passes, ``table.components`` holds A_g
+at every genus.
 
 Each line is a statement that no other line decides.  The ODE
 2b' + b b'' = 2(b')^2 of B at 6u is not a line: its residual at order n
@@ -59,26 +80,20 @@ Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))).
 ``build_hodge_table`` is the only producer of B_g, A_g and Ab_g.
 
-The component systems of genus >= 4, the weight walk they share with
-the theta identity, ``theta_check`` and the table export live in
-``components``.  ``build_hodge_table`` imports it only when it solves
-component systems, so ``verify crc`` and ``verify recursions``, whose
-tables solve none, never compile it.  This module imports nothing
+The theta kernels, ``theta_check`` and the table export live in
+``components``.  ``build_hodge_table`` imports it only for the
+component line, so ``verify crc`` and ``verify recursions``, whose
+tables have none, never compile it.  This module imports nothing
 from ``algebra``.  Its test oracles, the Fraction series ``b_closed``,
 ``a_closed`` and ``abullet_functional`` over ``tau_series``, the
 enumeration of all 2^(g+2) marking subsets that ``gamma_direct`` is
-tested against and the two restatements above, live in ``oracles``,
-which no production module imports.
+tested against, the two restatements above and the per-component
+solver, live in ``oracles``, which no production module imports.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
-
-
-class ComponentMismatchError(ArithmeticError):
-    """A solved component system disagrees with itself or with A_g."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +277,9 @@ def delta_direct(g: int) -> int:
 class HodgeTable:
     """Computed Hurwitz-Hodge values with their cross-check status.
 
-    ``components`` maps each solved genus g to the value A_g^l that every
-    label l of ``components.component_labels(g)`` shares; ``checks``
+    ``components`` maps a genus g to the value A_g^l that every label l
+    of ``components.component_labels(g)`` shares: A_g at every genus when
+    the component line passes, at g <= 3 alone otherwise; ``checks``
     records the outcome of every dual-oracle comparison run while
     building.  The table starts empty and ``build_hodge_table`` fills it.
     """
@@ -288,24 +304,22 @@ class HodgeTable:
 COMPONENT_CHECK = "components independent of label"
 
 
-def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None) -> HodgeTable:
+def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
     """Compute every quantity to ``max_genus`` and run every dual-oracle check.
 
     The checks, listed in the module docstring, are recorded in order in
     ``table.checks``: the B recursion, gamma, delta, A-bullet = gamma * A
-    and, with component systems, the component check.  Each runs at every
-    genus up to ``max_genus``, the gamma count by size class
-    (``gamma_direct``) included, and A-bullet = gamma * A also at
-    ``max_genus + 1``, the last coefficient of alpha and beta.  Component
-    systems are solved up to ``component_max_genus`` (defaults to
-    ``max_genus``).
+    and, with ``components`` and ``max_genus`` >= 4, the component line.
+    Each runs at every genus up to ``max_genus``, the gamma count by size
+    class (``gamma_direct``) included, and A-bullet = gamma * A also at
+    ``max_genus + 1``, the last coefficient of alpha and beta.  The
+    component line reads the theta totals of alpha_0..alpha_(G-1) and
+    the A-bullet comparisons at g = 4..G; when it passes,
+    ``table.components`` holds A_g for every genus.  Without
+    ``components`` it holds the genera <= 3 alone.
     """
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    if component_max_genus is None:
-        component_max_genus = max_genus
-    if component_max_genus > max_genus:
-        raise ValueError("component_max_genus cannot exceed max_genus")
     G = max_genus
     table = HodgeTable(max_genus=G)
     genera = range(1, G + 1)
@@ -324,8 +338,8 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None)
         table.delta[g] == delta_direct(g) for g in genera)
     # 3Ab(6u) = 4A(12u) - A(-6u) coefficientwise on the EGFs, that is
     # Ab_(n+1) = gamma_(n+1) A_(n+1), as 3 gamma_(n+1) = 4 * 2^n - (-1)^n
-    checks["A-bullet = gamma * A (functional equation)"] = all(
-        3 * beta[n] == (4 * 2 ** n - (-1) ** n) * alpha[n] for n in range(G + 1))
+    abullet = [3 * beta[n] == (4 * 2 ** n - (-1) ** n) * alpha[n] for n in range(G + 1)]
+    checks["A-bullet = gamma * A (functional equation)"] = all(abullet)
 
     # the table boundary: Fraction re-enters here
     table.B = _unscale_b(b, range(G + 1))
@@ -334,16 +348,13 @@ def build_hodge_table(max_genus: int, *, component_max_genus: int | None = None)
 
     # each genus <= 3 has one component class, of value A_g
     table.components = {h: table.A[h] for h in range(1, min(G, 3) + 1)}
-    if component_max_genus >= 4:
-        # imported here, so a table without component systems never compiles the solver
-        from .components import _weight_rows, solve_components
+    if components and G >= 4:
+        # imported here, so a table without the line never compiles the theta kernels
+        from .components import _theta_holds
 
-        checks[COMPONENT_CHECK] = True
-        walk = islice(_weight_rows(component_max_genus - 1), 3, None)   # degrees 3, 4, ...
-        try:
-            for g, rows in zip(range(4, component_max_genus + 1), walk):
-                table.components[g] = solve_components(g, table, rows)[0]
-        except ComponentMismatchError:
-            checks[COMPONENT_CHECK] = False
+        # abullet[g - 1] is the closure Ab_g = gamma_g A_g of genus g
+        checks[COMPONENT_CHECK] = all(abullet[3:G]) and _theta_holds(alpha[:G])
+        if checks[COMPONENT_CHECK]:
+            table.components = dict(table.A)
 
     return table

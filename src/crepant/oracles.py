@@ -24,6 +24,10 @@ slower, more literal ones they are checked against:
 - the weights of one pair (r, s) by a three-term recurrence in k
   (``_mod3_weights``) and the rows of one degree from it
   (``_half_rows``), against the diagonal walk ``components._weight_rows``;
+- the per-component integrals A_g^l of each genus g >= 4, solved from
+  their linear system (``solve_components``, with ``solve_chain`` and
+  ``_over_common_denominator``), which must give A_g at every label where
+  the table's component line, decided on the theta totals, passes;
 - the full bivariate third partials ``fy_third_partial`` and
   ``fx_third_partial``, each summed from composed series, with the
   bivariate product, derivatives and the t1 <-> t2 swap.
@@ -36,9 +40,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
-from .hurwitz import HodgeTable, _binomial_rows, _scaled_series
+from .components import _degree_sums, _weight_rows
+from .hurwitz import HodgeTable, _binomial_rows, _nu, _scaled_series
 from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
                          _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
                          _triple_products, orbifold_invariant)
@@ -479,6 +485,140 @@ def _mod3_weights(r: int, s: int) -> list[int]:
 def _half_rows(n: int) -> list[list[int]]:
     """The rows of degree n that ``components._weight_rows`` yields, each by ``_mod3_weights``."""
     return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The per-component systems
+# ---------------------------------------------------------------------------
+
+class ComponentMismatchError(ArithmeticError):
+    """A solved component system disagrees with itself or with A_g."""
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` (ints or Fractions) over D = their lcm denominator.
+
+    D is the least common multiple of the denominators, so the scaling
+    is exact for any rationals, 3-adic or not.
+    """
+    values = list(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def solve_chain(rhs: list[int], scale: int, closure: list[int],
+                closure_rhs: Fraction | int) -> tuple[list[int], int]:
+    """Solve scale (x_i + x_(i+1)) = rhs[i] for i < n and sum_i closure[i] x_i = closure_rhs.
+
+    Returns integers (X, E) with x_i = X[i] / E; E may be negative and
+    the fractions are not reduced.  With c_i = rhs[i] / scale, the chain
+    gives x_i = p_i + (-1)^i x_0 for p_0 = 0 and p_(i+1) = c_i - p_i, and
+    the closure row fixes x_0 through its coefficient
+    lead = sum_i (-1)^i closure[i], which must be nonzero.  The p_i are
+    carried as the integers P_i = scale * p_i; for closure_rhs = a / d,
+
+        E = d * scale * lead,    X_i = d * lead * P_i + (-1)^i t,
+        t = scale * a - d * sum_i closure[i] P_i = E x_0,
+
+    so no Fraction is formed.
+    """
+    p = [0]
+    for b in rhs:
+        p.append(b - p[-1])
+    lead = sum(closure[::2]) - sum(closure[1::2])
+    a, d = closure_rhs.numerator, closure_rhs.denominator
+    t = scale * a - d * sum(map(mul, closure, p))
+    dl = d * lead
+    return [dl * v + (-t if i % 2 else t) for i, v in enumerate(p)], scale * dl
+
+
+def solve_components(g: int, table: HodgeTable,
+                     rows: list[list[int]] | None = None) -> list[Fraction]:
+    """Solve for the per-component integrals x_i = A_g^(3i+nu), i = 0..n, of one genus g >= 4.
+
+    Each WDVV comparison at genus g+1 with l = r + 2 leading markings and
+    s = g + 1 - l others (r + s = g - 1, r = s mod 3) produces one linear
+    equation.  Its terms are products of a genus 1 + x + y and a genus
+    g - x - y factor over 0 <= x <= r, 0 <= y <= s; the two at (0, 0) and
+    (r, s) are "principal", with the unknowns A_g^r and A_g^(r+3) times the
+    genus-1 value.  Both have x - y = 0 (mod 3), and only the phi side has
+    residue-0 terms, so equation i reads
+
+        3 D f_1 (x_i + x_(i+1)) = rhs_i,
+
+    and ``solve_chain`` solves the chain in O(n) steps.  It is closed by
+    the unordered symmetry x_0 = x_n (g odd, so n is odd and the closure
+    fixes x_0 with coefficient 2) or by the completed A-bullet evaluation
+    (g even, coefficient (-1)^nu delta_g = -+2 * 3^(g/2)); neither is 0.
+
+    Every other term is known.  Each lower genus h < g is read with one
+    lookup in ``table.components`` (never from ``table.A``, which would
+    make the comparison with A_g circular), else ``ValueError``.  The
+    factors of a term then depend only on k = x + y, the phi side (sign +1)
+    sums the residues x - y = 0 and 2, and the theta side (sign -1) the
+    residues 1 and 2, so the residue-2 sums cancel and the known part of
+    the equation is
+
+        3 sum_(k=1..g-2) w(k) F_(1+k) F_(g-k),   w the weights of (r, s),
+
+    which costs O(g) per equation.  It is summed in integers: the F_h are
+    scaled to numerators f_h = D F_h over one common denominator D, so a
+    known product is an integer over D^2 and so is 3 D f_1.  ``_degree_sums``
+    forms it, with 0 in the unknown genus-g slot to drop the principal terms,
+    on ``rows``, the weight rows of degree g - 1 that ``_weight_rows``
+    yields; a caller solving genus after genus passes them from one walk,
+    and a lone call, with ``rows`` not given, walks to degree g - 1 and
+    takes the last.
+
+    This function alone judges its result: the closure equation not used
+    during solving must hold, the solved values must all be equal, and
+    they must equal A_g.  Otherwise it raises ``ComponentMismatchError``.
+    The checks run on the integers (X, E) of ``solve_chain``, x_i = X_i / E,
+    against the rationals cross-multiplied; the one Fraction formed is the
+    common value X_0 / E, returned once for each label.
+    """
+    if g < 4:
+        raise ValueError("solve_components applies for g >= 4")
+    if g > table.max_genus:
+        raise ValueError(f"table holds genus <= {table.max_genus}, need {g}")
+    nu = _nu(g)
+    n = (g + 2 - 2 * nu) // 3          # unknowns x_0..x_n, x_i = A_g^{3i+nu}
+
+    try:
+        lower = [table.components[h] for h in range(1, g)]
+    except KeyError as missing:
+        raise ValueError(f"table.components lacks genus {missing.args[0]}; "
+                         f"genus {g} needs genera 1..{g - 1}") from None
+    nums, D = _over_common_denominator(lower)   # nums[h - 1] = D * F_h
+    if rows is None:
+        *_, rows = _weight_rows(g - 1)
+    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1, rows)]
+
+    # Closure: one more independent equation.
+    vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]
+    vvv_rhs = 2 * table.Abullet[g]
+    if g % 2 == 1:
+        X, E = solve_chain(rhs, 3 * D * nums[0], [1] + [0] * (n - 1) + [-1], 0)
+    else:
+        X, E = solve_chain(rhs, 3 * D * nums[0], vvv_row, vvv_rhs)
+
+    # Post-checks: the unused closure must hold redundantly, all values
+    # must agree, and the common value must be A_g.
+    if g % 2 == 1:
+        if vvv_rhs.denominator * sum(map(mul, vvv_row, X)) != vvv_rhs.numerator * E:
+            raise ComponentMismatchError(f"genus {g}: A-bullet closure fails redundancy")
+    else:
+        if any(X[i] != X[n - i] for i in range(n + 1)):
+            raise ComponentMismatchError(f"genus {g}: label symmetry fails redundancy")
+    if any(v != X[0] for v in X):
+        raise ComponentMismatchError(
+            f"genus {g}: component values are not constant: {[Fraction(v, E) for v in X]}")
+    A = table.A[g]
+    if X[0] * A.denominator != A.numerator * E:
+        raise ComponentMismatchError(
+            f"genus {g}: components equal {Fraction(X[0], E)}, expected A_g = {A}")
+
+    return [Fraction(X[0], E)] * (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
 import pytest
 
-from crepant import components, hurwitz
+from crepant import components, hurwitz, oracles
 from crepant.hurwitz import build_hodge_table
 
 
 @pytest.fixture(scope="session")
 def table30():
-    """Full table to genus 30 with components solved through genus 14."""
-    return build_hodge_table(30, component_max_genus=14)
+    """Full table to genus 30 with its component line, so components through genus 30."""
+    return build_hodge_table(30)
 
 
 @pytest.fixture(scope="session")
 def table16():
-    """Light table for the potential tests; no component systems."""
-    return build_hodge_table(16, component_max_genus=3)
+    """Light table for the potential tests; no component line."""
+    return build_hodge_table(16, components=False)
 
 
 @pytest.fixture
@@ -32,15 +32,33 @@ def enumerated_genera(monkeypatch):
 
 @pytest.fixture
 def corrupt_component_solver(monkeypatch):
-    """``components.solve_chain`` with 1 added to x_0 of its solution.
+    """The oracle ``oracles.solve_chain`` with 1 added to x_0 of its solution.
 
     The solver returns numerators X over one denominator E, x_i = X[i] / E,
     so adding E to X[0] adds exactly 1 to x_0.
     """
-    real = components.solve_chain
+    real = oracles.solve_chain
 
     def corrupted(*args):
         X, E = real(*args)
         return [X[0] + E] + X[1:], E
 
-    monkeypatch.setattr(components, "solve_chain", corrupted)
+    monkeypatch.setattr(oracles, "solve_chain", corrupted)
+
+
+@pytest.fixture
+def corrupt_theta_totals(monkeypatch):
+    """``components._degree_sums`` with 1 added to its first total at degree 3.
+
+    Degree 3 is the genus-4 statement, the first that the component line
+    reads beyond genus 3, and ``verify theta`` reads it from order 3 on.
+    """
+    real = components._degree_sums
+
+    def corrupted(values, n, rows):
+        sums = real(values, n, rows)
+        if n == 3:
+            sums[0] += 1
+        return sums
+
+    monkeypatch.setattr(components, "_degree_sums", corrupted)

@@ -10,14 +10,14 @@ import random
 import time
 from fractions import Fraction as F
 
-from crepant.components import solve_components, theta_check
+from crepant.components import theta_check
 from crepant.hurwitz import (_binomial_rows, build_hodge_table, delta, delta_direct,
                              gamma_formula)
 from crepant.mckay import check_n3_specialization
 from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_closed,
                              cyc3_inverse, fx_third_partial, fy_third_partial,
                              gamma_bruteforce, scale_variable, series_reciprocal,
-                             swap_series, swap_t, tangent_series)
+                             solve_components, swap_series, swap_t, tangent_series)
 from crepant.potentials import (OMEGA, OMEGA_BAR, Cyc3, FixedPointData, InverseT1T2, LinT,
                                 geometric_exp_series, triple_intersection, verify_crc)
 
@@ -39,7 +39,7 @@ def criterion(num, desc):
 @criterion(1, "B-series dual oracle to genus 30 (< 5 s)")
 def test_criterion_1_b_dual_oracle():
     start = time.monotonic()
-    table = build_hodge_table(30, component_max_genus=3)
+    table = build_hodge_table(30, components=False)
     elapsed = time.monotonic() - start
     assert table.checks["B recursion vs closed form"] is True
     B = table.B
@@ -50,7 +50,7 @@ def test_criterion_1_b_dual_oracle():
 
 @criterion(2, "A-bullet dual oracle to genus 30")
 def test_criterion_2_abullet_dual_oracle():
-    table = build_hodge_table(30, component_max_genus=3)
+    table = build_hodge_table(30, components=False)
     assert table.checks["A-bullet = gamma * A (functional equation)"] is True
     # the WDVV recursion itself, run on the table's B
     b = [B * 6 ** g for g, B in sorted(table.B.items())]
@@ -81,7 +81,7 @@ def test_criterion_4_delta_cross_check():
 @criterion(5, "component systems constant and equal to A_g for 4 <= g <= 14 (< 60 s)")
 def test_criterion_5_component_independence():
     start = time.monotonic()
-    table = build_hodge_table(14, component_max_genus=3)
+    table = build_hodge_table(14, components=False)
     A = table.A
     for g in range(4, 15):
         solved = solve_components(g, table)

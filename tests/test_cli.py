@@ -133,7 +133,7 @@ _FAILED_CHECK_CASES = [
         ["verify", "crc", "--order", "8", "--format", "json"],
     )
 ] + [
-    ("corrupt_component_solver", (_COMP,), argv) for argv in (
+    ("corrupt_theta_totals", (_COMP,), argv) for argv in (
         ["components", "--genus", "6", "--format", "json"],
         ["tables", "--max-genus", "8"],
     )
@@ -200,6 +200,14 @@ def test_verify_recursions_reports_failed_check(capsys, corrupt_delta_direct):
 
 def test_verify_theta_reports_failed_identity(capsys, corrupt_tangent_number):
     # a wrong T_5 moves A_6 and up, and theta_0 - theta_1 is no longer 1/9
+    code, out, err = run(capsys, "verify", "theta", "--order", "8")
+    assert code == 1
+    assert out == "theta_0 - theta_1 constant 1/9 to degree 8: fail\nFAILURES present\n"
+    assert err == ""
+
+
+def test_verify_theta_reports_corrupted_total(capsys, corrupt_theta_totals):
+    # the kernel the table's component line shares with verify theta
     code, out, err = run(capsys, "verify", "theta", "--order", "8")
     assert code == 1
     assert out == "theta_0 - theta_1 constant 1/9 to degree 8: fail\nFAILURES present\n"
@@ -414,8 +422,8 @@ _CRC = ["hurwitz", "potentials", "record"]
 # (argv, the crepant modules besides crepant and crepant.cli it loads):
 # none loads crepant.oracles, the Hodge-side ones load neither algebra
 # nor potentials, duval compiles no Q(w) code, verify crc loads neither
-# algebra (its Cyc3 == int comparisons included) nor the component
-# solver, and no JSON run loads json.
+# algebra (its Cyc3 == int comparisons included) nor the theta kernels
+# of components, and no JSON run loads json.
 _IMPORT_CASES = [
     (["duval", "--n", "3"], ["algebra", "mckay", "record"]),
     (["--help"], []),
@@ -447,7 +455,8 @@ _PRODUCTION_MODULES = sorted(
     p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py")
 _ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
                  "_ode_holds", "_ode_residuals", "_abullet_scaled_recursive",
-                 "_mod3_weights", "_half_rows"}
+                 "_mod3_weights", "_half_rows", "solve_components", "solve_chain",
+                 "_over_common_denominator", "ComponentMismatchError"}
 
 
 @pytest.mark.parametrize("module", _PRODUCTION_MODULES)

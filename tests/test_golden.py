@@ -17,7 +17,9 @@ and the theta identity were still summed term by term; and every
 ``tables`` and ``components`` output while the table still stored one
 value per component label.  Every ``tables``, ``components`` and
 ``verify theta`` output predates the mirrored degree sums, the diagonal
-walk of the weights and the integer chain solver; the ``tables
+walk of the weights and the integer chain solver, and every ``tables``
+and ``components`` output predates the component line read from the
+theta totals instead of solved systems; the ``tables
 --max-genus 100 --format csv`` and ``verify theta --order 120`` outputs
 were recorded before the walk, to reach it beyond degree 79; every
 ``verify crc`` output and ``verify_crc_failures.json`` predates the

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crepant import components, hurwitz
+from crepant import hurwitz, oracles
 from crepant.components import (_degree_sums, _theta_totals, _weight_rows,
-                                component_entries, component_labels, solve_chain,
-                                solve_components, table_csv, table_rows, theta_check)
-from crepant.hurwitz import (ComponentMismatchError, build_hodge_table, delta,
-                             delta_direct, gamma_direct, gamma_formula)
-from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _egf_divide,
-                             _scaled_series)
-from crepant.oracles import (_abullet_scaled_recursive, _half_rows, _mod3_weights,
-                             _ode_residuals, a_closed, abullet_functional,
-                             b_closed, biseries_product, compose_linear,
-                             gamma_bruteforce, scale_variable, series_reciprocal,
+                                component_entries, component_labels, table_csv,
+                                table_rows, theta_check)
+from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_direct,
+                             gamma_formula)
+from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _egf_divide, _nu,
+                             _scaled_alpha, _scaled_series, _tau_third)
+from crepant.oracles import (ComponentMismatchError, _abullet_scaled_recursive,
+                             _half_rows, _mod3_weights, _ode_residuals, a_closed,
+                             abullet_functional, b_closed, biseries_product,
+                             compose_linear, gamma_bruteforce, scale_variable,
+                             series_reciprocal, solve_chain, solve_components,
                              theta_pair)
 from crepant.potentials import OMEGA, OMEGA_BAR, Cyc3
 
@@ -125,7 +126,7 @@ def test_delta_dual_oracle_to_40():
 # ---------------------------------------------------------------------------
 
 def test_a_initial_values():
-    A = build_hodge_table(4, component_max_genus=3).A
+    A = build_hodge_table(4, components=False).A
     assert A[1] == F(1, 3)
     assert A[2] == F(2, 9)
     assert A[3] == F(2, 27)
@@ -148,7 +149,7 @@ def test_functional_equation():
 
 
 # ---------------------------------------------------------------------------
-# The chain solver
+# The chain solver (an oracle)
 # ---------------------------------------------------------------------------
 
 def _dense_solve(matrix, rhs):
@@ -194,14 +195,17 @@ def test_closure_fixes_x0(monkeypatch):
     # the chain leaves x_i = p_i + (-1)^i x_0, so the closure fixes x_0 with
     # coefficient sum_i (-1)^i closure_i: 2 for odd g, (-1)^nu delta(g) for even g
     leads = []
-    real = components.solve_chain
+    real = oracles.solve_chain
 
     def spy(rhs, scale, closure, closure_rhs):
         leads.append(sum((-1) ** i * c for i, c in enumerate(closure)))
         return real(rhs, scale, closure, closure_rhs)
 
-    monkeypatch.setattr(components, "solve_chain", spy)
-    assert build_hodge_table(60).checks["components independent of label"]
+    monkeypatch.setattr(oracles, "solve_chain", spy)
+    table = build_hodge_table(60)
+    assert table.checks["components independent of label"]
+    for g, rows in zip(range(4, 61), list(_weight_rows(59))[3:]):
+        solve_components(g, table, rows)
     assert leads == [2 if g % 2 else (-1) ** ((1 - g) % 3) * delta(g) for g in range(4, 61)]
 
 
@@ -215,7 +219,7 @@ def test_integer_route_matches_fraction_oracles(G):
     closed_b = {g: B.coefficient(g) * factorial(g) for g in range(G + 1)}
     closed_a = {g: A.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 1)}
     closed_ab = {g: Ab.coefficient(g - 1) * factorial(g - 1) for g in range(1, G + 1)}
-    table = build_hodge_table(G, component_max_genus=min(G, 3))
+    table = build_hodge_table(G, components=False)
     assert all(table.checks.values())
     assert table.B == closed_b
     assert table.A == closed_a
@@ -287,7 +291,7 @@ def test_merged_line_holds_exactly_when_both_old_lines_hold(case):
     functional = all(3 * beta[k] == (4 * 2 ** k - (-1) ** k) * alpha[k] for k in range(G + 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hurwitz, "_scaled_series", lambda N, rows: (b, alpha, beta))
-        table = build_hodge_table(G, component_max_genus=min(G, 3))
+        table = build_hodge_table(G, components=False)
     assert table.checks[_MERGED] == (gamma_line and functional)
 
 
@@ -329,13 +333,13 @@ def test_genus_five_components(table30):
     assert all(v == table30.A[5] for v in solved)
 
 
-def test_components_match_a_through_14(table30):
-    assert table30.components == {g: table30.A[g] for g in range(1, 15)}
+def test_components_match_a_through_30(table30):
+    assert table30.components == {g: table30.A[g] for g in range(1, 31)}
 
 
 def test_solve_components_requires_lower_table(table30):
     # a fresh partial table lacking genus-4 entries cannot serve genus 5
-    partial = build_hodge_table(6, component_max_genus=3)
+    partial = build_hodge_table(6, components=False)
     with pytest.raises(ValueError, match="table.components lacks genus 4; "
                                          "genus 5 needs genera 1..4"):
         solve_components(5, partial)
@@ -359,13 +363,13 @@ def test_solve_components_rejects_corrupted_solution(table30, corrupt_component_
 def test_solve_components_rejects_symmetric_nonconstant_solution(table30, monkeypatch):
     # 1 added to the middle of x_0, x_1, x_2 at genus 6 keeps the label
     # symmetry, so only the constancy check sees it
-    real = components.solve_chain
+    real = oracles.solve_chain
 
     def bump_middle(*args):
         X, E = real(*args)
         return [X[0], X[1] + E, *X[2:]], E
 
-    monkeypatch.setattr(components, "solve_chain", bump_middle)
+    monkeypatch.setattr(oracles, "solve_chain", bump_middle)
     with pytest.raises(ComponentMismatchError) as raised:
         solve_components(6, table30)
     assert str(raised.value) == ("genus 6: component values are not constant: "
@@ -388,7 +392,7 @@ def test_solve_components_rejects_wrong_a(g, shift, message):
 def test_solve_components_rejects_consistent_lower_corruption():
     # a non-3-adic corruption of the genus-4 value must reach genus 5:
     # the system is built from table.components, not from A_4
-    table = build_hodge_table(8, component_max_genus=4)
+    table = build_hodge_table(8)
     table.components[4] += F(1, 7)
     with pytest.raises(ComponentMismatchError,
                        match="genus 5: A-bullet closure fails redundancy"):
@@ -443,15 +447,65 @@ def test_weight_walk_matches_mod3_weights():
 
 
 def test_lone_solve_matches_walked_table():
-    # a lone solve_components walks the weights to degree g - 1 itself; the
-    # table hands each genus its rows from one walk
+    # a lone solve_components walks the weights to degree g - 1 itself; a
+    # caller may hand each genus its rows from one walk
     table = build_hodge_table(40)
     assert table.checks["components independent of label"]
-    for g in range(4, 41):
-        assert solve_components(g, table)[0] == table.components[g], g
+    for g, rows in zip(range(4, 41), list(_weight_rows(39))[3:]):
+        assert solve_components(g, table)[0] == solve_components(g, table, rows)[0], g
 
 
-def test_failed_component_system_is_recorded(corrupt_component_solver):
+def test_oracle_solves_a_on_a_passing_table():
+    # the line passed on the theta totals, so every system has the one
+    # solution A_g at every label
+    table = build_hodge_table(60)
+    assert table.checks["components independent of label"]
+    for g, rows in zip(range(4, 61), list(_weight_rows(59))[3:]):
+        assert solve_components(g, table, rows) == [table.A[g]] * len(range(_nu(g), g + 3, 3)), g
+
+
+@given(st.tuples(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                 st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=30, max_size=30)))
+def test_system_rhs_is_the_theta_total_less_its_principal_terms(draw):
+    """Each right-hand side of the oracle's genus-g systems, g = 4..31, from the theta totals.
+
+    With A_h = alpha_(h-1)/(3 * 6^(h-1)) as the lower values and D their
+    common denominator, the pair r + s = n = g - 1 has
+    rhs = -3 D^2/(9 * 6^n) (T(r, s) - 2 alpha_0 alpha_n), T(r, s) its
+    theta total on alpha; alpha_n, the genus-g slot, is free.
+    """
+    alpha = [draw[0], *draw[1]]
+    G = len(alpha)
+    table = hurwitz.HodgeTable(G)
+    table.components = {h: F(alpha[h - 1], 3 * 6 ** (h - 1)) for h in range(1, G)}
+    table.A = table.Abullet = dict.fromkeys(range(4, G + 1), F(0))
+    totals = {}
+    for (r, s), total in _theta_totals(alpha):
+        totals.setdefault(r + s, []).append(total)
+    seen = []
+
+    def spy(rhs, scale, closure, closure_rhs):
+        seen.append(rhs)
+        return [0] * (len(rhs) + 1), 1      # x_i = 0 = A_g passes every check
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "solve_chain", spy)
+        for g in range(4, G + 1):
+            solve_components(g, table)
+    for g, rhs in zip(range(4, G + 1), seen, strict=True):
+        n = g - 1
+        D = oracles._over_common_denominator(table.components[h] for h in range(1, g))[1]
+        assert rhs == [F(-3 * D * D, 9 * 6 ** n) * (t - 2 * alpha[0] * alpha[n])
+                       for t in totals[n]], g
+
+
+def test_closure_row_sums_to_two_gamma():
+    # so with every label at A_g the closure reads Ab_g = gamma_g A_g
+    for g in range(4, 201):
+        assert sum(binom(g + 2, l) for l in range(_nu(g), g + 3, 3)) == 2 * gamma_formula(g), g
+
+
+def test_failed_component_system_is_recorded(corrupt_theta_totals):
     table = build_hodge_table(6)
     assert table.checks["components independent of label"] is False
     assert all(ok for name, ok in table.checks.items()
@@ -465,7 +519,6 @@ def test_table_checks_pass(table30):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"max_genus": -1}, "max_genus must be >= 0, got -1"),
-    ({"max_genus": 5, "component_max_genus": 6}, "component_max_genus cannot exceed max_genus"),
 ])
 def test_build_hodge_table_rejects_bad_input(enumerated_genera, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -526,7 +579,8 @@ def test_theta_totals_match_theta_pair():
     """
     N = 30
     t0, t1 = theta_pair(N)
-    totals = dict(_theta_totals(N))
+    alpha = _scaled_alpha(_tau_third(N), _binomial_rows(N))
+    totals = dict(_theta_totals(alpha))
     assert set(totals) == {(r, s) for r in range(N + 1) for s in range(N + 1 - r)
                            if (r - s) % 3 == 0}
     for r in range(N + 1):
@@ -534,7 +588,8 @@ def test_theta_totals_match_theta_pair():
             scaled = ((t0.coefficient(r, s) - t1.coefficient(r, s))
                       * 9 * 6 ** (r + s) * factorial(r) * factorial(s))
             assert scaled == totals.get((r, s), 0), (r, s)
-    assert dict(_theta_totals(13)) == {rs: v for rs, v in totals.items() if sum(rs) <= 13}
+    assert dict(_theta_totals(alpha[:14])) == {rs: v for rs, v in totals.items()
+                                                if sum(rs) <= 13}
 
 
 def test_theta_factorization_over_cyc3():
