@@ -76,7 +76,7 @@ class UsageError(Exception):
 @contextlib.contextmanager
 def _output(path: str | None):
     """The ``-o/--output`` file, or stdout without one."""
-    if not path:
+    if path is None:
         yield sys.stdout
         return
     try:
@@ -371,13 +371,13 @@ def _option(token: str, names: tuple[str, ...], error: str) -> tuple[str, str | 
     short = {"-h": "--help", "-o": "--output"}.get(token[:2])
     if short in names:
         return short, token[2:].removeprefix("=") or None
-    name, eq, value = token.partition("=")
+    name, _, value = token.partition("=")
     found = [name] if name in names else [
         known for known in names if name[:2] == "--" and name[2:] and known.startswith(name)]
     if len(found) != 1:
         raise UsageError(error + (f"ambiguous option {name} (could be {', '.join(found)})"
                                   if found else f"unknown option {name}"))
-    return found[0], value if eq else None
+    return found[0], value or None
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
@@ -405,10 +405,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         name, value = _option(rest.pop(0), ("--help", *ints, "--format", "--output"), error)
         if name == "--help":
             return SimpleNamespace(func=_help, words=words)
-        if value is None:
-            if not rest or (rest[0].startswith("-") and not rest[0][1:].isdigit()):
-                raise UsageError(error + f"{name} needs a value")
+        if value is None and rest and not (rest[0].startswith("-") and not rest[0][1:].isdigit()):
             value = rest.pop(0)
+        if not value:
+            raise UsageError(error + f"{name} needs a value")
         if name in ints:
             try:
                 value = int(value)

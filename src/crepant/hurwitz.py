@@ -30,13 +30,18 @@ and, for a table of genus G >= 4 with its component line,
 
 The last line is decided on the theta totals, not by solving the
 per-component linear systems; that solver is the test oracle
-``oracles.solve_components``.  The two are one statement.  At genus
+``oracles.solve_components``.  The two are one statement.  For a pair
+r + s = n with r = s (mod 3), the theta total is the double sum
+
+    T(r, s) = sum C(r, x) C(s, y) e(x - y) alpha_(x+y) alpha_(n-x-y)
+
+over 0 <= x <= r, 0 <= y <= s, with e = 1, -1, 0 at residues 0, 1, 2
+(mod 3); it is 9 * 6^n r! s! (theta_0 - theta_1)_(r,s).  At genus
 g >= 4, with n = g - 1, suppose every lower genus has A_h^l = A_h:
 
 - Totals: with the lower values over one denominator D, f_1 = D A_1,
   the equation 3 D f_1 (x_i + x_(i+1)) = rhs_i of a pair r + s = n has
-  rhs_i = -3 D^2/(9 * 6^n) (T(r, s) - 2 alpha_0 alpha_n), with T(r, s)
-  the theta total of ``components._theta_totals``.  As
+  rhs_i = -3 D^2/(9 * 6^n) (T(r, s) - 2 alpha_0 alpha_n).  As
   3 D f_1 = D^2 alpha_0, x_i = x_(i+1) = A_g solves it exactly when
   T(r, s) = 0.
 - Closure: the closure row C(g + 2, 3i + nu) sums to 2 gamma_g, so with
@@ -49,11 +54,23 @@ g >= 4, with n = g - 1, suppose every lower genus has A_h^l = A_h:
 
 By induction on g, A_g^l = A_g at every label of genus 4..G exactly
 when the totals vanish at degrees 3..G - 1 and Ab_g = gamma_g A_g at
-g = 4..G.  The line is ``components._theta_holds`` on alpha_0..alpha_(G-1),
-whose degrees 0..2 are the same statement at genus 1..3, and the
-A-bullet comparisons at g = 4..G, read from the list that the A-bullet
-line takes ``all`` of.  When it passes, ``table.components`` holds A_g
-at every genus.
+g = 4..G.  The totals are not summed as written:
+
+- e_2: with w = exp(2 pi i/3), L_k = w^k X + w^(-k) Y and
+  alpha(u) = sum_k alpha_k u^k/k!, the roots-of-unity filter gives
+  sum T(r, s) X^r Y^s/(r! s!) = e_2(alpha(L_0), alpha(L_1), alpha(L_2))/3,
+  e_2(a, b, c) = ab + bc + ca, with T(r, s) = 0 for r != s (mod 3).
+- Coordinates: (X, Y) -> (P, Q) = (L_0, L_1) is linear with determinant
+  w^2 - w = -sqrt(-3) != 0, so it is invertible over Q(w), and
+  L_2 = -P - Q.  It maps the polynomials of degree n to themselves, so
+  each degree's part of e_2 vanishes in one coordinate system exactly
+  when it does in the other.
+
+The line is ``components._theta_holds`` on alpha_0..alpha_(G-1), which
+decides e_2 degree by degree in (P, Q), and whose degrees 0..2 are the
+same statement at genus 1..3, and the A-bullet comparisons at g = 4..G,
+read from the list that the A-bullet line takes ``all`` of.  When it
+passes, ``table.components`` holds A_g at every genus.
 
 Each line is a statement that no other line decides.  The ODE
 2b' + b b'' = 2(b')^2 of B at 6u is not a line: its residual at order n
@@ -80,7 +97,7 @@ Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))).
 ``build_hodge_table`` is the only producer of B_g, A_g and Ab_g.
 
-The theta kernels, ``theta_check`` and the table export live in
+The theta kernel, ``theta_check`` and the table export live in
 ``components``.  ``build_hodge_table`` imports it only for the
 component line, so ``verify crc`` and ``verify recursions``, whose
 tables have none, never compile it.  This module imports nothing
@@ -313,7 +330,7 @@ def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
     Each runs at every genus up to ``max_genus``, the gamma count by size
     class (``gamma_direct``) included, and A-bullet = gamma * A also at
     ``max_genus + 1``, the last coefficient of alpha and beta.  The
-    component line reads the theta totals of alpha_0..alpha_(G-1) and
+    component line decides the theta identity on alpha_0..alpha_(G-1) and
     the A-bullet comparisons at g = 4..G; when it passes,
     ``table.components`` holds A_g for every genus.  Without
     ``components`` it holds the genera <= 3 alone.
@@ -349,7 +366,7 @@ def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
     # each genus <= 3 has one component class, of value A_g
     table.components = {h: table.A[h] for h in range(1, min(G, 3) + 1)}
     if components and G >= 4:
-        # imported here, so a table without the line never compiles the theta kernels
+        # imported here, so a table without the line never compiles the theta kernel
         from .components import _theta_holds
 
         # abullet[g - 1] is the closure Ab_g = gamma_g A_g of genus g

@@ -22,8 +22,10 @@ slower, more literal ones they are checked against:
   every b with b_0 = 1, and the ODE of B (``_ode_residuals``), whose
   residual at order n is the B recursion's at genus n + 2;
 - the weights of one pair (r, s) by a three-term recurrence in k
-  (``_mod3_weights``) and the rows of one degree from it
-  (``_half_rows``), against the diagonal walk ``components._weight_rows``;
+  (``_mod3_weights``), and the weighted sums of one degree on them
+  (``_degree_sums``), the (X, Y) form of the theta totals that the
+  component systems below sum; production decides theta in (P, Q) with
+  no weights (``components._pq_coefficients``) and imports neither;
 - the per-component integrals A_g^l of each genus g >= 4, solved from
   their linear system (``solve_components``, with ``solve_chain`` and
   ``_over_common_denominator``), which must give A_g at every label where
@@ -34,7 +36,9 @@ slower, more literal ones they are checked against:
 
 No production module imports this one, and no production module
 multiplies or divides a series; ``tests/test_cli.py`` checks that no
-subcommand loads it and that no production module imports it.
+subcommand loads it and that no production module imports it.  It
+imports nothing from ``components``, so no oracle here shares the theta
+kernel it is compared with.
 """
 from __future__ import annotations
 
@@ -43,7 +47,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .components import _degree_sums, _weight_rows
 from .hurwitz import HodgeTable, _binomial_rows, _nu, _scaled_series
 from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
                          _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
@@ -460,8 +463,7 @@ def _ode_residuals(b: list[int], order: int, binom: list[list[int]]) -> list[int
 def _mod3_weights(r: int, s: int) -> list[int]:
     """w(k) = V_0(k) - V_1(k) for k = 0..r+s, in integers and O(r + s) steps.
 
-    V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3);
-    ``components._weight_rows`` walks these rows for r = s (mod 3).
+    V_d(k) sums C(r, x) C(s, y) over x + y = k with x - y = d (mod 3).
     With omega = exp(2 pi i/3), c_k = [u^k] (1 + omega u)^r (1 + omega^2 u)^s
     is V_0 + V_1 omega + V_2 omega^2 = (V_0 - V_2) + (V_1 - V_2) omega, so
     w(k) = a_k - b_k for c_k = a_k + b_k omega.  Since
@@ -482,9 +484,15 @@ def _mod3_weights(r: int, s: int) -> list[int]:
     return weights
 
 
-def _half_rows(n: int) -> list[list[int]]:
-    """The rows of degree n that ``components._weight_rows`` yields, each by ``_mod3_weights``."""
-    return [_mod3_weights(r, n - r) for r in range((2 * n) % 3, n // 2 + 1, 3)]
+def _degree_sums(values: list[int], n: int) -> list[int]:
+    """sum_k w(k) values[k] values[n-k], w the ``_mod3_weights``, for r + s = n, r = s (mod 3).
+
+    One entry for each r = 2n mod 3, ..., n in steps of 3, ascending;
+    on alpha they are the theta totals T(r, s) of ``hurwitz``.
+    """
+    products = [values[k] * values[n - k] for k in range(n + 1)]
+    return [sum(map(mul, _mod3_weights(r, n - r), products))
+            for r in range((2 * n) % 3, n + 1, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +540,7 @@ def solve_chain(rhs: list[int], scale: int, closure: list[int],
     return [dl * v + (-t if i % 2 else t) for i, v in enumerate(p)], scale * dl
 
 
-def solve_components(g: int, table: HodgeTable,
-                     rows: list[list[int]] | None = None) -> list[Fraction]:
+def solve_components(g: int, table: HodgeTable) -> list[Fraction]:
     """Solve for the per-component integrals x_i = A_g^(3i+nu), i = 0..n, of one genus g >= 4.
 
     Each WDVV comparison at genus g+1 with l = r + 2 leading markings and
@@ -564,11 +571,7 @@ def solve_components(g: int, table: HodgeTable,
     which costs O(g) per equation.  It is summed in integers: the F_h are
     scaled to numerators f_h = D F_h over one common denominator D, so a
     known product is an integer over D^2 and so is 3 D f_1.  ``_degree_sums``
-    forms it, with 0 in the unknown genus-g slot to drop the principal terms,
-    on ``rows``, the weight rows of degree g - 1 that ``_weight_rows``
-    yields; a caller solving genus after genus passes them from one walk,
-    and a lone call, with ``rows`` not given, walks to degree g - 1 and
-    takes the last.
+    forms it, with 0 in the unknown genus-g slot to drop the principal terms.
 
     This function alone judges its result: the closure equation not used
     during solving must hold, the solved values must all be equal, and
@@ -590,9 +593,7 @@ def solve_components(g: int, table: HodgeTable,
         raise ValueError(f"table.components lacks genus {missing.args[0]}; "
                          f"genus {g} needs genera 1..{g - 1}") from None
     nums, D = _over_common_denominator(lower)   # nums[h - 1] = D * F_h
-    if rows is None:
-        *_, rows = _weight_rows(g - 1)
-    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1, rows)]
+    rhs = [-3 * total for total in _degree_sums(nums + [0], g - 1)]
 
     # Closure: one more independent equation.
     vvv_row = [math.comb(g + 2, 3 * i + nu) for i in range(n + 1)]

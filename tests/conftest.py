@@ -48,17 +48,17 @@ def corrupt_component_solver(monkeypatch):
 
 @pytest.fixture
 def corrupt_theta_totals(monkeypatch):
-    """``components._degree_sums`` with 1 added to its first total at degree 3.
+    """``components._pq_coefficients`` with 1 added to its first coefficient at degree 3.
 
     Degree 3 is the genus-4 statement, the first that the component line
     reads beyond genus 3, and ``verify theta`` reads it from order 3 on.
     """
-    real = components._degree_sums
+    real = components._pq_coefficients
 
-    def corrupted(values, n, rows):
-        sums = real(values, n, rows)
+    def corrupted(alpha, n):
+        coefficients = real(alpha, n)
         if n == 3:
-            sums[0] += 1
-        return sums
+            coefficients[0] += 1
+        return coefficients
 
-    monkeypatch.setattr(components, "_degree_sums", corrupted)
+    monkeypatch.setattr(components, "_pq_coefficients", corrupted)

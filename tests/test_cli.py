@@ -303,6 +303,7 @@ _USAGE_ERRORS = [
     (["tables", "--max-genus"], ("tables",), "--max-genus"),
     (["tables", "--max-genus", "--format", "json"], ("tables",), "--max-genus"),
     (["localization", "-o"], ("localization",), "--output"),
+    (["tables", "--max-genus", "2", "--output="], ("tables",), "--output"),
     (["-o"], (), "-o"),
     (["tables", "--max-genus", "x"], ("tables",), "'x'"),
     (["verify", "crc", "--order=4.5"], ("verify", "crc"), "'4.5'"),
@@ -422,7 +423,7 @@ _CRC = ["hurwitz", "potentials", "record"]
 # (argv, the crepant modules besides crepant and crepant.cli it loads):
 # none loads crepant.oracles, the Hodge-side ones load neither algebra
 # nor potentials, duval compiles no Q(w) code, verify crc loads neither
-# algebra (its Cyc3 == int comparisons included) nor the theta kernels
+# algebra (its Cyc3 == int comparisons included) nor the theta kernel
 # of components, and no JSON run loads json.
 _IMPORT_CASES = [
     (["duval", "--n", "3"], ["algebra", "mckay", "record"]),
@@ -451,11 +452,20 @@ def test_subcommand_imports_only_what_it_runs(argv, modules):
     assert qw == (["crepant.potentials"] if "potentials" in modules else [])
 
 
+def test_oracles_load_no_components():
+    # the oracles share no kernel with the theta identity they check
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crepant.oracles\n"
+         "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('crepant'))))"],
+        capture_output=True, text=True, env=_child_env(), check=True)
+    assert "crepant.components" not in ast.literal_eval(proc.stderr)
+
+
 _PRODUCTION_MODULES = sorted(
     p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py")
 _ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
                  "_ode_holds", "_ode_residuals", "_abullet_scaled_recursive",
-                 "_mod3_weights", "_half_rows", "solve_components", "solve_chain",
+                 "_mod3_weights", "_degree_sums", "solve_components", "solve_chain",
                  "_over_common_denominator", "ComponentMismatchError"}
 
 

@@ -7,15 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crepant import hurwitz, oracles
-from crepant.components import (_degree_sums, _theta_totals, _weight_rows,
-                                component_entries, component_labels, table_csv,
-                                table_rows, theta_check)
+from crepant.components import (_pq_coefficients, component_entries, component_labels,
+                                table_csv, table_rows, theta_check)
 from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_direct,
                              gamma_formula)
 from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _egf_divide, _nu,
                              _scaled_alpha, _scaled_series, _tau_third)
 from crepant.oracles import (ComponentMismatchError, _abullet_scaled_recursive,
-                             _half_rows, _mod3_weights, _ode_residuals, a_closed,
+                             _degree_sums, _mod3_weights, _ode_residuals, a_closed,
                              abullet_functional, b_closed, biseries_product,
                              compose_linear, gamma_bruteforce, scale_variable,
                              series_reciprocal, solve_chain, solve_components,
@@ -204,8 +203,8 @@ def test_closure_fixes_x0(monkeypatch):
     monkeypatch.setattr(oracles, "solve_chain", spy)
     table = build_hodge_table(60)
     assert table.checks["components independent of label"]
-    for g, rows in zip(range(4, 61), list(_weight_rows(59))[3:]):
-        solve_components(g, table, rows)
+    for g in range(4, 61):
+        solve_components(g, table)
     assert leads == [2 if g % 2 else (-1) ** ((1 - g) % 3) * delta(g) for g in range(4, 61)]
 
 
@@ -426,33 +425,12 @@ def _degree_sums_double_loop(values, n):
 def test_degree_sums_match_double_loop(values):
     """Every r = s (mod 3) at degree n = len(values) - 1, both r < s and r > s.
 
-    The values are arbitrary, so the entries for different r differ and a
-    mirror that is not reversed fails; on table values every entry of a
-    degree is the same, and no end-to-end test sees it.
+    The values are arbitrary, so the entries for different r differ; on
+    table values every entry of a degree is 0 past degree 0, and no
+    end-to-end test sees a wrong weight that keeps it 0.
     """
     n = len(values) - 1
-    expected = _degree_sums_double_loop(values, n)
-    assert _degree_sums(values, n, _half_rows(n)) == expected
-    *_, walked = _weight_rows(n)
-    assert _degree_sums(values, n, walked) == expected
-
-
-def test_weight_walk_matches_mod3_weights():
-    # one row per r <= n - r with r = 2n (mod 3), ascending, at every degree
-    degrees = list(_weight_rows(60))
-    assert len(degrees) == 61
-    for n, rows in enumerate(degrees):
-        pairs = [(r, n - r) for r in range(n // 2 + 1) if (r - 2 * n) % 3 == 0]
-        assert rows == [_mod3_weights(r, s) for r, s in pairs], n
-
-
-def test_lone_solve_matches_walked_table():
-    # a lone solve_components walks the weights to degree g - 1 itself; a
-    # caller may hand each genus its rows from one walk
-    table = build_hodge_table(40)
-    assert table.checks["components independent of label"]
-    for g, rows in zip(range(4, 41), list(_weight_rows(39))[3:]):
-        assert solve_components(g, table)[0] == solve_components(g, table, rows)[0], g
+    assert _degree_sums(values, n) == _degree_sums_double_loop(values, n)
 
 
 def test_oracle_solves_a_on_a_passing_table():
@@ -460,8 +438,8 @@ def test_oracle_solves_a_on_a_passing_table():
     # solution A_g at every label
     table = build_hodge_table(60)
     assert table.checks["components independent of label"]
-    for g, rows in zip(range(4, 61), list(_weight_rows(59))[3:]):
-        assert solve_components(g, table, rows) == [table.A[g]] * len(range(_nu(g), g + 3, 3)), g
+    for g in range(4, 61):
+        assert solve_components(g, table) == [table.A[g]] * len(range(_nu(g), g + 3, 3)), g
 
 
 @given(st.tuples(st.integers(-10 ** 6, 10 ** 6).filter(bool),
@@ -472,16 +450,14 @@ def test_system_rhs_is_the_theta_total_less_its_principal_terms(draw):
     With A_h = alpha_(h-1)/(3 * 6^(h-1)) as the lower values and D their
     common denominator, the pair r + s = n = g - 1 has
     rhs = -3 D^2/(9 * 6^n) (T(r, s) - 2 alpha_0 alpha_n), T(r, s) its
-    theta total on alpha; alpha_n, the genus-g slot, is free.
+    theta total on alpha by the literal double sum; alpha_n, the genus-g
+    slot, is free.
     """
     alpha = [draw[0], *draw[1]]
     G = len(alpha)
     table = hurwitz.HodgeTable(G)
     table.components = {h: F(alpha[h - 1], 3 * 6 ** (h - 1)) for h in range(1, G)}
     table.A = table.Abullet = dict.fromkeys(range(4, G + 1), F(0))
-    totals = {}
-    for (r, s), total in _theta_totals(alpha):
-        totals.setdefault(r + s, []).append(total)
     seen = []
 
     def spy(rhs, scale, closure, closure_rhs):
@@ -496,7 +472,7 @@ def test_system_rhs_is_the_theta_total_less_its_principal_terms(draw):
         n = g - 1
         D = oracles._over_common_denominator(table.components[h] for h in range(1, g))[1]
         assert rhs == [F(-3 * D * D, 9 * 6 ** n) * (t - 2 * alpha[0] * alpha[n])
-                       for t in totals[n]], g
+                       for t in _degree_sums_double_loop(alpha, n)], g
 
 
 def test_closure_row_sums_to_two_gamma():
@@ -572,24 +548,46 @@ def test_theta_pair_matches_fraction_double_sum(N):
 
 
 def test_theta_totals_match_theta_pair():
-    """The degree-grouped totals against theta_pair's term-by-term double sum.
+    """The literal degree-grouped totals against theta_pair's term-by-term double sum.
 
     Each total is (theta_0 - theta_1)_(r,s) times 9 * 6^(r+s) r! s!; the
-    entries off r = s (mod 3) are zero and not yielded.
+    entries off r = s (mod 3) are zero and have no total.
     """
     N = 30
     t0, t1 = theta_pair(N)
     alpha = _scaled_alpha(_tau_third(N), _binomial_rows(N))
-    totals = dict(_theta_totals(alpha))
-    assert set(totals) == {(r, s) for r in range(N + 1) for s in range(N + 1 - r)
-                           if (r - s) % 3 == 0}
+    totals = {(r, n - r): total for n in range(N + 1) for r, total in
+              zip(range((2 * n) % 3, n + 1, 3), _degree_sums_double_loop(alpha, n))}
     for r in range(N + 1):
         for s in range(N + 1 - r):
             scaled = ((t0.coefficient(r, s) - t1.coefficient(r, s))
                       * 9 * 6 ** (r + s) * factorial(r) * factorial(s))
             assert scaled == totals.get((r, s), 0), (r, s)
-    assert dict(_theta_totals(alpha[:14])) == {rs: v for rs, v in totals.items()
-                                                if sum(rs) <= 13}
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=16))
+def test_pq_coefficients_are_three_times_the_theta_totals(alpha):
+    """The (P, Q) kernel, substituted back into (X, Y), is 3 times the literal totals.
+
+    With P = X + Y and Q = w X + w^2 Y, the term of P^i Q^(n-i)/(i! (n-i)!)
+    gives C(r, a) C(s, b) w^((r-a) + 2(s-b)) to X^r Y^s/(r! s!) for each
+    a + b = i.  Z[w] is held as integer pairs x + y w, with w^2 = -1 - w.
+    The kernel forms i <= n/2; the coefficients of i and n - i are equal.
+    """
+    for n in range(len(alpha)):
+        half = _pq_coefficients(alpha, n)
+        c = [half[min(i, n - i)] for i in range(n + 1)]
+        totals = iter(_degree_sums_double_loop(alpha, n))
+        for r in range(n + 1):
+            s = n - r
+            x = y = 0
+            for a in range(r + 1):
+                for b in range(s + 1):
+                    term = c[a + b] * binom(r, a) * binom(s, b)
+                    k = ((r - a) + 2 * (s - b)) % 3
+                    x += (term, 0, -term)[k]
+                    y += (0, term, -term)[k]
+            assert (x, y) == ((3 * next(totals) if (r - s) % 3 == 0 else 0), 0), (n, r)
 
 
 def test_theta_factorization_over_cyc3():
@@ -609,6 +607,10 @@ def test_theta_factorization_over_cyc3():
     t0, t1 = theta_pair(N)
     assert biseries_product(Q(0), Q(0)) == t0.map_coeffs(Cyc3)
     assert biseries_product(Q(1), Q(2)) == t1.map_coeffs(Cyc3)
+    # so theta_0 - theta_1 = Q_0^2 - Q_1 Q_2 = e_2(comp)/3, the kernel's reading
+    e2 = (biseries_product(comp[0], comp[1]) + biseries_product(comp[1], comp[2])
+          + biseries_product(comp[2], comp[0]))
+    assert e2 * F(1, 3) == (t0 - t1).map_coeffs(Cyc3)
 
 
 # ---------------------------------------------------------------------------
