@@ -27,7 +27,7 @@ from __future__ import annotations
 from operator import add
 from typing import TYPE_CHECKING
 
-from .hurwitz import _binomial_rows, _nu, _scaled_alpha, _tau_third
+from .hurwitz import _nu, _scaled_alpha, _tau_third
 
 if TYPE_CHECKING:
     from .hurwitz import HodgeTable
@@ -97,7 +97,7 @@ def theta_check(N: int) -> bool:
     >>> theta_check(4)
     True
     """
-    return _theta_holds(_scaled_alpha(_tau_third(N), _binomial_rows(N)))
+    return _theta_holds(_scaled_alpha(_tau_third(N)))
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,11 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   b_n = 6^n B_n, alpha_n = 3 * 6^n A_(n+1) and beta_n = 3 * 6^n Ab_(n+1)
   are integer EGFs, and each quotient, with constant term 1 in its
   denominator, is an integer binomial convolution (``_scaled_series``).
-- Recursion and checks: the B recursion runs on b with no division, and
-  the functional equation is compared on alpha and beta.
+- Recursion and checks: the B recursion runs on b with no division, one
+  product b_h b_(g-h) per term of weight c_h = 2 C(g-2, h-1) - C(g-2, h),
+  and the functional equation is compared on alpha and beta.
+- Binomials: each division and the recursion walk one Pascal row of
+  their own, stepped upward; no triangle is stored.
 - Counts: ``gamma_direct`` counts marking subsets by size mod 3 with
   Pascal's rule, O(g) per genus, so the gamma check runs at every genus.
 
@@ -111,6 +114,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +144,21 @@ def tangent_numbers(N: int) -> list[int]:
     return T
 
 
-def _binomial_rows(N: int) -> list[list[int]]:
-    """Pascal's triangle: rows[n][k] = C(n, k) for 0 <= k <= n <= N."""
-    rows = [[1]]
-    for n in range(1, N + 1):
-        prev = rows[-1]
-        rows.append([1, *(prev[k - 1] + prev[k] for k in range(1, n)), 1])
-    return rows
-
-
-def _egf_divide(num: list[int], den: list[int], binom: list[list[int]]) -> list[int]:
+def _egf_divide(num: list[int], den: list[int]) -> list[int]:
     """EGF coefficients of num/den for den[0] = 1, with no division.
 
-    q_n = num_n - sum_{k=1}^n C(n, k) den_k q_(n-k).
+    q_n = num_n - sum_{k=1}^n C(n, k) den_k q_(n-k), walking one row of
+    Pascal's triangle: row n at step n.
     """
     out: list[int] = []
-    for n, row in enumerate(binom[:len(num)]):
-        out.append(num[n] - sum(row[k] * den[k] * out[n - k] for k in range(1, n + 1)))
+    row = [1]                           # C(n, k) for k = 0..n
+    for n, x in enumerate(num):
+        out.append(x - sum(row[k] * den[k] * out[n - k] for k in range(1, n + 1)))
+        row = [1, *map(add, row, row[1:]), 1]
     return out
 
 
-def _scaled_series(N: int, binom: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+def _scaled_series(N: int) -> tuple[list[int], list[int], list[int]]:
     """EGF coefficients 0..N of B(6u), 3A(6u) and 3A-bullet(6u): (b, alpha, beta).
 
     tau(6u) = sqrt(3) tan(sqrt(3) u) has the u^(2k+1) EGF coefficient
@@ -172,9 +170,9 @@ def _scaled_series(N: int, binom: list[list[int]]) -> tuple[list[int], list[int]
     one = [1] + [0] * N
     third = _tau_third(N)
     b = _egf_divide([x + y for x, y in zip(one, third)],
-                    [x - 3 * y for x, y in zip(one, third)], binom)
-    beta = [2 * x - y for x, y in zip(b, _egf_divide(one, b, binom))]
-    return b, _scaled_alpha(third, binom), beta
+                    [x - 3 * y for x, y in zip(one, third)])
+    beta = [2 * x - y for x, y in zip(b, _egf_divide(one, b))]
+    return b, _scaled_alpha(third), beta
 
 
 def _tau_third(N: int) -> list[int]:
@@ -182,14 +180,14 @@ def _tau_third(N: int) -> list[int]:
     return [3 ** (n // 2) * t for n, t in enumerate(tangent_numbers(N))]
 
 
-def _scaled_alpha(third: list[int], binom: list[list[int]]) -> list[int]:
+def _scaled_alpha(third: list[int]) -> list[int]:
     """alpha, the EGF of 3A(6u) = (1 + tau)/(1 - tau/3), from ``third`` = ``_tau_third(N)``."""
     one = [1] + [0] * (len(third) - 1)
     return _egf_divide([x + 3 * y for x, y in zip(one, third)],
-                       [x - y for x, y in zip(one, third)], binom)
+                       [x - y for x, y in zip(one, third)])
 
 
-def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
+def _b_scaled_recursive(G: int) -> list[int]:
     """b_0..b_G (b_g = 6^g B_g) from the degeneration recursion.
 
     Seeded with B_0 = 1 and B_1 = 2/3, for g >= 2 the recursion reads
@@ -198,16 +196,16 @@ def _b_scaled_recursive(G: int, binom: list[list[int]]) -> list[int]:
             = sum_{h1+h2=g} 6 C(g-2, h1-1) B_{h1} B_{h2},
 
     and the unknown B_g appears only in the summand 3 B_0 B_g on the left.
-    Scaled by 6^g and divided by 3, it needs no division:
+    Scaled by 6^g and divided by 3, it needs no division, and its two sums
+    are one, each product b_h b_(g-h) formed once, walking one Pascal row:
 
-        b_g = 2 sum_h C(g-2, h-1) b_h b_(g-h) - sum_h C(g-2, h) b_h b_(g-h) - 2 b_(g-1).
+        b_g = sum_{0<h<g} c_h b_h b_(g-h) - 2 b_(g-1),  c_h = 2 C(g-2, h-1) - C(g-2, h).
     """
-    b = [1, 4]
+    b, row = [1, 4], [1]                # row: C(g - 2, k) for k = 0..g - 2
     for g in range(2, G + 1):
-        row = binom[g - 2]
-        b.append(2 * sum(row[h - 1] * b[h] * b[g - h] for h in range(1, g))
-                 - sum(row[h] * b[h] * b[g - h] for h in range(1, g - 1))
-                 - 2 * b[g - 1])
+        c = [2 * x - y for x, y in zip(row, [*row[1:], 0])]     # c[h - 1] = c_h
+        b.append(sum(c[h - 1] * b[h] * b[g - h] for h in range(1, g)) - 2 * b[g - 1])
+        row = [1, *map(add, row, row[1:]), 1]
     return b[:G + 1]
 
 
@@ -341,9 +339,8 @@ def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
     table = HodgeTable(max_genus=G)
     genera = range(1, G + 1)
 
-    binom = _binomial_rows(G)
-    b, alpha, beta = _scaled_series(G, binom)
-    b_rec = _b_scaled_recursive(G, binom)
+    b, alpha, beta = _scaled_series(G)
+    b_rec = _b_scaled_recursive(G)
     table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
     table.delta = {g: delta(g) for g in genera}
 

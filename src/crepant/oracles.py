@@ -20,7 +20,9 @@ slower, more literal ones they are checked against:
   checks, because a kept check decides each: the A-bullet WDVV recursion
   (``_abullet_scaled_recursive``), which reproduces beta = 2b - 1/b for
   every b with b_0 = 1, and the ODE of B (``_ode_residuals``), whose
-  residual at order n is the B recursion's at genus n + 2;
+  residual at order n is the B recursion's at genus n + 2; these and the
+  theta double sum take their binomials from ``math.comb``, so no oracle
+  shares a Pascal walk with the kernel it checks;
 - the weights of one pair (r, s) by a three-term recurrence in k
   (``_mod3_weights``), and the weighted sums of one degree on them
   (``_degree_sums``), the (X, Y) form of the theta totals that the
@@ -47,7 +49,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .hurwitz import HodgeTable, _binomial_rows, _nu, _scaled_series
+from .hurwitz import HodgeTable, _nu, _scaled_series
 from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
                          _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
                          _triple_products, orbifold_invariant)
@@ -344,21 +346,23 @@ def theta_pair(N: int) -> tuple[BiSeries, BiSeries]:
     The sum runs in integers on alpha_k = 3 * 6^k A_(k+1) from
     ``hurwitz._scaled_series``: the two A indices of every term sum to
     r + s + 2, so each coefficient is one Fraction(total, 9 * 6^(r+s) r! s!).
-    It is the term-by-term double sum that ``components.theta_check`` groups
-    by degree.
+    Its binomials come from ``math.comb``, not from a Pascal walk.
+
+    It is the test oracle of ``components.theta_check``, which sums no
+    double sum: it decides the same statement on e_2 in the coordinates
+    (P, Q), by the identity in the ``hurwitz`` module docstring.
     """
-    binom = _binomial_rows(N)
-    _, alpha, _ = _scaled_series(N, binom)
+    _, alpha, _ = _scaled_series(N)
     fact = [math.factorial(n) for n in range(N + 1)]
 
     def entry(i_residue: int, r: int, s: int) -> Fraction:
         if (r - s) % 3 != 0:
             return Fraction(0)
-        binom_s = binom[s]
         total = 0
-        for x, cx in enumerate(binom[r]):
-            total += cx * sum(binom_s[y] * alpha[x + y] * alpha[r + s - x - y]
-                              for y in range((x - i_residue) % 3, s + 1, 3))
+        for x in range(r + 1):
+            total += math.comb(r, x) * sum(
+                math.comb(s, y) * alpha[x + y] * alpha[r + s - x - y]
+                for y in range((x - i_residue) % 3, s + 1, 3))
         return Fraction(total, 9 * 6 ** (r + s) * fact[r] * fact[s])
 
     theta0 = BiSeries.build(N, lambda r, s: entry(0, r, s))
@@ -427,7 +431,7 @@ def gamma_bruteforce(g: int) -> int:
 # The Hodge-table restatements and the weights of one pair
 # ---------------------------------------------------------------------------
 
-def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
+def _abullet_scaled_recursive(G: int, b: list) -> list:
     """beta_0..beta_(G-1) (beta_n = 3 * 6^n Ab_(n+1)) from the second recursion.
 
     For g >= 1 the recursion reads
@@ -446,18 +450,18 @@ def _abullet_scaled_recursive(G: int, b: list, binom: list[list[int]]) -> list:
     """
     beta: list = []
     for g in range(1, G + 1):
-        row = binom[g - 1]
-        beta.append(2 * sum(row[h] * b[h] * b[g - 1 - h] for h in range(g))
-                    - sum(row[h - 1] * beta[h - 1] * b[g - h] for h in range(1, g))
+        beta.append(2 * sum(math.comb(g - 1, h) * b[h] * b[g - 1 - h] for h in range(g))
+                    - sum(math.comb(g - 1, h - 1) * beta[h - 1] * b[g - h]
+                          for h in range(1, g))
                     - (g == 1))
     return beta
 
 
-def _ode_residuals(b: list[int], order: int, binom: list[list[int]]) -> list[int]:
+def _ode_residuals(b: list[int], order: int) -> list[int]:
     """2b' + b b'' - 2(b')^2, the ODE of B at 6u, as EGF coefficients of u^0..u^order."""
-    return [2 * b[n + 1] + sum(row[k] * b[k] * b[n + 2 - k] for k in range(n + 1))
-            - 2 * sum(row[k] * b[k + 1] * b[n + 1 - k] for k in range(n + 1))
-            for n, row in enumerate(binom[:order + 1])]
+    return [2 * b[n + 1] + sum(math.comb(n, k) * b[k] * b[n + 2 - k] for k in range(n + 1))
+            - 2 * sum(math.comb(n, k) * b[k + 1] * b[n + 1 - k] for k in range(n + 1))
+            for n in range(order + 1)]
 
 
 def _mod3_weights(r: int, s: int) -> list[int]:

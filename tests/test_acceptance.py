@@ -11,8 +11,7 @@ import time
 from fractions import Fraction as F
 
 from crepant.components import theta_check
-from crepant.hurwitz import (_binomial_rows, build_hodge_table, delta, delta_direct,
-                             gamma_formula)
+from crepant.hurwitz import build_hodge_table, delta, delta_direct, gamma_formula
 from crepant.mckay import check_n3_specialization
 from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_closed,
                              cyc3_inverse, fx_third_partial, fy_third_partial,
@@ -54,7 +53,7 @@ def test_criterion_2_abullet_dual_oracle():
     assert table.checks["A-bullet = gamma * A (functional equation)"] is True
     # the WDVV recursion itself, run on the table's B
     b = [B * 6 ** g for g, B in sorted(table.B.items())]
-    beta = _abullet_scaled_recursive(30, b, _binomial_rows(29))
+    beta = _abullet_scaled_recursive(30, b)
     assert {g: F(beta[g - 1], 3 * 6 ** (g - 1)) for g in range(1, 31)} == table.Abullet
     assert table.Abullet[1] == F(1, 3) and table.Abullet[2] == F(2, 3)
 

@@ -103,7 +103,7 @@ def _add_one(monkeypatch, kernel, index, part=None, when=None):
     monkeypatch.setattr(hurwitz, kernel, corrupted)
 
 
-def _divides_one(num, den, binom):
+def _divides_one(num, den):
     """Whether an ``_egf_divide`` call forms 1/b: b and alpha have non-unit numerators."""
     return not any(num[1:])
 
@@ -463,10 +463,10 @@ def test_oracles_load_no_components():
 
 _PRODUCTION_MODULES = sorted(
     p.name for p in Path(crepant.__file__).parent.glob("*.py") if p.name != "oracles.py")
-_ORACLE_NAMES = {"oracles", "BiSeries", "USeries", "compose_linear", "gamma_bruteforce",
-                 "_ode_holds", "_ode_residuals", "_abullet_scaled_recursive",
-                 "_mod3_weights", "_degree_sums", "solve_components", "solve_chain",
-                 "_over_common_denominator", "ComponentMismatchError"}
+# every function and class that oracles.py defines at top level, and the module itself
+_ORACLE_NAMES = {"oracles"} | {
+    node.name for node in ast.parse((Path(crepant.__file__).parent / "oracles.py").read_text()).body
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
 
 
 @pytest.mark.parametrize("module", _PRODUCTION_MODULES)

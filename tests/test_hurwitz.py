@@ -11,7 +11,7 @@ from crepant.components import (_pq_coefficients, component_entries, component_l
                                 table_csv, table_rows, theta_check)
 from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_direct,
                              gamma_formula)
-from crepant.hurwitz import (_b_scaled_recursive, _binomial_rows, _egf_divide, _nu,
+from crepant.hurwitz import (_b_scaled_recursive, _egf_divide, _nu,
                              _scaled_alpha, _scaled_series, _tau_third)
 from crepant.oracles import (ComponentMismatchError, _abullet_scaled_recursive,
                              _degree_sums, _mod3_weights, _ode_residuals, a_closed,
@@ -229,11 +229,15 @@ def test_integer_route_matches_fraction_oracles(G):
 # The statements the table no longer checks, and the merged line
 # ---------------------------------------------------------------------------
 
-def _b_recursion_residual(b, g, rows):
-    """b_g minus what the recursion of ``_b_scaled_recursive`` forms from b_0..b_(g-1)."""
-    row = rows[g - 2]
-    return b[g] - (2 * sum(row[h - 1] * b[h] * b[g - h] for h in range(1, g))
-                   - sum(row[h] * b[h] * b[g - h] for h in range(1, g - 1))
+def _b_recursion_residual(b, g):
+    """b_g minus what the recursion forms from b_0..b_(g-1), in the paper's two sums.
+
+    ``_b_scaled_recursive`` adds the two sums as one, with the weight
+    c_h = 2 C(g-2, h-1) - C(g-2, h); this is the literal form it is tested
+    against.
+    """
+    return b[g] - (2 * sum(binom(g - 2, h - 1) * b[h] * b[g - h] for h in range(1, g))
+                   - sum(binom(g - 2, h) * b[h] * b[g - h] for h in range(1, g - 1))
                    - 2 * b[g - 1])
 
 
@@ -246,17 +250,15 @@ def test_ode_residual_is_the_b_recursion_residual(tail):
     # n + 2; the B check also pins b_0 = 1 and b_1 = 4
     b = [1, 4, *tail]
     order = len(b) - 3
-    rows = _binomial_rows(len(b))
-    assert _ode_residuals(b, order, rows) == [
-        _b_recursion_residual(b, n + 2, rows) for n in range(order + 1)]
+    assert _ode_residuals(b, order) == [
+        _b_recursion_residual(b, n + 2) for n in range(order + 1)]
 
 
 def test_the_b_recursion_and_the_ode_hold_on_the_closed_form():
-    rows = _binomial_rows(40)
-    b, _, _ = _scaled_series(40, rows)
-    assert _b_scaled_recursive(40, rows) == b
-    assert [_b_recursion_residual(b, g, rows) for g in range(2, 41)] == [0] * 39
-    assert _ode_residuals(b, 38, rows) == [0] * 39
+    b, _, _ = _scaled_series(120)
+    assert _b_scaled_recursive(120) == b
+    assert [_b_recursion_residual(b, g) for g in range(2, 121)] == [0] * 119
+    assert _ode_residuals(b, 118) == [0] * 119
 
 
 @given(_TAILS)
@@ -264,10 +266,22 @@ def test_abullet_recursion_is_two_b_minus_one_over_b(tail):
     # the WDVV recursion solves 1 + 3 Ab B = 2 B^2 for any B with B_0 = 1,
     # so it agrees with beta = 2b - 1/b of _scaled_series by construction
     b = [1, *tail]
-    rows = _binomial_rows(len(tail))
     one = [1] + [0] * len(tail)
-    assert _abullet_scaled_recursive(len(b), b, rows) == [
-        2 * x - y for x, y in zip(b, _egf_divide(one, b, rows))]
+    assert _abullet_scaled_recursive(len(b), b) == [
+        2 * x - y for x, y in zip(b, _egf_divide(one, b))]
+
+
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=n, max_size=n),
+    st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=n - 1, max_size=n - 1))))
+def test_egf_divide_inverts_the_binomial_convolution(case):
+    # q = num/den as EGFs exactly when num_n = sum_k C(n, k) den_k q_(n-k)
+    num, tail = case
+    den = [1, *tail]
+    q = _egf_divide(num, den)
+    assert len(q) == len(num)
+    assert [sum(binom(n, k) * den[k] * q[n - k] for k in range(n + 1))
+            for n in range(len(num))] == num
 
 
 _MERGED = "A-bullet = gamma * A (functional equation)"
@@ -283,13 +297,13 @@ def test_merged_line_holds_exactly_when_both_old_lines_hold(case):
     moved series through ``_scaled_series``.
     """
     G, n, d, e, along = case
-    b, alpha, beta = _scaled_series(G, _binomial_rows(G))
+    b, alpha, beta = _scaled_series(G)
     alpha[n] += d
     beta[n] += gamma_formula(n + 1) * d if along else e
     gamma_line = all(beta[g - 1] == gamma_formula(g) * alpha[g - 1] for g in range(1, G + 1))
     functional = all(3 * beta[k] == (4 * 2 ** k - (-1) ** k) * alpha[k] for k in range(G + 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hurwitz, "_scaled_series", lambda N, rows: (b, alpha, beta))
+        mp.setattr(hurwitz, "_scaled_series", lambda N: (b, alpha, beta))
         table = build_hodge_table(G, components=False)
     assert table.checks[_MERGED] == (gamma_line and functional)
 
@@ -555,7 +569,7 @@ def test_theta_totals_match_theta_pair():
     """
     N = 30
     t0, t1 = theta_pair(N)
-    alpha = _scaled_alpha(_tau_third(N), _binomial_rows(N))
+    alpha = _scaled_alpha(_tau_third(N))
     totals = {(r, n - r): total for n in range(N + 1) for r, total in
               zip(range((2 * n) % 3, n + 1, 3), _degree_sums_double_loop(alpha, n))}
     for r in range(N + 1):
