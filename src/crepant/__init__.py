@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     "algebra": ("CycElement", "CycField"),
     "components": ("theta_check",),
-    "hurwitz": ("HodgeTable", "build_hodge_table", "delta", "delta_direct", "gamma_direct",
-                "gamma_formula"),
+    "hurwitz": ("HodgeTable", "build_hodge_table", "delta", "gamma_formula", "marking_counts"),
     "mckay": ("DuValTransform", "check_n3_specialization", "duval_transform"),
     "oracles": ("BiSeries", "ComponentMismatchError", "USeries", "a_closed",
                 "abullet_functional", "b_closed", "compose_linear", "fx_third_partial",

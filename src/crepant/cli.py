@@ -234,16 +234,18 @@ def _cmd_components(args) -> int:
     return 0
 
 
-def _verify_report(name: str, checks: list[dict], args, extra: dict | None = None) -> int:
-    all_pass = all(c["status"] == "pass" for c in checks)
-    payload = {"suite": name, **(extra or {}), "checks": checks, "all_pass": all_pass}
+def _verify_report(payload: dict, label: str, args) -> int:
+    """Write a verify payload: its JSON, or one line ``<label>: <status>`` per check.
+
+    ``label`` is formatted with the check's fields, ``"{name}"`` or ``"idx {idx}"``.
+    """
     if args.format == "json":
         _emit_json(payload, args.output)
     else:
-        lines = [f"{c['name']}: {c['status']}" for c in checks]
-        lines.append("all checks passed" if all_pass else "FAILURES present")
+        lines = [f"{label.format(**c)}: {c['status']}" for c in payload["checks"]]
+        lines.append("all checks passed" if payload["all_pass"] else "FAILURES present")
         _emit("\n".join(lines) + "\n", args.output)
-    return 0 if all_pass else 1
+    return 0 if payload["all_pass"] else 1
 
 
 def _cmd_verify_recursions(args) -> int:
@@ -253,7 +255,8 @@ def _cmd_verify_recursions(args) -> int:
     table = hurwitz.build_hodge_table(G, components=False)
     checks = [{"name": name, "status": "pass" if ok else "fail"}
               for name, ok in table.checks.items()]
-    return _verify_report("recursions", checks, args, {"max_genus": G})
+    return _verify_report({"suite": "recursions", "max_genus": G, "checks": checks,
+                           "all_pass": all(table.checks.values())}, "{name}", args)
 
 
 def _cmd_verify_theta(args) -> int:
@@ -263,7 +266,8 @@ def _cmd_verify_theta(args) -> int:
     ok = components.theta_check(N)
     checks = [{"name": f"theta_0 - theta_1 constant 1/9 to degree {N}",
                "status": "pass" if ok else "fail"}]
-    return _verify_report("theta", checks, args, {"order": N})
+    return _verify_report({"suite": "theta", "order": N, "checks": checks, "all_pass": ok},
+                          "{name}", args)
 
 
 def _cmd_verify_crc(args) -> int:
@@ -273,14 +277,7 @@ def _cmd_verify_crc(args) -> int:
     table = _checked_table(max(N - 2, 4), components=False)
     if table is None:
         return 1
-    report = potentials.verify_crc(N, table)
-    if args.format == "json":
-        _emit_json(report, args.output)
-    else:
-        lines = [f"idx {c['idx']}: {c['status']}" for c in report["checks"]]
-        lines.append("all checks passed" if report["all_pass"] else "FAILURES present")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if report["all_pass"] else 1
+    return _verify_report(potentials.verify_crc(N, table), "idx {idx}", args)
 
 
 def _cmd_localization(args) -> int:

@@ -18,8 +18,8 @@ are defined; it records them, in this order, in ``HodgeTable.checks``,
 and ``crepant verify recursions`` prints that dict as its report:
 
     B recursion vs closed form             B_g: WDVV recursion vs B(u)
-    gamma formula vs enumeration           gamma_g: closed form vs subsets by size mod 3
-    delta closed form vs direct sum        delta_g: closed form vs binomial sum
+    gamma formula vs enumeration           gamma_g: closed form vs subsets by size mod 6
+    delta closed form vs direct sum        delta_g: closed form vs subsets by size mod 6
     A-bullet = gamma * A (functional equation)
                                            Ab_g = (2B - 1/B)/3 vs gamma_g A_g, that is
                                            (2B - 1/B)/3 = (4/3)A(2u) - (1/3)A(-u)
@@ -93,8 +93,9 @@ Integer kernel.  The table is computed in plain ints up to its boundary.
   and the functional equation is compared on alpha and beta.
 - Binomials: each division and the recursion walk one Pascal row of
   their own, stepped upward; no triangle is stored.
-- Counts: ``gamma_direct`` counts marking subsets by size mod 3 with
-  Pascal's rule, O(g) per genus, so the gamma check runs at every genus.
+- Counts: ``marking_counts`` walks the counts of marking subsets by size
+  mod 6 once, with Pascal's rule, and reads gamma_g and delta_g off the
+  walk at every genus, O(G) additions for the whole table.
 
 Fraction re-enters only at the boundary: in ``_unscale_b`` and
 ``_unscale_a`` (B_g = b_g / 6^g, A_g = alpha_(g-1) / (3 * 6^(g-1))).
@@ -106,13 +107,13 @@ component line, so ``verify crc`` and ``verify recursions``, whose
 tables have none, never compile it.  This module imports nothing
 from ``algebra``.  Its test oracles, the Fraction series ``b_closed``,
 ``a_closed`` and ``abullet_functional`` over ``tau_series``, the
-enumeration of all 2^(g+2) marking subsets that ``gamma_direct`` is
-tested against, the two restatements above and the per-component
-solver, live in ``oracles``, which no production module imports.
+enumeration of all 2^(g+2) marking subsets and the literal alternating
+binomial sum that ``marking_counts`` is tested against, the two
+restatements above and the per-component solver, live in ``oracles``,
+which no production module imports.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 
@@ -243,30 +244,6 @@ def _nu(g: int) -> int:
     return (1 - g) % 3
 
 
-def gamma_direct(g: int) -> int:
-    """Count unordered marking partitions S | S' with |S| = |S'| (mod 3), by size class.
-
-    The subsets of n markings fall into three classes by size mod 3.
-    Their counts c_r(n) start at c(0) = (1, 0, 0), and Pascal's rule
-    C(n+1, k) = C(n, k) + C(n, k-1) gives c_r(n+1) = c_r(n) + c_(r-1)(n).
-    With n = g + 2, |S| = |S'| (mod 3) reads |S| = nu (mod 3), so the
-    ordered count is c_nu(g + 2), O(g) additions.  Each unordered
-    partition is counted twice, since S never equals its complement.
-
-    >>> [gamma_direct(g) for g in range(6)]
-    [1, 1, 3, 5, 11, 21]
-    """
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    c = (1, 0, 0)
-    for _ in range(g + 2):
-        c = (c[0] + c[2], c[1] + c[0], c[2] + c[1])
-    ordered = c[_nu(g)]
-    if ordered % 2 != 0:
-        raise ArithmeticError("ordered partition count is odd; count corrupted")
-    return ordered // 2
-
-
 def delta(g: int) -> int:
     """Closed form: -2*(-3)^(g/2) for even g, 0 for odd g."""
     if g < 1:
@@ -276,13 +253,37 @@ def delta(g: int) -> int:
     return -2 * (-3) ** (g // 2)
 
 
-def delta_direct(g: int) -> int:
-    """The alternating binomial sum over admissible labels 3i + nu."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    nu = _nu(g)
-    n = (g + 2 - 2 * nu) // 3
-    return sum(math.comb(g + 2, 3 * i + nu) * (-1) ** (3 * i + nu) for i in range(n + 1))
+def marking_counts(G: int) -> tuple[list[int], list[int]]:
+    """gamma_0..gamma_G and delta_0..delta_G from one walk of subset counts by size mod 6.
+
+    The subsets of n markings fall into six classes by size mod 6.  Their
+    counts c_r(n) step by Pascal's rule C(n+1, k) = C(n, k) + C(n, k-1),
+    that is c_r(n+1) = c_r(n) + c_(r-1)(n).  At n = g + 2, with nu = _nu(g):
+
+    - gamma_g: |S| = |S'| (mod 3) reads |S| = nu (mod 3), so the ordered
+      partitions S | S' number c_nu + c_(nu+3); each unordered one is
+      counted twice, since S never equals its complement.
+    - delta_g: the alternating sum of C(g + 2, l) over the labels
+      l = 3i + nu is (-1)^nu (c_nu - c_(nu+3)), as (-1)^(3i) = (-1)^i.
+
+    O(G) additions in all.
+
+    >>> marking_counts(5)
+    ([1, 1, 3, 5, 11, 21], [-2, 0, 6, 0, -18, 0])
+    """
+    if G < 0:
+        raise ValueError("G must be >= 0")
+    gamma, delta = [], []
+    c = [1, 2, 1, 0, 0, 0]              # c_r(2): C(2, 0), C(2, 1), C(2, 2)
+    for g in range(G + 1):
+        nu = _nu(g)
+        ordered = c[nu] + c[nu + 3]
+        if ordered % 2 != 0:
+            raise ArithmeticError("ordered partition count is odd; count corrupted")
+        gamma.append(ordered // 2)
+        delta.append((-1) ** nu * (c[nu] - c[nu + 3]))
+        c = [c[r] + c[r - 1] for r in range(6)]
+    return gamma, delta
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,6 @@ class HodgeTable:
         self.Abullet: dict[int, Fraction] = {}
         self.A: dict[int, Fraction] = {}
         self.gamma: dict[int, int] = {}
-        self.delta: dict[int, int] = {}
         self.components: dict[int, Fraction] = {}
         self.checks: dict[str, bool] = {}
 
@@ -325,9 +325,9 @@ def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
     The checks, listed in the module docstring, are recorded in order in
     ``table.checks``: the B recursion, gamma, delta, A-bullet = gamma * A
     and, with ``components`` and ``max_genus`` >= 4, the component line.
-    Each runs at every genus up to ``max_genus``, the gamma count by size
-    class (``gamma_direct``) included, and A-bullet = gamma * A also at
-    ``max_genus + 1``, the last coefficient of alpha and beta.  The
+    Each runs at every genus up to ``max_genus``, gamma and delta on the
+    one walk ``marking_counts(max_genus)``, and A-bullet = gamma * A also
+    at ``max_genus + 1``, the last coefficient of alpha and beta.  The
     component line decides the theta identity on alpha_0..alpha_(G-1) and
     the A-bullet comparisons at g = 4..G; when it passes,
     ``table.components`` holds A_g for every genus.  Without
@@ -341,15 +341,13 @@ def build_hodge_table(max_genus: int, *, components: bool = True) -> HodgeTable:
 
     b, alpha, beta = _scaled_series(G)
     b_rec = _b_scaled_recursive(G)
+    gammas, deltas = marking_counts(G)
     table.gamma = {g: gamma_formula(g) for g in range(G + 1)}
-    table.delta = {g: delta(g) for g in genera}
 
     checks = table.checks
     checks["B recursion vs closed form"] = b_rec == b
-    checks["gamma formula vs enumeration"] = all(
-        table.gamma[g] == gamma_direct(g) for g in range(G + 1))
-    checks["delta closed form vs direct sum"] = all(
-        table.delta[g] == delta_direct(g) for g in genera)
+    checks["gamma formula vs enumeration"] = list(table.gamma.values()) == gammas
+    checks["delta closed form vs direct sum"] = all(delta(g) == deltas[g] for g in genera)
     # 3Ab(6u) = 4A(12u) - A(-6u) coefficientwise on the EGFs, that is
     # Ab_(n+1) = gamma_(n+1) A_(n+1), as 3 gamma_(n+1) = 4 * 2^n - (-1)^n
     abullet = [3 * beta[n] == (4 * 2 ** n - (-1) ** n) * alpha[n] for n in range(G + 1)]

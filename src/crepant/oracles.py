@@ -14,8 +14,9 @@ slower, more literal ones they are checked against:
   the multi-cover series as 1/(1 - q e^u) - 1, the term-by-term theta
   double sum and the substitution f(lam u);
 - gamma_g by enumerating all 2^(g+2) subsets of the markings
-  (``gamma_bruteforce``), against the count by size class of
-  ``hurwitz.gamma_direct``;
+  (``gamma_bruteforce``), and delta_g as the literal alternating binomial
+  sum over the admissible labels (``delta_direct``), against the one walk
+  of subset counts by size mod 6 of ``hurwitz.marking_counts``;
 - two integer statements that ``hurwitz.build_hodge_table`` no longer
   checks, because a kept check decides each: the A-bullet WDVV recursion
   (``_abullet_scaled_recursive``), which reproduces beta = 2b - 1/b for
@@ -403,7 +404,7 @@ def swap_series(series: BiSeries) -> BiSeries:
 
 
 # ---------------------------------------------------------------------------
-# The component count by subset enumeration
+# The marking counts by subset enumeration and by binomial sum
 # ---------------------------------------------------------------------------
 
 GAMMA_ENUMERATION_CAP = 20  # 2^(g+2) subsets: about 4 million at the cap
@@ -425,6 +426,15 @@ def gamma_bruteforce(g: int) -> int:
     if ordered % 2 != 0:
         raise ArithmeticError("ordered partition count is odd; enumeration corrupted")
     return ordered // 2
+
+
+def delta_direct(g: int) -> int:
+    """The alternating binomial sum over admissible labels 3i + nu."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    nu = _nu(g)
+    n = (g + 2 - 2 * nu) // 3
+    return sum(math.comb(g + 2, 3 * i + nu) * (-1) ** (3 * i + nu) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,14 @@ exactly when, for each k, the sum of lam^(d+3) G_q[d] over the pieces
 on L_k equals [u^d] A(-u)/6: O(N) univariate comparisons per call
 instead of O(N^2) bivariate ones per index.  Degrees 0 and 1, which hold
 the cubic constants (and L_0 + L_1 + L_2 = 0), are compared index by
-index from the same per-form coefficient lists.  A change of variables
-whose pieces are not multiples of the L_k, and any index that fails,
-are compared coefficient by coefficient: ``_coefficient_walk`` yields
-the x1^i x2^j coefficients of each side one at a time, and the reading
-stops at the first mismatching monomial, which the report gives.  No
-bivariate series is built and no two series are multiplied here; the
-full bivariate partials ``fy_third_partial`` and ``fx_third_partial``
-are the test oracle, in ``oracles``.
+index, each side read to degree 1 from ``_coefficient_walk``, which
+yields the x1^i x2^j coefficients of a side one at a time.  A change of
+variables whose pieces are not multiples of the L_k, and any index that
+fails, are compared coefficient by coefficient on the same walks read
+to degree N, stopping at the first mismatching monomial, which the
+report gives.  No bivariate series is built and no two series are
+multiplied here; the full bivariate partials ``fy_third_partial`` and
+``fx_third_partial`` are the test oracle, in ``oracles``.
 
 Degree bookkeeping: every stable coefficient is t-linear and lives in
 LinT; the two degree -2 exceptions (the triple product of identity
@@ -657,8 +657,9 @@ def _coefficient_walk(idx: tuple[int, int, int], cubic: LinT, terms, N: int):
     terms, chain is ``_chain``, and the coefficient of one term is
     chain * series[i+j] * C(i+j, i) * u1^i * u2^j.  Every series-valued
     third partial of either potential has this shape.  Each coefficient is
-    formed when it is read, so a reader that stops early pays only for
-    what it read.
+    formed when it is read, and only series[:N + 1] is scaled, so a
+    reader that stops early, or reads to a low N, pays only for what it
+    read.
     """
     zero = Cyc3(0)
     factors = []
@@ -668,7 +669,7 @@ def _coefficient_walk(idx: tuple[int, int, int], cubic: LinT, terms, N: int):
         for _ in range(N):
             p1.append(p1[-1] * u1)
             p2.append(p2[-1] * u2)
-        factors.append(([chain * c for c in series], p1, p2))
+        factors.append(([chain * c for c in series[:N + 1]], p1, p2))
     for i in range(N + 1):
         for j in range(N - i + 1):
             n = i + j
@@ -678,22 +679,6 @@ def _coefficient_walk(idx: tuple[int, int, int], cubic: LinT, terms, N: int):
                 z = z + scaled[n] * binom * p1[i] * p2[j]
             c = LinT(zero, z, z)
             yield (i, j), c + cubic if n == 0 else c
-
-
-def _low_coefficients(idx: tuple[int, int, int], cubic: LinT, by_form, N: int) -> tuple:
-    """The coefficients of 1, x1, x2 of cubic + (t1 + t2) * sum_k w^(k(n1-n2)) c_k(L_k).
-
-    c_k is the coefficient list by_form[k]; w^(k(n1-n2)) is the chain
-    factor of L_k.  At N = 0 there is no degree 1, and x1, x2 stay 0.
-    """
-    const, x1, x2 = Cyc3(0), Cyc3(0), Cyc3(0)
-    for (a, b), c in zip(_FORMS, by_form):
-        unit = _chain(idx, a, b)
-        const = const + unit * c[0]
-        if N >= 1:
-            x1 = x1 + unit * c[1] * a
-            x2 = x2 + unit * c[1] * b
-    return cubic + LinT(Cyc3(0), const, const), x1, x2
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +811,12 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     against [u^d] A(-u)/6, since the chain factors of both sides on L_k
     differ from those by the same unit w^(k(n1-n2)) (see the module
     docstring).  Degrees 0 and 1, which hold the cubic constants, are
-    compared index by index from the same per-form lists.  When a piece
-    of the change of variables lies off every L_k, or an index fails, the
-    index is compared coefficient by coefficient, x1^i x2^j in the order
-    of ``_coefficient_walk``, up to the first mismatching monomial; no
-    bivariate series is built.
+    compared index by index, reading both sides' ``_coefficient_walk`` to
+    degree min(N - 3, 1).  When a piece of the change of variables lies
+    off every L_k, or the forms or that read disagree, the index is
+    compared coefficient by coefficient on the full walks, x1^i x2^j in
+    the order of ``_coefficient_walk``, up to the first mismatching
+    monomial, which the report gives; no bivariate series is built.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -846,6 +832,7 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     on_forms = _coefficients_on_forms(pieces, order)
     high = list(orbifold[2:])
     forms_agree = on_forms is not None and all(c[2:] == high for c in on_forms)
+    low = min(order, 1)
     checks = []
     all_pass = True
     for idx in ALL_INDICES:
@@ -854,9 +841,9 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
         if 0 in idx:
             mismatch = _first_mismatch(fy_cubic, fx_cubic)
         else:
-            agree = forms_agree and (
-                _low_coefficients(idx, fy_cubic, on_forms, order)
-                == _low_coefficients(idx, fx_cubic, [orbifold] * len(_FORMS), order))
+            agree = forms_agree and _first_mismatch(
+                _coefficient_walk(idx, fy_cubic, pieces, low),
+                _coefficient_walk(idx, fx_cubic, orbifold_terms, low)) is None
             mismatch = None if agree else _first_mismatch(
                 _coefficient_walk(idx, fy_cubic, pieces, order),
                 _coefficient_walk(idx, fx_cubic, orbifold_terms, order))

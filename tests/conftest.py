@@ -18,15 +18,15 @@ def table16():
 
 @pytest.fixture
 def enumerated_genera(monkeypatch):
-    """The genera passed to ``hurwitz.gamma_direct`` during a test, in call order."""
+    """The top genus G of each ``hurwitz.marking_counts(G)`` walk during a test, in call order."""
     seen = []
-    real = hurwitz.gamma_direct
+    real = hurwitz.marking_counts
 
-    def spy(g, *args, **kwargs):
-        seen.append(g)
-        return real(g, *args, **kwargs)
+    def spy(G):
+        seen.append(G)
+        return real(G)
 
-    monkeypatch.setattr(hurwitz, "gamma_direct", spy)
+    monkeypatch.setattr(hurwitz, "marking_counts", spy)
     return seen
 
 

@@ -11,12 +11,13 @@ import time
 from fractions import Fraction as F
 
 from crepant.components import theta_check
-from crepant.hurwitz import build_hodge_table, delta, delta_direct, gamma_formula
+from crepant.hurwitz import build_hodge_table, delta, gamma_formula
 from crepant.mckay import check_n3_specialization
 from crepant.oracles import (USeries, _abullet_scaled_recursive, a_closed, b_closed,
-                             cyc3_inverse, fx_third_partial, fy_third_partial,
-                             gamma_bruteforce, scale_variable, series_reciprocal,
-                             solve_components, swap_series, swap_t, tangent_series)
+                             cyc3_inverse, delta_direct, fx_third_partial,
+                             fy_third_partial, gamma_bruteforce, scale_variable,
+                             series_reciprocal, solve_components, swap_series, swap_t,
+                             tangent_series)
 from crepant.potentials import (OMEGA, OMEGA_BAR, Cyc3, FixedPointData, InverseT1T2, LinT,
                                 geometric_exp_series, triple_intersection, verify_crc)
 

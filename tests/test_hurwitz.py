@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from crepant import hurwitz, oracles
 from crepant.components import (_pq_coefficients, component_entries, component_labels,
                                 table_csv, table_rows, theta_check)
-from crepant.hurwitz import (build_hodge_table, delta, delta_direct, gamma_direct,
-                             gamma_formula)
+from crepant.hurwitz import build_hodge_table, delta, gamma_formula, marking_counts
 from crepant.hurwitz import (_b_scaled_recursive, _egf_divide, _nu,
                              _scaled_alpha, _scaled_series, _tau_third)
 from crepant.oracles import (ComponentMismatchError, _abullet_scaled_recursive,
                              _degree_sums, _mod3_weights, _ode_residuals, a_closed,
                              abullet_functional, b_closed, biseries_product,
-                             compose_linear, gamma_bruteforce, scale_variable,
-                             series_reciprocal, solve_chain, solve_components,
-                             theta_pair)
+                             compose_linear, delta_direct, gamma_bruteforce,
+                             scale_variable, series_reciprocal, solve_chain,
+                             solve_components, theta_pair)
 from crepant.potentials import OMEGA, OMEGA_BAR, Cyc3
 
 
@@ -101,12 +100,12 @@ def test_gamma_cap():
         gamma_bruteforce(21)
 
 
-def test_gamma_direct_matches_enumeration():
-    assert all(gamma_direct(g) == gamma_bruteforce(g) for g in range(19))
+def test_walked_gamma_matches_enumeration():
+    assert marking_counts(18)[0] == [gamma_bruteforce(g) for g in range(19)]
 
 
-def test_gamma_direct_matches_formula_to_500():
-    assert all(gamma_direct(g) == gamma_formula(g) for g in range(501))
+def test_walked_gamma_matches_formula_to_500():
+    assert marking_counts(500)[0] == [gamma_formula(g) for g in range(501)]
 
 
 def test_delta_values():
@@ -114,10 +113,31 @@ def test_delta_values():
     assert delta(3) == 0
     assert delta(4) == -18
     assert delta_direct(2) == 6  # the single term C(4,2)(-1)^2
+    assert marking_counts(2)[1][2] == 6
 
 
 def test_delta_dual_oracle_to_40():
     assert all(delta(g) == delta_direct(g) for g in range(1, 41))
+
+
+def test_walked_delta_matches_the_binomial_sum_to_300():
+    assert marking_counts(300)[1][1:] == [delta_direct(g) for g in range(1, 301)]
+
+
+def test_walked_delta_matches_closed_form_to_500():
+    assert marking_counts(500)[1][1:] == [delta(g) for g in range(1, 501)]
+
+
+def test_walk_with_a_wrong_residue_raises(monkeypatch):
+    # |S| = -g (mod 3) is not |S| = |S'| (mod 3): at g = 0 it counts C(2, 0) = 1, odd
+    monkeypatch.setattr(hurwitz, "_nu", lambda g: (-g) % 3)
+    with pytest.raises(ArithmeticError, match="odd"):
+        marking_counts(5)
+
+
+def test_walk_rejects_negative_genus():
+    with pytest.raises(ValueError, match="G must be >= 0"):
+        marking_counts(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_first_mismatch_stops_at_the_first_difference():
 
 
 def test_route_follows_the_linear_forms(table16, monkeypatch):
-    """Standard variables are compared on the forms and walk nothing; off-form ones walk every index."""
+    """Standard variables walk each series index to degree 1; off-form ones walk it in full."""
     walked = []
     walk = potentials._coefficient_walk
 
@@ -391,7 +391,9 @@ def test_route_follows_the_linear_forms(table16, monkeypatch):
 
     monkeypatch.setattr(potentials, "_coefficient_walk", spy)
     assert verify_crc(10, table16)["all_pass"] is True
-    assert walked == []
+    # degrees >= 2 on the forms; degrees 0 and 1, one walk per side for each series index
+    assert walked == [(idx, 1) for idx in SERIES_INDICES for _ in range(2)]
+    walked.clear()
     off = _with_jacobian(((_STD_J[0][0] + Cyc3(F(1, 7)), _STD_J[0][1]), _STD_J[1]))
     verify_crc(10, table16, cov=off)
     # one walk per side for each series index, to degree 7
