@@ -22,14 +22,22 @@ the transform.  Strings are encoded by ``_json``'s
 json package itself is not imported.  Floats, Fractions and tuples
 raise TypeError.
 
-Output is written in pieces of at least ``_WRITE_CHARS`` = 8192
-characters (the last may be shorter).  With unbuffered stdout (``python
--u`` or ``PYTHONUNBUFFERED``) each ``write`` is one system call.  One
-``write`` of a whole large text is no better: when the reader closes,
-the pipe takes part of it, the rest is dropped without an error, and
-the run exits 0; in pieces, a later piece fails with a broken pipe.
-Joining the pieces as they come also keeps memory bounded, where
-``json.dumps`` would hold the whole text.
+Every handler writes through ``_report(args, payload, lines)``, the one
+place the format is chosen: ``--format json`` writes ``payload`` as
+above, and text and CSV write the lines of the iterable ``lines``, each
+with a newline, as they are formed (``components.table_text`` and
+``table_csv`` render the ``tables`` rows; the other handlers give short
+lists or generators).  Every format streams through ``_write``, in
+pieces of at least ``_WRITE_CHARS`` = 8192 characters (the last may be
+shorter; text pieces end at a line end).  With unbuffered stdout
+(``python -u`` or ``PYTHONUNBUFFERED``) each ``write`` is one system
+call.  One ``write`` of a whole large text is no better: when the reader
+closes, the pipe takes part of it, the rest is dropped without an error,
+and the run exits 0; in pieces, a later piece fails with a broken pipe.
+Joining the pieces as they come also keeps memory bounded: no format
+holds its whole text, as ``json.dumps`` or a joined report would.
+Each ``verify`` text report opens with a line naming its suite and
+parameter, such as ``verify crc --order 15``.
 
 ``tables``, ``components`` and ``verify crc`` build a Hodge table first;
 if any of its dual-oracle checks fails they write no output, print one
@@ -98,11 +106,6 @@ def _write(pieces: Iterable[str], output: str | None) -> None:
                 buf, size = [], 0
         if buf:
             fh.write("".join(buf))
-
-
-def _emit(text: str, output: str | None) -> None:
-    _write((text[i:i + _WRITE_CHARS] for i in range(0, len(text), _WRITE_CHARS)),
-           output)
 
 
 def _json_scalar(value, encode: Callable[[str], str]) -> str:
@@ -175,6 +178,18 @@ def _emit_json(payload, output: str | None) -> None:
     _write(chain(_json_pieces(payload, "", encode_basestring_ascii), ("\n",)), output)
 
 
+def _report(args, payload, lines: Iterable[str]) -> None:
+    """Write ``payload`` as JSON under ``--format json``, else each of ``lines`` and a newline.
+
+    This is the one place the output format is chosen.  ``lines`` is read
+    only as it is written, so a generator forms each line as it goes out.
+    """
+    if args.format == "json":
+        _emit_json(payload, args.output)
+    else:
+        _write((line + "\n" for line in lines), args.output)
+
+
 def _checked_table(max_genus: int, **kwargs) -> HodgeTable | None:
     """The Hodge table, or None after one stderr line per failed check."""
     from . import hurwitz
@@ -197,17 +212,8 @@ def _cmd_tables(args) -> int:
     if table is None:
         return 1
     rows = components.table_rows(table)
-    if args.format == "json":
-        _emit_json(rows, args.output)
-    elif args.format == "csv":
-        _emit(components.table_csv(table), args.output)
-    else:
-        lines = [f"{'g':>3} {'B':>16} {'Abullet':>16} {'A':>16} {'gamma':>10}  components"]
-        for row in rows:
-            comps = " ".join(f"A^{c['l']}={c['value']}" for c in row["components"])
-            lines.append(f"{row['g']:>3} {row['B']:>16} {row['Abullet'] or '-':>16} "
-                         f"{row['A'] or '-':>16} {row['gamma']:>10}  {comps}")
-        _emit("\n".join(lines) + "\n", args.output)
+    render = components.table_csv if args.format == "csv" else components.table_text
+    _report(args, rows, render(rows))
     return 0
 
 
@@ -219,32 +225,23 @@ def _cmd_components(args) -> int:
     if table is None:
         return 1
     # a failed component check has already exited 1 above
-    payload = {
-        "g": g,
-        "A": str(table.A[g]),
-        "independent": True,
-        "components": components.component_entries(table, g),
-    }
-    if args.format == "json":
-        _emit_json(payload, args.output)
-    else:
-        lines = [f"genus {g}: A_g = {payload['A']}, independent of component: True"]
-        lines += [f"  A^{c['l']} = {c['value']}" for c in payload["components"]]
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {"g": g, "A": str(table.A[g]), "independent": True,
+               "components": components.component_entries(table, g)}
+    _report(args, payload, [f"genus {g}: A_g = {payload['A']}, independent of component: True",
+                            *(f"  A^{c['l']} = {c['value']}" for c in payload["components"])])
     return 0
 
 
-def _verify_report(payload: dict, label: str, args) -> int:
-    """Write a verify payload: its JSON, or one line ``<label>: <status>`` per check.
+def _verify_report(args, title: str, payload: dict, label: str) -> int:
+    """Write a verify payload: its JSON, or ``title``, a line per check and the verdict.
 
-    ``label`` is formatted with the check's fields, ``"{name}"`` or ``"idx {idx}"``.
+    ``title`` names the suite and its parameter, ``"verify crc --order 15"``.
+    Each check's line is ``<label>: <status>``, with ``label`` formatted with
+    the check's fields, ``"{name}"`` or ``"idx {idx}"``.
     """
-    if args.format == "json":
-        _emit_json(payload, args.output)
-    else:
-        lines = [f"{label.format(**c)}: {c['status']}" for c in payload["checks"]]
-        lines.append("all checks passed" if payload["all_pass"] else "FAILURES present")
-        _emit("\n".join(lines) + "\n", args.output)
+    verdict = "all checks passed" if payload["all_pass"] else "FAILURES present"
+    _report(args, payload, [title, *(f"{label.format(**c)}: {c['status']}"
+                                     for c in payload["checks"]), verdict])
     return 0 if payload["all_pass"] else 1
 
 
@@ -255,8 +252,9 @@ def _cmd_verify_recursions(args) -> int:
     table = hurwitz.build_hodge_table(G, components=False)
     checks = [{"name": name, "status": "pass" if ok else "fail"}
               for name, ok in table.checks.items()]
-    return _verify_report({"suite": "recursions", "max_genus": G, "checks": checks,
-                           "all_pass": all(table.checks.values())}, "{name}", args)
+    return _verify_report(args, f"verify recursions --max-genus {G}",
+                          {"suite": "recursions", "max_genus": G, "checks": checks,
+                           "all_pass": all(table.checks.values())}, "{name}")
 
 
 def _cmd_verify_theta(args) -> int:
@@ -266,8 +264,9 @@ def _cmd_verify_theta(args) -> int:
     ok = components.theta_check(N)
     checks = [{"name": f"theta_0 - theta_1 constant 1/9 to degree {N}",
                "status": "pass" if ok else "fail"}]
-    return _verify_report({"suite": "theta", "order": N, "checks": checks, "all_pass": ok},
-                          "{name}", args)
+    return _verify_report(args, f"verify theta --order {N}",
+                          {"suite": "theta", "order": N, "checks": checks, "all_pass": ok},
+                          "{name}")
 
 
 def _cmd_verify_crc(args) -> int:
@@ -277,7 +276,8 @@ def _cmd_verify_crc(args) -> int:
     table = _checked_table(max(N - 2, 4), components=False)
     if table is None:
         return 1
-    return _verify_report(potentials.verify_crc(N, table), "idx {idx}", args)
+    return _verify_report(args, f"verify crc --order {N}", potentials.verify_crc(N, table),
+                          "idx {idx}")
 
 
 def _cmd_localization(args) -> int:
@@ -288,16 +288,11 @@ def _cmd_localization(args) -> int:
                ("1", "C1", "C1"), ("1", "C2", "C2"), ("1", "C1", "C2"),
                ("C1", "C1", "C1"), ("C1", "C1", "C2"),
                ("C2", "C2", "C2"), ("C2", "C2", "C1")]
-    entries = []
-    for classes in triples:
-        value = potentials.triple_intersection(*classes, data=data)
-        entries.append({"classes": list(classes), "value": value.to_json(),
-                        "display": str(value)})
-    if args.format == "json":
-        _emit_json({"entries": entries}, args.output)
-    else:
-        lines = [f"<{', '.join(e['classes'])}> = {e['display']}" for e in entries]
-        _emit("\n".join(lines) + "\n", args.output)
+    values = [potentials.triple_intersection(*classes, data=data) for classes in triples]
+    entries = [{"classes": list(classes), "value": value.to_json(), "display": str(value)}
+               for classes, value in zip(triples, values)]
+    _report(args, {"entries": entries},
+            (f"<{', '.join(e['classes'])}> = {e['display']}" for e in entries))
     return 0
 
 
@@ -306,15 +301,10 @@ def _cmd_duval(args) -> int:
 
     transform = mckay.duval_transform(args.n)
     payload = mckay.transform_json(transform)
-    if args.format == "text":
-        lines = [f"cyclic group of order {payload['n']}, "
-                 f"entries in Q(zeta_{payload['cyclotomic_order']})"]
-        for j, row in enumerate(transform.matrix, start=1):
-            lines.append(f"R_{j}: " + "  ".join(str(e) for e in row))
-        lines.append("q: " + "  ".join(str(q) for q in transform.q_values))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit_json(payload, args.output)
+    rows = {**{f"R_{j}": row for j, row in enumerate(transform.matrix, 1)}, "q": transform.q_values}
+    _report(args, payload, chain(
+        [f"cyclic group of order {payload['n']}, entries in Q(zeta_{payload['cyclotomic_order']})"],
+        (f"{name}: " + "  ".join(map(str, row)) for name, row in rows.items())))
     return 0
 
 
@@ -358,8 +348,9 @@ def _help(args) -> int:
                 (f"--format {{{','.join(formats)}}}", "default text"),
                 ("-o, --output PATH", "write to a file instead of stdout")]
         usage, title = "[options]", "options:"
-    lines = [f"usage: {' '.join(('crepant', *args.words))} [-h] {usage}", "", about, "", title]
-    _emit("\n".join(lines + [f"  {name:<24}  {text}" for name, text in rows]) + "\n", None)
+    lines = [f"usage: {' '.join(('crepant', *args.words))} [-h] {usage}", "", about, "", title,
+             *(f"  {name:<24}  {text}" for name, text in rows)]
+    _write((line + "\n" for line in lines), None)
     return 0
 
 

@@ -14,8 +14,11 @@ the rest; ``verify crc`` and ``verify recursions`` never compile it.
   ``_theta_holds`` is the only place they are compared.  ``theta_check``
   decides it on alpha built alone, not b or beta; the table's component
   line decides it on the table's own alpha (see ``hurwitz``).
-- Export: ``table_rows`` and ``table_csv`` give the per-genus rows of the
-  ``tables`` output, and ``component_entries`` the labels of one genus.
+- Export: all three formats of the ``tables`` output.  ``table_rows``
+  gives the per-genus rows, written as they are for JSON, and
+  ``table_text`` and ``table_csv`` yield the text and CSV lines of those
+  same rows one at a time, so no format holds its whole text;
+  ``component_entries`` gives the labels of one genus.
 
 Their test oracles live in ``oracles``: the term-by-term double sum
 ``theta_pair`` in (X, Y), and the per-component linear systems
@@ -25,7 +28,7 @@ the component line stands for.  Neither shares a kernel with this module.
 from __future__ import annotations
 
 from operator import add
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .hurwitz import _nu, _scaled_alpha, _tau_third
 
@@ -127,11 +130,19 @@ def table_rows(table: HodgeTable) -> list[dict]:
     return rows
 
 
-def table_csv(table: HodgeTable) -> str:
-    lines = ["g,B,Abullet,A,gamma,components"]
-    for row in table_rows(table):
+def table_text(rows: list[dict]) -> Iterator[str]:
+    """The lines of the ``tables`` text output of ``rows`` (``table_rows``), header first."""
+    yield f"{'g':>3} {'B':>16} {'Abullet':>16} {'A':>16} {'gamma':>10}  components"
+    for row in rows:
+        comps = " ".join(f"A^{c['l']}={c['value']}" for c in row["components"])
+        yield (f"{row['g']:>3} {row['B']:>16} {row['Abullet'] or '-':>16} "
+               f"{row['A'] or '-':>16} {row['gamma']:>10}  {comps}")
+
+
+def table_csv(rows: list[dict]) -> Iterator[str]:
+    """The lines of the ``tables`` CSV output of ``rows`` (``table_rows``), header first."""
+    yield "g,B,Abullet,A,gamma,components"
+    for row in rows:
         comps = ";".join(f"{c['l']}={c['value']}" for c in row["components"])
-        lines.append(",".join([
-            str(row["g"]), row["B"], row["Abullet"] or "", row["A"] or "",
-            str(row["gamma"]), comps]))
-    return "\n".join(lines) + "\n"
+        yield ",".join([str(row["g"]), row["B"], row["Abullet"] or "", row["A"] or "",
+                        str(row["gamma"]), comps])

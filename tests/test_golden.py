@@ -31,6 +31,9 @@ instead of building two bivariate series.  The ``verify recursions``
 outputs were recorded again, and changed only by their check lines, when
 the table stopped reporting the A-bullet recursion and the ODE and
 merged "A-bullet = gamma * A" with "functional equation for A and B".
+The nine ``verify_*.text.out`` outputs were recorded again, and changed
+only by one first line naming the suite and its parameter (``verify crc
+--order 15``), when the text reports began to say what they verified.
 
 - ``cli_cases.json`` lists each CLI invocation with its stdout file and
   exit code;

@@ -664,7 +664,7 @@ def test_table_rows_schema(table30):
 
 
 def test_table_csv_header_and_rows(table30):
-    text = table_csv(table30)
+    text = "\n".join(table_csv(table_rows(table30)))
     lines = text.strip().splitlines()
     assert lines[0] == "g,B,Abullet,A,gamma,components"
     assert lines[1] == "0,1,,,1,"
