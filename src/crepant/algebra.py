@@ -4,14 +4,17 @@
 transforms: an element is an integer numerator vector over one positive
 denominator, in lowest terms, reduced in ints through one table of the
 powers zeta^e, 0 <= e < m (Phi_m is monic with integer coefficients, so
-no polynomial is divided).  Its elements are ``Record`` values and
-rationals enter through ``_rational``, both from ``record``, so the
-subcommands that never touch Q(zeta_m) (``verify crc`` and
-``localization`` among them) never compile this module.  Q(w)
+no polynomial is divided).  Its elements are ``Number`` values, whose
+base defines their subtraction, powers and equality with rationals and
+with Q(w), and rationals enter through ``_rational``, both from
+``record``, so the subcommands that never touch Q(zeta_m) (``verify
+crc`` and ``localization`` among them) never compile this module.  Q(w)
 (``Cyc3``), the t-linear polynomials over it and the multi-cover series
 live in ``potentials``, their only production consumer, so ``duval``
 never compiles them; the series arithmetic that tests compare against
-lives in ``oracles``.
+lives in ``oracles``.  Neither field module imports the other; the
+module ``__getattr__`` below serves only names the benchmark's tracer
+still looks up here.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .record import Record, _rational
+from .record import Number, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +149,16 @@ class CycField:
         return CycElement(self, self.powers[e % self.m], 1)
 
 
-class CycElement(Record):
+class CycElement(Number):
     """An element of Q(zeta_m): the integer vector ``nums`` over ``den``.
 
     The form is canonical: ``den > 0``, gcd(den, *nums) == 1, and zero is
     all zeros over 1.  Build elements through ``CycField``; every
     operation reduces its result to canonical form once, so equal
-    elements have equal ``nums`` and ``den``.  Rational elements compare
-    and hash like their Fraction value, whatever their field, and
-    irrational elements of two different fields are unequal.  Against
-    any other type ``==`` returns NotImplemented, so Python asks the
-    other operand: ``potentials.Cyc3.__eq__`` defines equality with Q(w).
+    elements of one field have equal ``nums`` and ``den``.  Subtraction,
+    powers and equality are ``Number``'s: rational elements compare and
+    hash like their Fraction value, whatever their field (Q(w) included),
+    and irrational elements of two different fields are unequal.
     """
     __slots__ = _fields = ("field", "nums", "den")
 
@@ -191,12 +193,6 @@ class CycElement(Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> CycElement:
-        return self + (-other)
-
-    def __rsub__(self, other) -> CycElement:
-        return (-self) + other
-
     def __neg__(self) -> CycElement:
         return CycElement(self.field, tuple(-c for c in self.nums), self.den)
 
@@ -214,36 +210,11 @@ class CycElement(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> CycElement:
-        if n < 0:
-            raise ValueError("negative powers are not supported in CycField")
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self) -> CycElement:
+        return self.field.one()
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CycElement):
-            if self.field == other.field:
-                return self.den == other.den and self.nums == other.nums
-            # Two fields share only the rationals.
-            if any(other.nums[1:]):
-                return False
-            other = Fraction(other.nums[0], other.den)
-        if isinstance(other, (int, Fraction)):
-            return (self.den == other.denominator and self.nums[0] == other.numerator
-                    and not any(self.nums[1:]))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Rational elements must hash like their Fraction value.
-        if not any(self.nums[1:]):
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.field.m, self.nums, self.den))
+    def _fraction(self) -> Fraction | None:
+        return None if any(self.nums[1:]) else Fraction(self.nums[0], self.den)
 
     def to_coeff_strings(self) -> list[str]:
         """``str(c)`` for each Fraction coefficient c, without forming the Fractions."""

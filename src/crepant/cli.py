@@ -2,16 +2,18 @@
 
 Exit codes: 0 when all requested checks pass (or output was written),
 1 on a verification mismatch, 2 on a usage error (an unwritable
-``-o/--output`` path included) and when stdout is closed before the
-output is written (a broken pipe, reported in one stderr line).  All
+``-o/--output`` path and an integer option above ``sys.maxsize``
+included) and when stdout fails before the output is written (a broken
+pipe or a full device, reported in one stderr line).  All
 rationals are emitted as exact strings; nothing is ever rounded.
 
 Arguments are parsed from one table, ``_COMMANDS``, without argparse:
 ``--opt value``, ``--opt=value``, a unique prefix of a long option,
 ``-o PATH`` and ``-oPATH``; the last of a repeated option wins.  A usage
-error is one line, ``crepant[ <words>]: error: ...`` or ``<option> must
-be >= <min>, got <v>``.  No run loads argparse, gettext, locale or
-textwrap, which with argparse's parsers cost about 5 ms of each process.
+error is one line, ``crepant[ <words>]: error: ...``, ``<option> must
+be >= <min>, got <v>`` or ``<option> must be <= <sys.maxsize>, got
+<v>``.  No run loads argparse, gettext, locale or textwrap, which with
+argparse's parsers cost about 5 ms of each process.
 
 JSON output is the text of ``json.dump(payload, indent=2)``, made by
 ``_json_pieces``, which writes each list of strings in one ``join``
@@ -410,6 +412,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             raise UsageError(error + f"missing {name}")
         if values[name] < minimum:
             raise UsageError(f"{name} must be >= {minimum}, got {values[name]}")
+        if values[name] > sys.maxsize:      # no list or range of that length exists
+            raise UsageError(f"{name} must be <= {sys.maxsize}, got {values[name]}")
     return SimpleNamespace(func=func, **{name[2:].replace("-", "_"): value
                                          for name, value in values.items()})
 
@@ -423,11 +427,16 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except BrokenPipeError:
+    except OSError as exc:
+        # Writing stdout failed: a closed pipe or a full device (a failed
+        # -o file is a UsageError above; besides their output, handlers
+        # write only stderr lines).
         # Python flushes stdout again at exit; point it at devnull so that
         # flush stays silent (the Python docs' note on SIGPIPE).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("stdout was closed before the output was written", file=sys.stderr)
+        print("stdout was closed before the output was written"
+              if isinstance(exc, BrokenPipeError) else
+              f"cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

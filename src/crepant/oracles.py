@@ -54,14 +54,14 @@ from .hurwitz import HodgeTable, _nu, _scaled_series
 from .potentials import (_FORMS, ChangeOfVars, Cyc3, FixedPointData, LinT, _chain,
                          _cubic_partial, _cyc3, _multicover_pieces, _orbifold_series,
                          _triple_products, orbifold_invariant)
-from .record import Record
+from .record import Ring
 
 
 # ---------------------------------------------------------------------------
 # Truncated univariate series
 # ---------------------------------------------------------------------------
 
-class USeries(Record):
+class USeries(Ring):
     """A power series truncated at a fixed order N: coefficients c_0..c_N.
 
     All arithmetic truncates at N.  Operands of different orders are
@@ -107,12 +107,6 @@ class USeries(Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> USeries:
-        return self + (-other if isinstance(other, USeries) else (other * -1))
-
-    def __rsub__(self, other) -> USeries:
-        return (-self) + other
-
     def __neg__(self) -> USeries:
         return USeries(self.order, tuple(-c for c in self.coeffs))
 
@@ -151,7 +145,7 @@ class USeries(Record):
 # Truncated bivariate series (truncation by total degree)
 # ---------------------------------------------------------------------------
 
-class BiSeries(Record):
+class BiSeries(Ring):
     """A power series in (x1, x2) truncated at total degree N.
 
     Coefficients are stored in triangular rows: rows[i][j] is the
@@ -195,12 +189,6 @@ class BiSeries(Record):
         return BiSeries(self.order, tuple(tuple(r) for r in out))
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> BiSeries:
-        return self + (-other if isinstance(other, BiSeries) else (other * -1))
-
-    def __rsub__(self, other) -> BiSeries:
-        return (-self) + other
 
     def __neg__(self) -> BiSeries:
         return self.map_coeffs(lambda c: -c)

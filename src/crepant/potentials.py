@@ -52,10 +52,11 @@ The comparison's own rings live here, beside their only production
 consumer, so ``duval`` (which needs only ``algebra``'s Q(zeta_m)) never
 compiles them: the field Q(w) (``Cyc3``, with i/sqrt(3) = (2w + 1)/3),
 the t-linear polynomials over it (``LinT``) and ``geometric_exp_series``.
-The module loads only ``record`` itself: ``HodgeTable`` is named in
-annotations alone, so ``localization`` never compiles ``hurwitz``, and
-Q(zeta_m) is imported only when a ``Cyc3`` meets a value that is
-neither a ``Cyc3`` nor a rational.
+Their subtraction, and the powers and equality of ``Cyc3``, come from the
+bases ``Ring`` and ``Number`` in ``record``, which also define how Q(w)
+compares with Q(zeta_m), so this module never imports ``algebra``.  It
+loads only ``record`` itself: ``HodgeTable`` is named in annotations
+alone, so ``localization`` never compiles ``hurwitz``.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .record import Record, _rational
+from .record import Number, Record, Ring, _rational
 
 if TYPE_CHECKING:
     from .hurwitz import HodgeTable
@@ -79,25 +80,26 @@ class DegreeOverflowError(ArithmeticError):
 # Cyc3: the field Q(w), w^2 + w + 1 = 0
 # ---------------------------------------------------------------------------
 
-class Cyc3(Record):
+class Cyc3(Number):
     """An element (na + nb*w)/den of Q(w), w a primitive cube root of unity.
 
     ``Cyc3(a, b)`` is a + b*w for ints or Fractions a and b.  It is stored
     as integer numerators over one positive denominator in lowest terms,
     gcd(na, nb, den) == 1 with zero as 0/1, and every operation reduces
     its result once, so equal elements have equal fields.  ``a`` and
-    ``b`` are the Fraction views na/den and nb/den.  A rational element
-    compares and hashes like its Fraction, and equals a rational
-    ``CycElement`` of the same value; an irrational element never equals
-    a ``CycElement``, not even zeta_3 in ``CycField(3)``.  Nothing divides
-    in Q(w), so there is no inverse and no negative power (ValueError).
+    ``b`` are the Fraction views na/den and nb/den.  Subtraction, powers
+    and equality are ``Number``'s: a rational element compares and hashes
+    like its Fraction, and equals a rational ``CycElement`` of the same
+    value; an irrational element never equals a ``CycElement``, not even
+    zeta_3 in ``CycField(3)``.  Nothing divides in Q(w), so there is no
+    inverse and no negative power (ValueError).
 
     >>> OMEGA * OMEGA == OMEGA_BAR
     True
     >>> Cyc3(1, 2) * Cyc3(1, 2)
     Cyc3('-3')
     """
-    __slots__ = ("na", "nb", "den")
+    __slots__ = _fields = ("na", "nb", "den")
 
     def __new__(cls, a, b=0) -> Cyc3:
         if type(a) is int and type(b) is int:
@@ -134,12 +136,6 @@ class Cyc3(Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> Cyc3:
-        return self + (-other)
-
-    def __rsub__(self, other) -> Cyc3:
-        return -self + other
-
     def __neg__(self) -> Cyc3:
         return _cyc3(-self.na, -self.nb, self.den)
 
@@ -156,37 +152,15 @@ class Cyc3(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Cyc3:
-        if n < 0:
-            raise ValueError("negative powers are not supported in Q(w)")
-        result = _cyc3(1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self) -> Cyc3:
+        return _cyc3(1, 0, 1)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Cyc3):
-            return self.na == other.na and self.nb == other.nb and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return (self.nb == 0 and self.na == other.numerator
-                    and self.den == other.denominator)
-        # imported here, so comparing with rationals never loads Q(zeta_m)
-        from .algebra import CycElement
-        if isinstance(other, CycElement):
-            # Q(w) and Q(zeta_m) are compared only where both are rational;
-            # CycElement.__eq__ defers to this method for a Cyc3 operand.
-            return not any(other.nums[1:]) and self == Fraction(other.nums[0], other.den)
-        return NotImplemented
+    def _fraction(self) -> Fraction | None:
+        return None if self.nb else Fraction(self.na, self.den)
 
     def __hash__(self) -> int:
-        # Rational elements must hash like their Fraction value.
-        if self.nb == 0:
-            return hash(Fraction(self.na, self.den))
-        return hash((self.a, self.b))
+        # An irrational element hashes like its pair of coordinates.
+        return hash((self.a, self.b)) if self.nb else super().__hash__()
 
     def __bool__(self) -> bool:
         return bool(self.na or self.nb)
@@ -253,7 +227,7 @@ I_OVER_SQRT3 = Cyc3(Fraction(1, 3), Fraction(2, 3))  # i/sqrt(3) = (2w + 1)/3
 # LinT: c0 + c1*t1 + c2*t2 over Cyc3, t-degree <= 1
 # ---------------------------------------------------------------------------
 
-class LinT(Record):
+class LinT(Ring):
     """A polynomial c0 + c1*t1 + c2*t2 of degree at most one in (t1, t2).
 
     The equivariant parameters only ever appear linearly in stable
@@ -292,12 +266,6 @@ class LinT(Record):
         return LinT(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> LinT:
-        return self + (-other)
-
-    def __rsub__(self, other) -> LinT:
-        return (-self) + other
 
     def __neg__(self) -> LinT:
         return LinT(-self.c0, -self.c1, -self.c2)

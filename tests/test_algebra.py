@@ -3,8 +3,10 @@ import copy
 import itertools
 import math
 import pickle
+import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -17,7 +19,7 @@ from crepant.potentials import (Cyc3, DegreeOverflowError, I_OVER_SQRT3, LinT, O
                                 OMEGA_BAR, _check_geometric_numerators,
                                 _geometric_numerators, geometric_exp_series)
 from crepant.hurwitz import tangent_numbers
-from crepant.oracles import (USeries, compose_linear, cyc3_inverse, d_dx1, d_dx2,
+from crepant.oracles import (BiSeries, USeries, compose_linear, cyc3_inverse, d_dx1, d_dx2,
                              geometric_series_by_reciprocal, scale_variable,
                              series_reciprocal, swap_series, swap_t, tangent_series,
                              tau_series)
@@ -266,8 +268,6 @@ def test_rational_cyc3_and_cycelement_compare_equal():
     assert OMEGA != CycField(3).zeta() and CycField(3).zeta() != OMEGA
     assert Cyc3(1) != CycField(6).zeta() and CycField(6).zeta() != Cyc3(1)
     assert OMEGA != CycField(6).one() and CycField(6).one() != OMEGA
-    # one definition, in Cyc3.__eq__: CycElement defers, and Python's reflected == finds it
-    assert CycField(6).one().__eq__(Cyc3(1)) is NotImplemented
     assert Cyc3(1) == CycField(6).one() and CycField(6).one() == Cyc3(1)
     assert not Cyc3(1) != CycField(6).one() and not CycField(6).one() != Cyc3(1)
     assert Cyc3(1, 1) != CycField(4).from_rational(1) and CycField(4).from_rational(1) != Cyc3(1, 1)
@@ -362,6 +362,86 @@ def test_cycfield_routes_to_a_rational_agree(q, m):
         assert _is_canonical(z)
         assert z == routes[0] and z == q and q == z
         assert hash(z) == hash(routes[0]) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# The shared bases: subtraction (record.Ring), powers and equality (record.Number)
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(st.integers(min_value=-20, max_value=20), rationals)
+
+
+def _cyc_elements(m):
+    return st.builds(CycField(m).element, st.lists(rationals, max_size=m))
+
+
+cyc_elements = st.sampled_from((3, 6, 12)).flatmap(_cyc_elements)
+lints = st.builds(LinT.of, cyc3s, cyc3s, cyc3s)
+useries = st.builds(USeries.from_coeffs, st.lists(cyc3s, min_size=4, max_size=4))
+biseries = st.builds(lambda cs: BiSeries.build(2, lambda i, j, it=iter(cs): next(it)),
+                     st.lists(cyc3s, min_size=6, max_size=6))
+# two values of one type, and of one field
+ring_pairs = st.one_of(*(st.tuples(kind, kind) for kind in (cyc3s, lints, useries, biseries)),
+                       st.sampled_from((3, 6, 12)).flatmap(
+                           lambda m: st.tuples(_cyc_elements(m), _cyc_elements(m))))
+
+
+@given(ring_pairs, scalars)
+def test_subtraction_is_adding_the_negative(pair, k):
+    x, y = pair
+    assert x - y == x + (-y)
+    assert x - k == x + (-k)
+    assert k - x == -(x - k)
+
+
+@given(st.one_of(cyc3s, cyc_elements), st.integers(min_value=-3, max_value=6))
+def test_powers_are_repeated_products(x, n):
+    if n < 0:
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** n
+    else:
+        assert x ** n == reduce(operator.mul, [x] * n, 1)
+
+
+@given(st.one_of(lints, useries, biseries))
+def test_linear_and_series_types_have_no_powers(x):
+    with pytest.raises(TypeError):
+        x ** 2
+
+
+@st.composite
+def mixed_values(draw):
+    """Rationals and irrational elements, each given in several types or routes.
+
+    Returns the values and, for each, the key it should be equal by: the
+    Fraction of a rational value, or the element's type, field and form
+    for an irrational one.
+    """
+    values = []
+    for q in draw(st.lists(rationals, min_size=1, max_size=3)):
+        routes = [q, Cyc3(q), *(CycField(m).from_rational(q) for m in (3, 6, 12))]
+        if q.denominator == 1:
+            routes.append(int(q))
+        values += [(v, q) for v in routes]
+    for z in draw(st.lists(cyc3s.filter(lambda z: z.nb), max_size=2)):
+        values += [(v, ("Cyc3", z.a, z.b)) for v in (z, (z + 1) - 1)]
+    for z in draw(st.lists(cyc_elements.filter(lambda z: z._fraction() is None), max_size=2)):
+        values += [(v, ("CycElement", z.field.m, z.coeffs)) for v in (z, z * 2 * F(1, 2))]
+    return draw(st.permutations(values))
+
+
+@given(mixed_values(), st.randoms(use_true_random=False))
+def test_equality_across_types_is_transitive_and_hashes_agree(values, rng):
+    for x, kx in values:
+        for y, ky in values:
+            assert (x == y) == (kx == ky) and (x != y) == (kx != ky), (x, y)
+            if kx == ky:
+                assert hash(x) == hash(y), (x, y)
+    distinct = len({key for _, key in values})
+    for _ in range(5):
+        order = [v for v, _ in values]
+        rng.shuffle(order)
+        assert len(set(order)) == distinct
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,11 @@ def test_byte_stable_output(capsys):
     (["components", "--genus", "0"], "--genus must be >= 1, got 0"),
     (["verify", "recursions", "--max-genus", "0"], "--max-genus must be >= 1, got 0"),
     (["verify", "theta", "--order=-5"], "--order must be >= 0, got -5"),
+    # no list or range of these lengths exists, so they are refused before any work
+    (["verify", "crc", "--order", str(10 ** 21)], f"--order must be <= {sys.maxsize}, got {10 ** 21}"),
+    (["tables", "--max-genus", str(10 ** 20)], f"--max-genus must be <= {sys.maxsize}, got {10 ** 20}"),
+    (["duval", "--n", str(10 ** 20)], f"--n must be <= {sys.maxsize}, got {10 ** 20}"),
+    (["verify", "theta", f"--order={10 ** 20}"], f"--order must be <= {sys.maxsize}, got {10 ** 20}"),
 ])
 def test_out_of_range_argument_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -498,6 +503,34 @@ def test_production_modules_neither_import_nor_define_the_oracles(module):
     assert found & _ORACLE_NAMES == set()
 
 
+def _crepant_imports(node, scope=None):
+    """(the innermost enclosing function's name or None, crepant module) per import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _crepant_imports(child, child.name)
+            continue
+        if isinstance(child, ast.ImportFrom):
+            names = [".".join(filter(None, ("crepant" if child.level else "", child.module,
+                                            alias.name))) for alias in child.names]
+        else:
+            names = [alias.name for alias in child.names] if isinstance(child, ast.Import) else []
+            yield from _crepant_imports(child, scope)
+        yield from ((scope, name.split(".")[1]) for name in names if name.startswith("crepant."))
+
+
+def test_neither_field_module_imports_the_other():
+    # Q(w) compares with Q(zeta_m) through record.Number, so potentials never
+    # imports algebra; algebra's module __getattr__ serves only the names the
+    # benchmark's tracer still looks up there.
+    def imports(module):
+        return list(_crepant_imports(ast.parse((Path(crepant.__file__).parent / module).read_text())))
+
+    # the scan sees an import inside a function, and names the function
+    assert ("check_n3_specialization", "potentials") in imports("mckay.py")
+    assert [m for _, m in imports("potentials.py") if m == "algebra"] == []
+    assert [scope for scope, m in imports("algebra.py") if m == "potentials"] == ["__getattr__"]
+
+
 def _annotations(tree):
     """The annotation nodes of ``tree``: argument, return and variable annotations."""
     for node in ast.walk(tree):
@@ -551,6 +584,26 @@ def test_closed_stdout_is_a_usage_error_not_a_traceback(argv, unbuffered):
         proc.wait()
     assert proc.returncode == 2
     assert err == b"stdout was closed before the output was written\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["localization"],                                        # 1 KB, fails at the last flush
+    ["tables", "--max-genus", "200"],                        # 906 KB, fails mid-stream
+], ids=["localization", "tables"])
+def test_full_stdout_is_a_usage_error_not_a_traceback(argv, unbuffered):
+    # /dev/full refuses every write with ENOSPC
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "crepant.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == b"cannot write to stdout: No space left on device\n"
 
 
 class _WriteSpy:
