@@ -216,6 +216,9 @@ class CycElement(Number):
     def _fraction(self) -> Fraction | None:
         return None if any(self.nums[1:]) else Fraction(self.nums[0], self.den)
 
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
     def to_coeff_strings(self) -> list[str]:
         """``str(c)`` for each Fraction coefficient c, without forming the Fractions."""
         den, out = self.den, []

@@ -2,7 +2,8 @@
 
 The resolution-side potential has two kinds of stable data: a cubic
 polynomial in y0..y2 whose coefficients are the ten triple products of
-1, C1, C2 (computed here by localization over the three fixed points),
+1, C1, C2 (computed here by localization over the three fixed points,
+each class by its number: 0 for 1, i for C_i),
 and a multi-cover sum whose third derivative collapses to the geometric
 series G_q(L) = q e^L / (1 - q e^L).  Its exponential coefficients are
 the polylogarithms Li_(-n)(q), which ``geometric_exp_series`` builds
@@ -35,12 +36,15 @@ on L_k equals [u^d] A(-u)/6: O(N) univariate comparisons per call
 instead of O(N^2) bivariate ones per index.  Degrees 0 and 1, which hold
 the cubic constants (and L_0 + L_1 + L_2 = 0), are compared index by
 index, each side read to degree 1 from ``_coefficient_walk``, which
-yields the x1^i x2^j coefficients of a side one at a time.  A change of
-variables whose pieces are not multiples of the L_k, and any index that
-fails, are compared coefficient by coefficient on the same walks read
-to degree N, stopping at the first mismatching monomial, which the
-report gives.  No bivariate series is built and no two series are
-multiplied here; the full bivariate partials ``fy_third_partial`` and
+yields the x1^i x2^j coefficients of a side one at a time.  That one
+read also gives a failing index's report: the walk yields x1^0 x2^j for
+every j before x1^1 x2^0, so when the forms agree its first mismatch is
+one of the three coefficients of degree <= 1.  A change of variables
+whose pieces are not multiples of the L_k, or whose forms disagree, is
+compared coefficient by coefficient on the same walks read to degree N.
+Either read stops at the first mismatching monomial, which the report
+gives.  No bivariate series is built and no two series are multiplied
+here; the full bivariate partials ``fy_third_partial`` and
 ``fx_third_partial`` are the test oracle, in ``oracles``.
 
 Degree bookkeeping: every stable coefficient is t-linear and lives in
@@ -431,27 +435,28 @@ class FixedPointData(Record):
         )
 
     @cached_property
-    def sample_values(self) -> tuple[dict[tuple[int, int], list[tuple[dict, int]]], int]:
+    def sample_values(self) -> tuple[dict[tuple[int, int], list[tuple[tuple[int, ...], int]]], int]:
         """The localization terms at every verify point, over one denominator.
 
-        Every class weight, at every verify point and fixed point, is
-        W[cls]/D, and every 1/(e1*e2) is R/L, for integers W[cls] and R and
-        common denominators D and L.  The localization sum of classes
-        (a, b, c) at a point is then sum_p W[a] W[b] W[c] R / (D^3 L).  The
-        value is ({point: [(W, R) per fixed point]}, D^3 L), evaluated
-        once for all triple products.
+        Classes are numbered as in ``CLASS_IDS``: 0 for the class 1, of
+        weight 1, and i for C_i.  Every class weight, at every verify point
+        and fixed point, is W[i]/D, and every 1/(e1*e2) is R/L, for integers
+        W[i] and R and common denominators D and L.  The triple product of
+        classes i, j, k at a point is then sum_p W[i] W[j] W[k] R / (D^3 L).
+        The value is ({point: [(W, R) per fixed point]}, D^3 L), with each
+        W the tuple of class weights, evaluated once for all triple products.
         """
         weights, tangents = {}, {}
         for t1, t2 in _VERIFY_POINTS:
             at = lambda w: (w.c0 + w.c1 * t1 + w.c2 * t2).as_rational()
-            weights[t1, t2] = [{cls_id: at(_class_weight(cls_id, p, self)) for cls_id in CLASS_IDS}
+            weights[t1, t2] = [(Fraction(1), *(at(bundle[p]) for bundle in self.bundle_weights))
                                for p in range(len(self.tangent_weights))]
             tangents[t1, t2] = [at(e1) * at(e2) for e1, e2 in self.tangent_weights]
             if 0 in tangents[t1, t2]:
                 raise ZeroDivisionError(f"tangent weight vanishes at {(t1, t2)}")
-        D = math.lcm(*(v.denominator for ws in weights.values() for w in ws for v in w.values()))
+        D = math.lcm(*(v.denominator for ws in weights.values() for w in ws for v in w))
         L = math.lcm(*(e.numerator for es in tangents.values() for e in es))
-        terms = {point: [({cls_id: v.numerator * (D // v.denominator) for cls_id, v in w.items()},
+        terms = {point: [(tuple(v.numerator * (D // v.denominator) for v in w),
                           L * e.denominator // e.numerator)
                          for w, e in zip(weights[point], tangents[point])]
                  for point in _VERIFY_POINTS}
@@ -469,30 +474,6 @@ CLASS_IDS = ("1", "C1", "C2")
 _VERIFY_POINTS = [(k, 1) for k in range(3, 11)] + [(1, 4), (1, 7)]
 
 
-def _class_weight(cls_id: str, p: int, data: FixedPointData) -> LinT:
-    if cls_id == "1":
-        return LinT.of(1)
-    if cls_id == "C1":
-        return data.bundle_weights[0][p]
-    if cls_id == "C2":
-        return data.bundle_weights[1][p]
-    raise ValueError(f"unknown class id {cls_id!r}")
-
-
-def _localization_sum(classes, terms: list[tuple[dict, int]]) -> int:
-    """The numerator of the localization sum of ``classes`` at one verify point.
-
-    ``terms`` are that point's terms of ``FixedPointData.sample_values``,
-    whose denominator is common to every point.
-    """
-    total = 0
-    for weights, num in terms:
-        for cls_id in classes:
-            num *= weights[cls_id]
-        total += num
-    return total
-
-
 def triple_intersection(a: str, b: str, c: str,
                         data: FixedPointData | None = None) -> LinT | InverseT1T2:
     """The equivariant triple product of classes in {1, C1, C2}.
@@ -502,9 +483,11 @@ def triple_intersection(a: str, b: str, c: str,
     3 f(3, 1), for three identity classes, else as c0 + c1 t1 + c2 t2
     with c1 = f(4, 1) - f(3, 1), c2 = (f(1, 4) - f(3, 1) + 2 c1)/3 and
     c0 = f(3, 1) - 3 c1 - c2; a miss at any point raises ArithmeticError.
-    Every f is an integer F over the one denominator den of
-    ``sample_values``, so the fit and its checks run on F, and on
-    3 den (c0, c1, c2), in integers.
+    The class names are turned into their numbers in ``CLASS_IDS`` once,
+    and each f is one sum over the (W, R) terms of ``sample_values``,
+    an integer F = sum W[i] W[j] W[k] R over its one denominator den, so
+    the fit and its checks run on F, and on 3 den (c0, c1, c2), in
+    integers.
     """
     if data is None:
         data = FixedPointData.standard()
@@ -512,8 +495,9 @@ def triple_intersection(a: str, b: str, c: str,
     for cls_id in classes:
         if cls_id not in CLASS_IDS:
             raise ValueError(f"unknown class id {cls_id!r}")
+    i, j, k = map(CLASS_IDS.index, classes)
     terms, den = data.sample_values
-    F = {point: _localization_sum(classes, terms[point]) for point in _VERIFY_POINTS}
+    F = {point: sum(W[i] * W[j] * W[k] * R for W, R in terms[point]) for point in _VERIFY_POINTS}
 
     if classes == ("1", "1", "1"):
         scale = F[3, 1] * 3
@@ -748,11 +732,12 @@ def _orbifold_series(table: HodgeTable, N: int) -> tuple[Cyc3, ...]:
 def _first_mismatch(fy, fx):
     """The first difference of two scalars, or of two coefficient walks read in step.
 
+    The scalars of one index are of one type: InverseT1T2 for 000 and
+    LinT for every other index, on both sides.
+
     A walk yields ((i, j), coefficient) (``_coefficient_walk``); reading
     stops at the first coefficient that differs.  None when they agree.
     """
-    if type(fy) is not type(fx):
-        return {"monomial": None, "fy": str(fy), "fx": str(fx)}
     if isinstance(fy, (LinT, InverseT1T2)):
         if fy != fx:
             return {"monomial": "1", "fy": fy.to_json(), "fx": fx.to_json()}
@@ -779,12 +764,16 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     against [u^d] A(-u)/6, since the chain factors of both sides on L_k
     differ from those by the same unit w^(k(n1-n2)) (see the module
     docstring).  Degrees 0 and 1, which hold the cubic constants, are
-    compared index by index, reading both sides' ``_coefficient_walk`` to
-    degree min(N - 3, 1).  When a piece of the change of variables lies
-    off every L_k, or the forms or that read disagree, the index is
-    compared coefficient by coefficient on the full walks, x1^i x2^j in
-    the order of ``_coefficient_walk``, up to the first mismatching
-    monomial, which the report gives; no bivariate series is built.
+    compared index by index, reading both sides' ``_coefficient_walk``
+    once, to degree min(N - 3, 1).  A failing index is reported from that
+    same read: the walk yields x1^0 x2^j for every j before x1^1 x2^0,
+    and the forms agree in every degree >= 2, so the first mismatch of
+    the full walk is its first mismatch of degree <= 1.  When a piece of
+    the change of variables lies off every L_k, or the forms disagree,
+    every series index is read once to degree N - 3 instead, coefficient
+    by coefficient in the order of ``_coefficient_walk``.  Either read
+    stops at the first mismatching monomial, which the report gives; no
+    bivariate series is built.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -800,7 +789,7 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
     on_forms = _coefficients_on_forms(pieces, order)
     high = list(orbifold[2:])
     forms_agree = on_forms is not None and all(c[2:] == high for c in on_forms)
-    low = min(order, 1)
+    depth = min(order, 1) if forms_agree else order
     checks = []
     all_pass = True
     for idx in ALL_INDICES:
@@ -809,12 +798,8 @@ def verify_crc(N: int, table: HodgeTable, cov: ChangeOfVars | None = None,
         if 0 in idx:
             mismatch = _first_mismatch(fy_cubic, fx_cubic)
         else:
-            agree = forms_agree and _first_mismatch(
-                _coefficient_walk(idx, fy_cubic, pieces, low),
-                _coefficient_walk(idx, fx_cubic, orbifold_terms, low)) is None
-            mismatch = None if agree else _first_mismatch(
-                _coefficient_walk(idx, fy_cubic, pieces, order),
-                _coefficient_walk(idx, fx_cubic, orbifold_terms, order))
+            mismatch = _first_mismatch(_coefficient_walk(idx, fy_cubic, pieces, depth),
+                                       _coefficient_walk(idx, fx_cubic, orbifold_terms, depth))
         ok = mismatch is None
         all_pass = all_pass and ok
         checks.append({

@@ -444,6 +444,13 @@ def test_equality_across_types_is_transitive_and_hashes_agree(values, rng):
         assert len(set(order)) == distinct
 
 
+@given(cyc_elements)
+def test_cycelement_is_true_exactly_when_nonzero(x):
+    # as for Cyc3, int and Fraction: zero, however it is reached, is falsy
+    assert bool(x) == (x != 0)
+    assert not x.field.zero() and not x - x and not x * 0
+
+
 # ---------------------------------------------------------------------------
 # LinT
 # ---------------------------------------------------------------------------

@@ -226,6 +226,29 @@ def test_verify_theta_reports_corrupted_total(capsys, corrupt_theta_totals):
     assert err == ""
 
 
+def test_verify_crc_reports_failed_indices(capsys, monkeypatch):
+    # q = (w-bar, w-bar) moves every multi-cover piece, so each index
+    # without an identity insertion fails and the scalar ones still pass
+    from crepant import potentials
+
+    std = potentials.ChangeOfVars.standard()
+    cov = potentials.ChangeOfVars(jacobian=std.jacobian,
+                                  q_values=(potentials.OMEGA_BAR, potentials.OMEGA_BAR))
+    monkeypatch.setattr(potentials.ChangeOfVars, "standard", classmethod(lambda cls: cov))
+    code, out, err = run(capsys, "verify", "crc", "--order", "6")
+    assert code == 1
+    assert out == ("verify crc --order 6\n"
+                   + "".join(f"idx {i}: pass\n" for i in ("000", "001", "002", "011", "012", "022"))
+                   + "".join(f"idx {i}: fail\n" for i in ("111", "112", "122", "222"))
+                   + "FAILURES present\n")
+    assert err == ""
+    code, out, err = run(capsys, "verify", "crc", "--order", "6", "--format", "json")
+    assert code == 1
+    expected = potentials.verify_crc(6, hurwitz.build_hodge_table(4, components=False), cov=cov)
+    assert json.loads(out)["checks"] == expected["checks"]
+    assert expected["all_pass"] is False and err == ""
+
+
 def test_components_command(capsys):
     code, out, _ = run(capsys, "components", "--genus", "6", "--format", "json")
     assert code == 0

@@ -38,6 +38,25 @@ def test_all_ten_triple_intersections():
         assert triple_intersection(*classes, data=data) == expected, classes
 
 
+def test_halved_weights_give_the_products_at_half_the_parameters():
+    # Fractional weights: the class weights at the verify points share the
+    # denominator D = 2, where the standard weights give D = 1.  Halving
+    # every weight evaluates each product at (t1/2, t2/2): c1 and c2 halve,
+    # c0 stays, and the scale of <1,1,1> over t1*t2 is multiplied by 4.
+    data = FixedPointData.standard()
+    half = lambda weights: tuple(tuple(w * F(1, 2) for w in ws) for ws in weights)
+    halved = FixedPointData(tangent_weights=half(data.tangent_weights),
+                            bundle_weights=half(data.bundle_weights))
+    # C2's weight at the first fixed point, -t1/2, is -3/2 at (3, 1)
+    assert halved.bundle_weights[1][0] == LinT.of(0, F(-1, 2), 0)
+    for classes, expected in EXPECTED_TRIPLES.items():
+        if isinstance(expected, InverseT1T2):
+            expected = InverseT1T2(expected.scale * 4)
+        else:
+            expected = LinT(expected.c0, expected.c1 * F(1, 2), expected.c2 * F(1, 2))
+        assert triple_intersection(*classes, data=halved) == expected, classes
+
+
 def test_standard_fixed_point_data_is_shared():
     # one instance, so its sample values are evaluated once per process
     assert FixedPointData.standard() is FixedPointData.standard()
@@ -398,6 +417,15 @@ def test_route_follows_the_linear_forms(table16, monkeypatch):
     verify_crc(10, table16, cov=off)
     # one walk per side for each series index, to degree 7
     assert walked == [(idx, 7) for idx in SERIES_INDICES for _ in range(2)]
+    walked.clear()
+    # A_2 enters the orbifold series in degree 1 only, so the forms agree
+    # and the failing indices are reported from the degree-1 walks
+    broken = copy.deepcopy(table16)
+    broken.A[2] = broken.A[2] + 1
+    report = verify_crc(10, broken)
+    assert walked == [(idx, 1) for idx in SERIES_INDICES for _ in range(2)]
+    assert report["all_pass"] is False
+    assert report == _bivariate_report(10, broken)
 
 
 @pytest.mark.parametrize("q", [OMEGA, OMEGA_BAR])
